@@ -7,8 +7,8 @@
 #                    experiment engine must stay race-clean)
 #   make alloccheck  gate: the steady-state hot paths (path access, evict,
 #                    tree walk, tree-top find, LLC access, DWB scan,
-#                    histogram observe, fully-traced flight access) must not
-#                    allocate
+#                    histogram observe, fully-traced flight access, cached
+#                    DRAM run service, IR-Stash fill) must not allocate
 #   make docscheck   gate: exported facade/metrics identifiers must carry doc
 #                    comments, and docs/METRICS.md must match the metrics
 #                    registry's self-description both ways

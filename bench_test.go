@@ -260,6 +260,11 @@ func BenchmarkTreeWalk(b *testing.B) { tree.WalkBenchmark(b) }
 // internal/stash so cmd/benchjson snapshots the same code.
 func BenchmarkTopCacheFind(b *testing.B) { stash.TopCacheFindBenchmark(b) }
 
+// BenchmarkIRStashFill measures the S-Stash mix (set-conflict Fill refusal,
+// LookupByAddr hit, RemoveByAddr+Fill churn) through the memoized MD5 set
+// index. Body in internal/stash so cmd/benchjson snapshots the same code.
+func BenchmarkIRStashFill(b *testing.B) { stash.IRStashFillBenchmark(b) }
+
 // BenchmarkLLCAccess measures one LLC access-or-insert with LRU tracking
 // enabled (the IR-DWB configuration: mask set indexing + summary refresh).
 func BenchmarkLLCAccess(b *testing.B) { cache.AccessBenchmark(b) }

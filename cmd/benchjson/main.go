@@ -18,9 +18,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -104,8 +106,10 @@ type report struct {
 // metrics operation on the access path), the PR 9 bitmap-engine
 // microbenchmarks (the occupancy-word tree walk, the lazily-indexed
 // tree-top lookup — whose alloc gate proves the index sweeps in place
-// instead of growing), and the PR 10 flight-recorder path (every access
-// traced into the ring — recording must reuse ring slots, never allocate).
+// instead of growing), the PR 10 flight-recorder path (every access traced
+// into the ring — recording must reuse ring slots, never allocate), the
+// run-length DRAM service of a cached path schedule, and the IR-Stash
+// fill/lookup mix (its memoized MD5 set index must never allocate).
 var zeroAllocBenchmarks = []struct {
 	name string
 	fn   func(*testing.B)
@@ -118,27 +122,37 @@ var zeroAllocBenchmarks = []struct {
 	{"DWBScan", cache.ScanBenchmark},
 	{"HistObserve", metrics.ObserveBenchmark},
 	{"FlightAccess", benchFlightAccess},
+	{"ServiceRuns", benchServiceRuns},
+	{"IRStashFill", stash.IRStashFillBenchmark},
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+// run executes one invocation; 2 means a bad command line.
+func run(args []string) int {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	var (
-		out   = flag.String("out", "BENCH_pr10.json", "output file")
-		check = flag.Bool("check", false,
+		out   = fs.String("out", "BENCH_pr10.json", "output file")
+		check = fs.Bool("check", false,
 			"only verify that the hot-path benchmarks perform 0 allocs/op; no file is written")
-		reps = flag.Int("reps", 5,
-			"repetitions per wall-clock benchmark; the minimum ns/op is recorded")
-		baseline = flag.String("baseline", "",
+		reps = fs.Int("reps", 5,
+			"repetitions per wall-clock benchmark (at least 1); the minimum ns/op is recorded")
+		baseline = fs.String("baseline", "",
 			"previous PR's snapshot; the deterministic metrics must match it exactly")
-		diff = flag.String("diff", "",
+		diff = fs.String("diff", "",
 			"snapshot to compare (with -against); fails on >10% ns/op regression or metric drift")
-		against = flag.String("against", "",
+		against = fs.String("against", "",
 			"baseline snapshot for -diff")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *reps < 1 {
+		fmt.Fprintf(os.Stderr, "benchjson: -reps %d: need at least 1 repetition\n", *reps)
+		return 2
+	}
 
 	if *diff != "" {
 		return runDiff(*diff, *against)
@@ -166,16 +180,12 @@ func run() int {
 		return 0
 	}
 
-	if *reps < 1 {
-		*reps = 1
-	}
 	rep := report{
 		Host: hostSnapshot(),
 		Reps: *reps,
 		Benchmarks: map[string]benchEntry{
 			"ServiceBatch": benchMin(benchServiceBatch, *reps),
 			"ServicePath":  benchMin(benchServicePath, *reps),
-			"ServiceRuns":  benchMin(benchServiceRuns, *reps),
 		},
 		Metrics: map[string]float64{},
 	}
@@ -288,14 +298,25 @@ func runDiff(newPath, oldPath string) int {
 	return 0
 }
 
+// loadReport reads a snapshot and fails closed: unknown fields, data after
+// the report and a report with no benchmarks are errors, so a gate never
+// passes by comparing against something that is not a snapshot.
 func loadReport(path string) (report, error) {
 	var rep report
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return rep, err
 	}
-	if err := json.Unmarshal(data, &rep); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rep); err != nil {
 		return rep, fmt.Errorf("%s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return rep, fmt.Errorf("%s: trailing data after the report", path)
+	}
+	if len(rep.Benchmarks) == 0 {
+		return rep, fmt.Errorf("%s: report has no benchmarks", path)
 	}
 	return rep, nil
 }

@@ -59,17 +59,21 @@ func (t *AddrTable) init(slots int) {
 // Len returns the number of live entries.
 func (t *AddrTable) Len() int { return t.n }
 
-// slot returns the home slot of id: a 64-bit finalizer mix (splitmix64)
-// masked to the table size, so dense block IDs spread over the whole array.
-func (t *AddrTable) slot(id block.ID) uint64 {
+// mix64 is the 64-bit finalizer mix (splitmix64) that indexes the package's
+// hash tables (AddrTable, the IR-Stash set memo): masked to a power-of-two
+// size, it spreads dense block IDs over the whole array.
+func mix64(id block.ID) uint64 {
 	x := uint64(id)
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
-	return x & t.mask
+	return x
 }
+
+// slot returns the home slot of id.
+func (t *AddrTable) slot(id block.ID) uint64 { return mix64(id) & t.mask }
 
 // Get returns the value stored for id.
 func (t *AddrTable) Get(id block.ID) (uint32, bool) {

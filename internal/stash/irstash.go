@@ -24,6 +24,13 @@ import (
 // When the write phase cannot place a block because its S-Stash set is
 // full, Fill refuses and the block stays in the F-Stash for a later round
 // (the paper's conflict rule).
+//
+// The set index is always the crypto/md5 one above; the simulator only
+// memoizes it. A direct-mapped memo of setMemoSlots entries remembers the
+// set of each recently hashed address, so the write phase, which re-offers
+// the same F-Stash residents at every on-chip level of every path, hashes
+// each of them once while it stays hot. Placement, conflicts and every
+// simulated output are those of hashing on every call.
 type IRStash struct {
 	topLevels int
 	levels    int
@@ -36,7 +43,16 @@ type IRStash struct {
 	occupied []uint64
 	// Conflicts counts Fill refusals due to S-Stash set conflicts.
 	Conflicts uint64
+	// memoKey[i] is the address whose MD5 set memoSet[i] holds, at slot
+	// mix64(addr) mod setMemoSlots. Unused slots hold block.Invalid with
+	// its true set, so no lookup needs an empty-slot branch.
+	memoKey []block.ID
+	memoSet []uint32
 }
+
+// setMemoSlots is the size of each IR-Stash's set-index memo (48 KB). A
+// memo four times larger ran the scaled lbm workload no faster.
+const setMemoSlots = 4096
 
 type sslot struct {
 	addr  block.ID
@@ -69,6 +85,13 @@ func NewIRStash(levels, topLevels int, z []int, ways int) *IRStash {
 		slots:     make([]sslot, sets*ways),
 		tt:        make([][]int32, 1<<uint(topLevels)),
 		occupied:  make([]uint64, topLevels),
+		memoKey:   make([]block.ID, setMemoSlots),
+		memoSet:   make([]uint32, setMemoSlots),
+	}
+	invalidSet := s.hashSet(block.Invalid)
+	for i := range s.memoKey {
+		s.memoKey[i] = block.Invalid
+		s.memoSet[i] = invalidSet
 	}
 	for n := range s.tt {
 		level := levelOfNode(n)
@@ -95,12 +118,22 @@ func levelOfNode(n int) int {
 	return l
 }
 
-// setOf hashes addr with MD5 and maps it to an S-Stash set.
+// setOf returns addr's S-Stash set, hashing it only on a memo miss.
 func (s *IRStash) setOf(addr block.ID) int {
+	i := mix64(addr) & (setMemoSlots - 1)
+	if s.memoKey[i] != addr {
+		s.memoKey[i] = addr
+		s.memoSet[i] = s.hashSet(addr)
+	}
+	return int(s.memoSet[i])
+}
+
+// hashSet hashes addr with MD5 and maps it to an S-Stash set.
+func (s *IRStash) hashSet(addr block.ID) uint32 {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(addr))
 	sum := md5.Sum(buf[:])
-	return int(binary.LittleEndian.Uint64(sum[:8]) % uint64(s.sets))
+	return uint32(binary.LittleEndian.Uint64(sum[:8]) % uint64(s.sets))
 }
 
 func (s *IRStash) node(level int, leaf block.Leaf) int {

@@ -239,15 +239,25 @@ func TestIRStashAddrIndex(t *testing.T) {
 func TestIRStashConflictRefusal(t *testing.T) {
 	// With 1-way sets, two distinct addresses hashing to the same set
 	// conflict. Fill many root-adjacent buckets and verify refusals are
-	// counted and the store never lies about placement.
+	// counted and the store never lies about placement. The seed is fixed,
+	// so the conflicts are too.
 	s := NewIRStash(testLevels, testTop, topZ(), 1)
 	r := rng.New(4)
 	placed := 0
 	for i := 0; i < 200; i++ {
 		leaf := block.Leaf(r.Uint64n(1 << (testLevels - 1)))
 		level := int(r.Uint64n(testTop))
+		lenBefore, occBefore, conflictsBefore := s.Len(), s.OccupiedAt(level), s.Conflicts
 		if s.Fill(level, leaf, tree.Entry{Addr: block.ID(1000 + i), Leaf: leaf}) {
 			placed++
+			continue
+		}
+		if s.Len() != lenBefore || s.OccupiedAt(level) != occBefore {
+			t.Fatalf("refused Fill changed the store: Len %d->%d, OccupiedAt(%d) %d->%d",
+				lenBefore, s.Len(), level, occBefore, s.OccupiedAt(level))
+		}
+		if s.Conflicts > conflictsBefore+1 {
+			t.Fatalf("one refusal counted %d conflicts", s.Conflicts-conflictsBefore)
 		}
 	}
 	if placed == 0 {
@@ -257,7 +267,7 @@ func TestIRStashConflictRefusal(t *testing.T) {
 		t.Errorf("Len %d != placed %d", s.Len(), placed)
 	}
 	if s.Conflicts == 0 {
-		t.Log("no conflicts with 1-way sets is unlikely but not fatal")
+		t.Error("no set conflicts with 1-way sets")
 	}
 }
 
