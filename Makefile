@@ -12,6 +12,7 @@
 #   make docscheck   gate: exported facade/metrics identifiers must carry doc
 #                    comments, and docs/METRICS.md must match the metrics
 #                    registry's self-description both ways
+#   make fmtcheck    gate: every Go file is gofmt-clean
 #   make check       all of the above — the documented verification flow
 #   make bench       benchmark harness (one benchmark per paper figure)
 #   make benchjson   performance-trajectory snapshot (BENCH_pr10.json, min of
@@ -26,7 +27,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race alloccheck docscheck check bench benchjson benchcmp flightcheck profile profile-top
+.PHONY: build vet test race alloccheck docscheck fmtcheck check bench benchjson benchcmp flightcheck profile profile-top
 
 build:
 	$(GO) build ./...
@@ -46,7 +47,10 @@ alloccheck:
 docscheck:
 	$(GO) run ./cmd/docscheck
 
-check: build vet test race alloccheck docscheck
+fmtcheck:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "fmtcheck: run gofmt -w on the files above"; exit 1; }
+
+check: build vet test race alloccheck docscheck fmtcheck
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -285,22 +285,6 @@ func BenchmarkControllerInit(b *testing.B) {
 	}
 }
 
-// BenchmarkDRAMBatch measures one path-sized read batch.
-func BenchmarkDRAMBatch(b *testing.B) {
-	cfg := config.Scaled().DRAM
-	m := dram.New(cfg)
-	accs := make([]dram.Access, 44)
-	for i := range accs {
-		accs[i] = dram.Access{Addr: uint64(i * 37)}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var now uint64
-	for i := 0; i < b.N; i++ {
-		now = m.ServiceBatch(now, accs)
-	}
-}
-
 // BenchmarkTraceGeneration measures synthetic record production.
 func BenchmarkTraceGeneration(b *testing.B) {
 	g := trace.MustBenchmark("xz", 1<<22, 1)

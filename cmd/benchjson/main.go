@@ -184,8 +184,7 @@ func run(args []string) int {
 		Host: hostSnapshot(),
 		Reps: *reps,
 		Benchmarks: map[string]benchEntry{
-			"ServiceBatch": benchMin(benchServiceBatch, *reps),
-			"ServicePath":  benchMin(benchServicePath, *reps),
+			"ServicePath": benchMin(benchServicePath, *reps),
 		},
 		Metrics: map[string]float64{},
 	}
@@ -390,20 +389,6 @@ func benchPathAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now = is.ReadBlock(now, block.ID(r.Uint64n(nd)))
-	}
-}
-
-func benchServiceBatch(b *testing.B) {
-	m := dram.New(config.Scaled().DRAM)
-	accs := make([]dram.Access, 44)
-	for i := range accs {
-		accs[i] = dram.Access{Addr: uint64(i * 37)}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var now uint64
-	for i := 0; i < b.N; i++ {
-		now = m.ServiceBatch(now, accs)
 	}
 }
 

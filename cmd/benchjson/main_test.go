@@ -78,6 +78,21 @@ func TestDiffRejectsEmptyBaseline(t *testing.T) {
 	}
 }
 
+// A benchmark on one side only must never fail the gate: one retired from
+// fresh snapshots (ServiceBatch, whose per-address DRAM path no production
+// code runs) is still in the checked-in baseline, and PRs add benchmarks.
+func TestDiffSkipsOneSidedBenchmarks(t *testing.T) {
+	withRetired := writeReport(t, `{"benchmarks": {"PathAccess": {"ns_per_op": 4000}, `+
+		`"ServiceBatch": {"ns_per_op": 500}}, "metrics": {"fig10_gmean_IR-ORAM": 1.2}}`)
+	cur := writeReport(t, validReport)
+	if code := runDiff(cur, withRetired); code != 0 {
+		t.Errorf("runDiff with a benchmark only in the baseline = %d, want 0", code)
+	}
+	if code := runDiff(withRetired, cur); code != 0 {
+		t.Errorf("runDiff with a benchmark only in the new snapshot = %d, want 0", code)
+	}
+}
+
 func TestRunRejectsBadReps(t *testing.T) {
 	for _, reps := range []string{"0", "-3"} {
 		if code := run([]string{"-reps", reps}); code != 2 {

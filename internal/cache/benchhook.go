@@ -20,7 +20,7 @@ func AccessBenchmark(b *testing.B) {
 	c.EnableLRUTracking()
 	r := rng.New(3)
 	const addrSpace = 1024 * 8 * 4 // 4x capacity: steady miss/evict mix
-	for i := 0; i < 50000; i++ { // warm to full occupancy
+	for i := 0; i < 50000; i++ {   // warm to full occupancy
 		a := r.Uint64n(addrSpace)
 		if !c.Access(a, r.Bool(0.3)) {
 			c.Insert(a, r.Bool(0.3))

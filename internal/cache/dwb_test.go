@@ -26,6 +26,35 @@ func applyRandomOp(c *Cache, r *rng.Source, addrSpace uint64) {
 	}
 }
 
+// findCandidateSweep is the historical O(sets) implementation, retained
+// verbatim (modulo the restart validation) as the oracle for
+// TestDWBScannerDifferential: state transitions must match FindCandidate's
+// exactly on any cache/op sequence.
+func (s *DWBScanner) findCandidateSweep(now uint64) (addr uint64, ok bool) {
+	if now < s.pauseUntil {
+		return 0, false
+	}
+	for i := 0; i < s.c.Sets(); i++ {
+		si := (s.cursor + i) % s.c.Sets()
+		var a uint64
+		var ok bool
+		if s.anyLRU {
+			a, ok = s.c.LRU(si)
+		} else {
+			a, ok = s.c.DirtyLRU(si)
+		}
+		if ok {
+			s.cursor = (si + 1) % s.c.Sets()
+			s.Found++
+			return a, true
+		}
+	}
+	s.EmptySweeps++
+	s.pauseUntil = now + scanPause
+	s.cursor = s.restartSet()
+	return 0, false
+}
+
 // TestDWBScannerDifferential replays identical op streams into two caches —
 // one scanned by the bitmap FindCandidate, one by the retained historical
 // sweep (findCandidateSweep) — and requires identical candidates, cursor

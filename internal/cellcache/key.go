@@ -110,11 +110,6 @@ func appendDRAM(b []byte, d config.DRAM) []byte {
 	b = appendInt(b, "d.trp", d.TRP)
 	b = appendInt(b, "d.tburst", d.TBurst)
 	b = appendInt(b, "d.twr", d.TWR)
-	// PathSchedSlots is deliberately part of the key even though the
-	// memoized DRAM schedule is documented output-neutral: the fingerprint
-	// never encodes semantic knowledge about which knobs are inert —
-	// cheaper one duplicate simulation than one wrong hit.
-	b = appendInt(b, "d.schedslots", d.PathSchedSlots)
 	return b
 }
 
@@ -167,7 +162,7 @@ var covered = map[reflect.Type][]string{
 	},
 	reflect.TypeOf(config.DRAM{}): {
 		"Channels", "BanksPerChannel", "RowBytes", "CPUCyclesPerDRAMCycle",
-		"TRCD", "TCAS", "TRP", "TBurst", "TWR", "PathSchedSlots",
+		"TRCD", "TCAS", "TRP", "TBurst", "TWR",
 	},
 	reflect.TypeOf(config.Cache{}): {"CapacityBytes", "Ways", "HitLatency"},
 	reflect.TypeOf(config.CPU{}):   {"IPC", "WriteQueueDepth", "MLP"},

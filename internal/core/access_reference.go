@@ -2,22 +2,23 @@ package core
 
 import (
 	"iroram/internal/block"
-	"iroram/internal/dram"
 	"iroram/internal/stash"
 )
 
 // This file retains the pre-fusion, multi-walk shape of the path access as
-// a reference implementation, the same discipline as
-// evictOntoPathReference: the production pipeline (pathAccess) does the
-// read-gather, stash insert, target extraction and writeback posting in a
-// single walk over the path serviced from memoized run lists; the
-// reference rebuilds the physical address list every time, services it
-// per-address through the dram oracle (ServiceBatch/PostWrites), resolves
-// the target's level with a separate tree.Find walk, and stages the read
-// phase through readBuf before scanning it. Both must produce identical
-// timing, statistics, stash order and tree state for every access;
-// TestFusedPipelineMatchesReference drives whole workloads through each
-// and compares. Controller.refPipeline routes pathAccess here.
+// a reference implementation: the production pipeline (pathAccess) does
+// the read-gather, stash insert, target extraction and writeback posting
+// in a single walk over the path serviced from memoized run lists; the
+// reference rebuilds the physical address list every time and services it
+// through ServicePath/PostWritePath — a fresh run build per phase, so the
+// lockstep comparison also pins the dram.PathSched memo — resolves the
+// target's level with a separate tree.Find walk, and stages the read phase
+// through readBuf before scanning it. DRAM timing itself has one
+// implementation (internal/dram's run-length service); its per-address
+// oracle lives in that package's oracle_test.go. Both pipelines must
+// produce identical timing, statistics, stash order and tree state for
+// every access; TestFusedPipelineMatchesReference drives whole workloads
+// through each and compares. Controller.refPipeline routes pathAccess here.
 
 // pathAccessReference is the multi-walk main-tree path access.
 func (c *Controller) pathAccessReference(now uint64, leaf block.Leaf, target block.ID,
@@ -27,14 +28,9 @@ func (c *Controller) pathAccessReference(now uint64, leaf block.Leaf, target blo
 		foundLevel = lvl
 	}
 
-	// Read phase, per-address: rebuild the []dram.Access batch the way the
-	// pre-PR3 controller did and service it through the dram oracle.
+	// Read phase from a freshly built address list, no schedule memo.
 	c.physBuf = c.layout.PathPhys(leaf, c.physBuf[:0])
-	c.accBuf = c.accBuf[:0]
-	for _, a := range c.physBuf {
-		c.accBuf = append(c.accBuf, dram.Access{Addr: a})
-	}
-	readDone := c.mem.ServiceBatch(now, c.accBuf)
+	readDone := c.mem.ServicePath(now, c.physBuf, 0, false)
 	c.st.PhaseReadCycles += readDone - now
 
 	c.fetched.Reset()
@@ -57,11 +53,7 @@ func (c *Controller) pathAccessReference(now uint64, leaf block.Leaf, target blo
 	c.evictBuf = evictOntoPath(c.fstash, c.tr, c.top, c.o.Z, c.minLevel,
 		c.o.Levels, leaf, nil, c.evictList, c.evictBuf, c.placeMainRef, nil)
 
-	c.accBuf = c.accBuf[:0]
-	for _, a := range c.physBuf {
-		c.accBuf = append(c.accBuf, dram.Access{Addr: a, Write: true})
-	}
-	writeDone := c.mem.PostWrites(readDone, c.accBuf)
+	writeDone := c.mem.PostWritePath(readDone, c.physBuf, 0)
 	c.st.PhaseWriteBackCycles += writeDone - readDone
 
 	c.st.Paths.Add(ptype, len(c.physBuf), len(c.physBuf))
@@ -78,11 +70,7 @@ func (c *Controller) rhoPathAccessReference(now uint64, leaf block.Leaf, target 
 	ptype block.PathType) (found bool, done uint64) {
 	r := c.rho
 	c.physBuf = r.layout.PathPhys(leaf, c.physBuf[:0])
-	c.accBuf = c.accBuf[:0]
-	for _, a := range c.physBuf {
-		c.accBuf = append(c.accBuf, dram.Access{Addr: a + r.physOff})
-	}
-	readDone := c.mem.ServiceBatch(now, c.accBuf)
+	readDone := c.mem.ServicePath(now, c.physBuf, r.physOff, false)
 	c.st.PhaseReadCycles += readDone - now
 
 	c.readBuf = r.tr.ReadPath(leaf, c.readBuf[:0])
@@ -101,11 +89,7 @@ func (c *Controller) rhoPathAccessReference(now uint64, leaf block.Leaf, target 
 	c.evictBuf = evictOntoPath(r.fstash, r.tr, top, r.o.Z, r.o.TopLevels,
 		r.o.Levels, leaf, nil, c.evictList, c.evictBuf, nil, nil)
 
-	c.accBuf = c.accBuf[:0]
-	for _, a := range c.physBuf {
-		c.accBuf = append(c.accBuf, dram.Access{Addr: a + r.physOff, Write: true})
-	}
-	writeDone := c.mem.PostWrites(readDone, c.accBuf)
+	writeDone := c.mem.PostWritePath(readDone, c.physBuf, r.physOff)
 	c.st.PhaseWriteBackCycles += writeDone - readDone
 	c.st.Paths.Add(ptype, len(c.physBuf), len(c.physBuf))
 	done = readDone + c.o.OnChipLatency

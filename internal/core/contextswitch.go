@@ -2,7 +2,6 @@ package core
 
 import (
 	"iroram/internal/block"
-	"iroram/internal/dram"
 	"iroram/internal/tree"
 )
 
@@ -46,16 +45,12 @@ func (c *Controller) ContextSwitch(now uint64) uint64 {
 		for l := 0; l < c.minLevel; l++ {
 			slots += int(c.top.CapacityAt(l))
 		}
-		c.accBuf = c.accBuf[:0]
+		c.physBuf = c.physBuf[:0]
 		for j := 0; j < slots; j++ {
-			c.accBuf = append(c.accBuf, dram.Access{Addr: spillBase + uint64(j), Write: true})
+			c.physBuf = append(c.physBuf, spillBase+uint64(j))
 		}
-		done = c.mem.ServiceBatch(done, c.accBuf)
-		c.accBuf = c.accBuf[:0]
-		for j := 0; j < slots; j++ {
-			c.accBuf = append(c.accBuf, dram.Access{Addr: spillBase + uint64(j)})
-		}
-		done = c.mem.ServiceBatch(done, c.accBuf)
+		done = c.mem.ServicePath(done, c.physBuf, 0, true)
+		done = c.mem.ServicePath(done, c.physBuf, 0, false)
 	}
 
 	c.st.ContextSwitches++

@@ -1,6 +1,48 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"iroram/internal/block"
+)
+
+// epochSet is a reusable membership set over the unified block-ID space,
+// the "which blocks did the tree-top refuse" scratch set of the reference
+// eviction (evictOntoPathReference). It replaced the map[block.ID]bool
+// scratch maps the hot path once used: membership is one array read,
+// insertion one array write, and clearing is a generation-counter bump —
+// no per-path clear() walk, no hashing, no allocation.
+//
+// The stamp array is direct-indexed by block ID and sized once for the
+// whole unified space (pm.Total() entries, 4 B each — small next to the
+// position map itself, which already keeps per-block state at the same
+// scale). A slot is a member iff its stamp equals the current generation.
+type epochSet struct {
+	stamps []uint32
+	gen    uint32
+}
+
+// newEpochSet returns an empty set over IDs in [0, n).
+func newEpochSet(n int) *epochSet {
+	return &epochSet{stamps: make([]uint32, n), gen: 1}
+}
+
+// Reset empties the set in O(1). On the (once per 2^32 resets) generation
+// wrap the stamp array is cleared so stale stamps from the previous cycle
+// cannot alias the new generation.
+func (s *epochSet) Reset() {
+	s.gen++
+	if s.gen == 0 {
+		clear(s.stamps)
+		s.gen = 1
+	}
+}
+
+// Add marks id as a member of the current generation.
+func (s *epochSet) Add(id block.ID) { s.stamps[id] = s.gen }
+
+// Has reports membership of id in the current generation.
+func (s *epochSet) Has(id block.ID) bool { return s.stamps[id] == s.gen }
 
 func TestEpochSetBasics(t *testing.T) {
 	s := newEpochSet(64)

@@ -17,9 +17,9 @@ import (
 // filled deepest-first from the per-level lists, with entries that did not
 // fit spilling toward the root. Cost is O(stash + path). The pre-PR3
 // formulation — one full stash scan per tree level via
-// stash.FStash.TakeForBucket — is O(levels × stash) and is retained below
-// (evictOntoPathReference) as the oracle for the differential tests in
-// eviction_test.go.
+// stash.FStash.TakeForBucket — is O(levels × stash) and is retained in
+// eviction_reference_test.go (evictOntoPathReference) as the oracle for the
+// differential tests in eviction_test.go.
 //
 // The two implementations place the same NUMBER of blocks at every level of
 // the path (both are maximal greedy deepest-first evictions; see
@@ -37,6 +37,12 @@ import (
 // this block for this round" rule); refused blocks stay candidates for
 // shallower levels, exactly like the reference scan. Entries that fit
 // nowhere return to the stash.
+//
+// Precondition: top == nil implies minLevel == 0. On-chip levels exist
+// only together with a top store, and every caller passes a controller's
+// or a ρ tree's own (top, minLevel) pair, for which that holds. Every
+// stashed entry is then placeable at some level of the path, so the whole
+// stash drains into the per-level candidate lists (FStash.DrainForPath).
 //
 // placeCounts receives the aggregate placement tally of one write phase:
 // placed[l] blocks landed at level l, fetched[l] of which were gathered by
@@ -73,29 +79,16 @@ func evictOntoPath(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 	onPlace func(e tree.Entry, level int, fetched bool),
 	counts *placeCounts) []tree.Entry {
 
-	low := minLevel
-	if top != nil {
-		low = 0
-	}
-	for l := low; l < levels; l++ {
+	for l := 0; l < levels; l++ {
 		lists[l] = lists[l][:0]
 	}
 	// gathered holds the blocks the fused read walk just pulled off the
 	// path, kept out of the stash index because this drain would remove
 	// them again immediately; DrainForPath classifies them and the resident
-	// entries in the exact order Insert-then-TakeForPath would have. Every
-	// configured scheme has low == 0 (a tree-top store or minLevel 0), so
-	// the general TakeForPath branch only serves callers that pre-inserted
-	// (gathered == nil: the reference pipelines and the eviction tests).
-	if low == 0 {
-		fs.DrainForPath(leaf, levels, lists, gathered)
-	} else {
-		for _, e := range gathered {
-			e.Leaf &^= tree.GatherFlag
-			fs.Insert(e)
-		}
-		fs.TakeForPath(leaf, low, levels, lists)
-	}
+	// entries in the exact order inserting them first would have produced.
+	// Callers that pre-inserted (the reference pipelines and the eviction
+	// tests) pass gathered == nil.
+	fs.DrainForPath(leaf, levels, lists, gathered)
 
 	// The candidate pool for the current level is the entries whose deepest
 	// placeable level was at or below it but which did not fit deeper. Pool
@@ -197,53 +190,4 @@ func evictOntoPath(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 		fs.Insert(e)
 	}
 	return buf[:0]
-}
-
-// evictOntoPathReference is the pre-PR3 write phase, kept unexported as the
-// differential-test oracle: for each level, leaf-to-root, rescan the whole
-// stash for blocks placeable in that level's bucket (TakeForBucket), then
-// fill the on-chip segment one block at a time, re-stashing refused blocks.
-// refused and takeBuf are caller-owned scratch (refused is an epoch-stamped
-// set reset per level, preserving the historical retry-at-shallower-levels
-// semantics with an O(1) clear instead of a map walk).
-// Reference entries are never flagged (its callers pre-Insert gathered
-// blocks into the stash), so it reports fetched=false and its onPlace
-// adapters derive the migration split from a membership set instead.
-func evictOntoPathReference(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
-	z config.ZProfile, minLevel, levels int, leaf block.Leaf,
-	refused *epochSet, takeBuf []tree.Entry,
-	onPlace func(e tree.Entry, level int, fetched bool)) {
-
-	for l := levels - 1; l >= minLevel; l-- {
-		take := fs.TakeForBucket(leaf, l, levels, z[l], nil, takeBuf[:0])
-		if onPlace != nil {
-			for _, e := range take {
-				onPlace(e, l, false)
-			}
-		}
-		tr.FillBucket(l, leaf, take)
-	}
-	if top == nil {
-		return
-	}
-	for l := minLevel - 1; l >= 0; l-- {
-		refused.Reset()
-		for placed := 0; placed < z[l]; {
-			cand := fs.TakeForBucket(leaf, l, levels, 1,
-				func(e tree.Entry) bool { return !refused.Has(e.Addr) }, takeBuf[:0])
-			if len(cand) == 0 {
-				break
-			}
-			e := cand[0]
-			if top.Fill(l, leaf, e) {
-				if onPlace != nil {
-					onPlace(e, l, false)
-				}
-				placed++
-			} else {
-				refused.Add(e.Addr)
-				fs.Insert(e)
-			}
-		}
-	}
 }

@@ -142,3 +142,68 @@ func TestFlightObservesOnly(t *testing.T) {
 			offDone, offPaths, onDone, onPaths)
 	}
 }
+
+// TestFlightRingEvictionTracesDummySlots pins the one trace change that
+// comes from servicing Ring ORAM traffic through the run-length DRAM path:
+// a sampled Ring eviction path services its levels×S dummy slots after its
+// own phases, while the recorder is still armed, so the slots show up as
+// DRAM run and drain events between the eviction's access span and the
+// issuer's occupancy sample that closes the slot. Ring's own
+// one-block-per-bucket reads never sample, so every access span here is an
+// eviction path.
+func TestFlightRingEvictionTracesDummySlots(t *testing.T) {
+	cfg := config.Tiny().WithScheme(config.RingScheme())
+	mem := dram.New(cfg.DRAM)
+	c, err := NewController(cfg, mem, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := flight.New(1<<20, 1)
+	c.AttachFlight(fl)
+	mem.AttachFlight(fl)
+	is := NewIssuer(c, nil)
+	r := rng.New(2)
+	nd := cfg.ORAM.DataBlocks()
+	now := uint64(0)
+	for i := 0; i < 400; i++ {
+		now = is.ReadBlock(now, block.ID(r.Uint64n(nd)))
+	}
+	tr := fl.Snapshot()
+	if tr.Dropped != 0 {
+		t.Fatalf("ring dropped %d events; enlarge the test capacity", tr.Dropped)
+	}
+	extra := uint64((c.o.Levels - c.minLevel) * c.ring.s)
+	evictions := 0
+	for i, e := range tr.Events {
+		if e.Kind != flight.KindAccess {
+			continue
+		}
+		if e.Sub != uint8(block.PathEvict) {
+			t.Fatalf("Ring access span with path type %d; only eviction paths sample", e.Sub)
+		}
+		var runBlocks, drainBlocks uint64
+		for _, f := range tr.Events[i+1:] {
+			if f.Kind == flight.KindOccupancy {
+				break
+			}
+			switch f.Kind {
+			case flight.KindDramRun:
+				if f.Start < e.End {
+					t.Fatalf("eviction %d: dummy-slot run starts at %d, before the path access ends at %d",
+						evictions, f.Start, e.End)
+				}
+				runBlocks += f.Aux
+			case flight.KindDramDrain:
+				drainBlocks += f.Aux
+			}
+		}
+		if runBlocks != extra || drainBlocks != extra {
+			t.Fatalf("eviction %d: traced %d read and %d posted dummy-slot blocks, want %d each",
+				evictions, runBlocks, drainBlocks, extra)
+		}
+		evictions++
+	}
+	if evictions == 0 {
+		t.Fatal("no sampled Ring eviction path in the trace")
+	}
+}

@@ -8,13 +8,14 @@ import (
 
 // pathSet is the per-path-access membership set for "which blocks did this
 // path fetch" (recordMigration's fetched-vs-preexisting split). It has the
-// exact semantics of epochSet — Add, Has, O(1) generation-bump Reset — but
-// where epochSet direct-indexes a stamp per block of the unified space
-// (pm.Total() entries, DRAM-resident at realistic geometries, so every Has
-// on the write phase was a cold cache miss), pathSet open-addresses a table
-// sized to one path's block count: membership never exceeds the blocks a
-// single read phase gathers between Resets, so a few hundred bytes stay
-// L1-resident across the whole access.
+// exact semantics of the eviction oracle's epochSet (epochset_test.go) —
+// Add, Has, O(1) generation-bump Reset — but where epochSet direct-indexes
+// a stamp per block of the unified space (pm.Total() entries,
+// DRAM-resident at realistic geometries, so every Has on the write phase
+// was a cold cache miss), pathSet open-addresses a table sized to one
+// path's block count: membership never exceeds the blocks a single read
+// phase gathers between Resets, so a few hundred bytes stay L1-resident
+// across the whole access.
 //
 // A slot is live iff its stamp equals the current generation; stale slots
 // from earlier generations act as empty, terminating probes. Entries are

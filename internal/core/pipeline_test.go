@@ -64,10 +64,9 @@ func pipelineWorkload(n int, dataBlocks uint64, sch config.Scheme) []pipelineOp 
 }
 
 // pipelineSystem builds one controller + issuer for the differential run.
-func pipelineSystem(t *testing.T, sch config.Scheme, schedSlots int, ref bool) (*Issuer, *Controller) {
+func pipelineSystem(t *testing.T, sch config.Scheme, ref bool) (*Issuer, *Controller) {
 	t.Helper()
 	cfg := config.Tiny().WithScheme(sch)
-	cfg.DRAM.PathSchedSlots = schedSlots
 	mem := dram.New(cfg.DRAM)
 	c, err := NewController(cfg, mem, rng.New(cfg.Seed))
 	if err != nil {
@@ -183,9 +182,14 @@ func comparePipelines(t *testing.T, label string, isA, isB *Issuer, cA, cB *Cont
 
 // TestFusedPipelineMatchesReference pins the fused single-walk pipeline
 // (memoized run-list DRAM phases + one gather walk) against the retained
-// multi-walk, per-address reference (access_reference.go) across every
-// scheme: identical completion times for every request, identical
-// statistics, DRAM state, stash storage order and tree occupancy.
+// multi-walk reference (access_reference.go), which rebuilds every path's
+// address list and run list from scratch, across every scheme: identical
+// completion times for every request, identical statistics, DRAM state,
+// stash storage order and tree occupancy. Because the reference never
+// consults the per-leaf schedule memo, the comparison also pins the memo as
+// timing-neutral, provided the fused side actually hits it — checked for
+// every scheme whose demand traffic runs Path ORAM paths (Ring reads one
+// block per bucket and takes full paths only for its rare evictions).
 func TestFusedPipelineMatchesReference(t *testing.T) {
 	schemes := append(config.AllSchemes(),
 		config.Scheme{Name: "TopNone", Top: config.TopNone},
@@ -194,29 +198,14 @@ func TestFusedPipelineMatchesReference(t *testing.T) {
 	for _, sch := range schemes {
 		sch := sch
 		t.Run(sch.Name, func(t *testing.T) {
-			isA, cA := pipelineSystem(t, sch, 0, false)
-			isB, cB := pipelineSystem(t, sch, 0, true)
+			isA, cA := pipelineSystem(t, sch, false)
+			isB, cB := pipelineSystem(t, sch, true)
 			comparePipelines(t, "fused-vs-reference", isA, isB, cA, cB)
-		})
-	}
-}
-
-// TestFusedPipelineSchedCacheNeutral pins the schedule-cache knob as
-// timing-neutral: the fused pipeline with the cache disabled (fresh
-// address list + run build every path) must match the memoized default
-// exactly, and the default must actually be hitting its cache.
-func TestFusedPipelineSchedCacheNeutral(t *testing.T) {
-	for _, sch := range []config.Scheme{config.Baseline(), config.RhoScheme()} {
-		sch := sch
-		t.Run(sch.Name, func(t *testing.T) {
-			isA, cA := pipelineSystem(t, sch, 0, false)
-			isB, cB := pipelineSystem(t, sch, -1, false)
-			if cA.sched == nil || cB.sched != nil {
-				t.Fatal("PathSchedSlots knob not wired: want cache on A, off B")
-			}
-			comparePipelines(t, "sched-vs-nosched", isA, isB, cA, cB)
-			if cA.sched.Hits == 0 {
+			if !sch.Ring && cA.sched.Hits == 0 {
 				t.Error("schedule cache never hit during the workload")
+			}
+			if cA.rho != nil && cA.rho.sched.Hits == 0 {
+				t.Error("small-tree schedule cache never hit during the workload")
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"iroram/internal/block"
-	"iroram/internal/dram"
 )
 
 // ringState implements Ring ORAM (Ren et al., "Ring ORAM: Closing the Gap
@@ -73,13 +72,14 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 		}
 	}
 
-	c.accBuf = c.accBuf[:0]
-	reads, writes := 0, 0
+	// The whole read — bucket bases plus reshuffle re-reads — is one
+	// address list issued at one cycle, so run-length service is exact.
+	c.physBuf = c.physBuf[:0]
+	writes := 0
 	for l := c.minLevel; l < c.o.Levels; l++ {
 		base, z := c.layout.BucketPhys(l, leaf)
 		// One block leaves this bucket: the target, or a dummy.
-		c.accBuf = append(c.accBuf, dram.Access{Addr: base})
-		reads++
+		c.physBuf = append(c.physBuf, base)
 		b := r.bucket(c.o.Levels, l, leaf)
 		if l == targetLevel {
 			// Reading a real block consumes it (it moves to the stash);
@@ -93,15 +93,15 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 			// Early reshuffle: the bucket is read and rewritten whole
 			// (its real blocks stay in place, permuted and re-sealed).
 			for j := 0; j < z+r.s; j++ {
-				c.accBuf = append(c.accBuf, dram.Access{Addr: base + uint64(j%z)})
-				reads++
+				c.physBuf = append(c.physBuf, base+uint64(j%z))
 			}
 			writes += z + r.s
 			r.dummyLeft[b] = uint8(r.s)
 			r.Reshuffles++
 		}
 	}
-	readDone := c.mem.ServiceBatch(now, c.accBuf)
+	reads := len(c.physBuf)
+	readDone := c.mem.ServicePath(now, c.physBuf, 0, false)
 	c.st.PhaseReadCycles += readDone - now
 	if targetLevel >= 0 {
 		if !c.tr.Remove(target, leaf) {
@@ -112,12 +112,12 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 	// Reshuffle writes and nothing else; posted like Path ORAM's write
 	// phase.
 	if writes > 0 {
-		c.accBuf = c.accBuf[:0]
+		c.physBuf = c.physBuf[:0]
 		base, _ := c.layout.BucketPhys(c.o.Levels-1, leaf)
 		for j := 0; j < writes; j++ {
-			c.accBuf = append(c.accBuf, dram.Access{Addr: base + uint64(j)})
+			c.physBuf = append(c.physBuf, base+uint64(j))
 		}
-		c.mem.PostWrites(readDone, c.accBuf)
+		c.mem.PostWritePath(readDone, c.physBuf, 0)
 	}
 	c.st.Paths.Add(ptype, reads, writes)
 	if c.st.RecordLeaves {
@@ -153,17 +153,13 @@ func (c *Controller) ringEvictPath(now uint64) uint64 {
 	extra := (c.o.Levels - c.minLevel) * r.s
 	c.st.Paths.BlocksRead += uint64(extra)
 	c.st.Paths.BlocksWrit += uint64(extra)
-	c.accBuf = c.accBuf[:0]
+	c.physBuf = c.physBuf[:0]
 	base, _ := c.layout.BucketPhys(c.o.Levels-1, leaf)
 	for j := 0; j < extra; j++ {
-		c.accBuf = append(c.accBuf, dram.Access{Addr: base + uint64(j)})
+		c.physBuf = append(c.physBuf, base+uint64(j))
 	}
-	done = c.mem.ServiceBatch(done, c.accBuf)
-	c.accBuf = c.accBuf[:0]
-	for j := 0; j < extra; j++ {
-		c.accBuf = append(c.accBuf, dram.Access{Addr: base + uint64(j), Write: true})
-	}
-	c.mem.PostWrites(done, c.accBuf)
+	done = c.mem.ServicePath(done, c.physBuf, 0, false)
+	c.mem.PostWritePath(done, c.physBuf, 0)
 	// Replenish dummies along the path.
 	for l := c.minLevel; l < c.o.Levels; l++ {
 		r.dummyLeft[r.bucket(c.o.Levels, l, leaf)] = uint8(r.s)

@@ -5,14 +5,15 @@
 // internal/tree it reproduces the two first-order effects Path ORAM
 // performance depends on: path-batch service time and row-buffer locality.
 //
-// Path phases are serviced in run-length form: ServicePath/PostWritePath
-// group a path's addresses into per-(channel,bank,row) runs (see Run,
-// AppendRuns) and charge one row-buffer transition plus one burst
-// accumulation per run, with PathSched memoizing the run list per leaf.
-// The per-address implementations — ServiceBatch/PostWrites — are retained
-// as the differential oracle: they must produce bit-identical timing,
-// statistics and state evolution for the same access sequence, and the
-// randomized differential tests in this package pin that equivalence.
+// The package has one timing implementation: run-length service. Every
+// phase — Path ORAM paths, Ring ORAM reads, reshuffles and evictions, the
+// context-switch spill — is an address list issued at one cycle in one bus
+// direction; ServicePath/PostWritePath group it into per-(channel,bank,row)
+// runs (see Run, AppendRuns) and charge one row-buffer transition plus one
+// burst accumulation per run, with PathSched memoizing the run list per
+// leaf. The original per-address servicer lives on only in oracle_test.go,
+// as the differential oracle: the randomized tests in this package require
+// bit-identical timing, statistics and state evolution from both.
 package dram
 
 import (
@@ -22,15 +23,6 @@ import (
 	"iroram/internal/config"
 	"iroram/internal/flight"
 )
-
-// Access is one 64 B block transfer.
-type Access struct {
-	// Addr is the physical block address (in block units, as produced by
-	// the tree's subtree layout).
-	Addr uint64
-	// Write selects the bus direction.
-	Write bool
-}
 
 // Stats aggregates DRAM activity.
 type Stats struct {
@@ -87,8 +79,9 @@ type Model struct {
 	// Shift/mask decomposition, used by AppendRuns when channels, banks
 	// and row blocks are all powers of two (every preset geometry): three
 	// 64-bit divisions per address become shifts. pow2 false falls back to
-	// the division form; the per-address oracle (decompose) always divides,
-	// so the differential tests also pin the fast path's arithmetic.
+	// the division form; the per-address oracle in oracle_test.go always
+	// divides, so the differential tests also pin the fast path's
+	// arithmetic.
 	pow2              bool
 	chShift, rowShift uint
 	bkShift           uint
@@ -98,7 +91,7 @@ type Model struct {
 	// the schedule caches to invalidate on Reset.
 	lastRun    []int32  // per-channel index of the open run in AppendRuns
 	chCount    []uint64 // per-channel access counts for posted-write drains
-	runScratch []Run    // ServicePath's run list when no PathSched is used
+	runScratch []Run    // ServicePath's run list: Ring, context-switch and reference phases
 	scheds     []*PathSched
 
 	// fl, when non-nil, receives per-run service events and posted-write
@@ -106,11 +99,11 @@ type Model struct {
 	fl *flight.Recorder
 }
 
-// AttachFlight wires a flight recorder into the run-length service path:
-// while the recorder is armed, ServiceRuns records one event per run
-// (row, length, hit/miss) and posted-write drains record one event per
-// busy channel. The per-address legacy paths (ServiceBatch/PostWrites)
-// are not traced — run-length service is the production pipeline.
+// AttachFlight wires a flight recorder into the run-length service: while
+// the recorder is armed, ServiceRuns records one event per run (row,
+// length, hit/miss) and posted-write drains record one event per busy
+// channel — for every phase, including a Ring eviction's dummy slots or a
+// context-switch spill serviced while a sampled access left it armed.
 // Recording only observes; timing and statistics are unchanged.
 func (m *Model) AttachFlight(fl *flight.Recorder) { m.fl = fl }
 
@@ -161,52 +154,19 @@ func New(cfg config.DRAM) *Model {
 // RowBlocks returns the number of 64 B blocks per DRAM row.
 func (m *Model) RowBlocks() uint64 { return m.rowBlocks }
 
-// decompose maps a physical block address to channel, bank and row using
-// block-level channel interleaving (the USIMM default): consecutive blocks
-// rotate across channels, so a row-aligned subtree is striped over all
-// channels — every path batch gets full channel parallelism while each
-// channel still sees one open row per subtree.
-func (m *Model) decompose(addr uint64) (ch, bk int, row uint64) {
-	ch = int(addr % uint64(m.cfg.Channels))
-	rest := addr / uint64(m.cfg.Channels)
-	rowID := rest / m.rowBlocks
-	bk = int(rowID % uint64(m.cfg.BanksPerChannel))
-	row = rowID / uint64(m.cfg.BanksPerChannel)
-	return ch, bk, row
-}
-
-// ServiceBatch services the accesses of one path phase starting no earlier
-// than now and returns the cycle at which the last transfer finishes.
+// ServicePath services one phase of block transfers starting no earlier
+// than now and returns the cycle at which the last transfer finishes. Every
+// address in phys is offset by off (the tree's physical base; 0 for the
+// main tree) and serviced in the given direction; the list is grouped into
+// runs (AppendRuns) and charged by ServiceRuns.
 //
 // The model pipelines banks behind a shared per-channel data bus, the way
 // DDR controllers do: a row miss charges precharge (+ write recovery) and
 // activate on the *bank*, which overlaps with other banks' data transfers;
 // only the tBURST data beats serialize on the channel bus. Channel cursors
-// persist across batches, so a batch issued while an earlier one is
+// persist across phases, so a phase issued while an earlier one is
 // draining queues behind it — which is how dummy-path contention delays
 // demand requests.
-func (m *Model) ServiceBatch(now uint64, accs []Access) uint64 {
-	if len(accs) == 0 {
-		return now
-	}
-	done := now
-	for i := range accs {
-		if finish := m.serviceOne(now, accs[i].Addr, accs[i].Write); finish > done {
-			done = finish
-		}
-	}
-	return done
-}
-
-// ServicePath services one path phase given the physical block addresses
-// directly — the zero-copy twin of ServiceBatch for the controller hot path,
-// which holds the path as a []uint64 (tree.Layout.PathPhys) and would
-// otherwise rebuild an []Access per phase. Every address is offset by off
-// (the tree's physical base; 0 for the main tree) and serviced in the given
-// direction. Timing, statistics and channel-state evolution are identical
-// to ServiceBatch on the equivalent []Access; internally the phase is
-// serviced in run-length form (AppendRuns + ServiceRuns) rather than
-// address by address.
 func (m *Model) ServicePath(now uint64, phys []uint64, off uint64, write bool) uint64 {
 	if len(phys) == 0 {
 		return now
@@ -215,81 +175,15 @@ func (m *Model) ServicePath(now uint64, phys []uint64, off uint64, write bool) u
 	return m.ServiceRuns(now, m.runScratch, write)
 }
 
-// serviceOne charges one block transfer issued at now and returns when its
-// data beats finish on the channel bus.
-func (m *Model) serviceOne(now uint64, addr uint64, write bool) uint64 {
-	chIdx, bkIdx, row := m.decompose(addr)
-	ch := &m.channels[chIdx]
-	b := &ch.banks[bkIdx]
-
-	if b.openRow == row {
-		m.stats.RowHits++
-	} else {
-		m.stats.RowMisses++
-		// The controller knows a path's full address list when it
-		// issues, so the MC opens rows ahead of the data transfers:
-		// precharge+activate chains from when the bank last moved
-		// data, not from the batch start. In steady state activation
-		// latency hides behind the previous path's bursts; only the
-		// per-block bus occupancy remains — the quantity IR-Alloc cuts.
-		start := b.lastData
-		if b.openRow != noRow {
-			start += m.t.pre
-			if b.lastWrite {
-				start += m.t.wr
-			}
-		}
-		b.avail = start + m.t.rcd + m.t.cas
-		b.openRow = row
-	}
-	// Data for this access can appear no earlier than the row being
-	// open (b.avail) and no earlier than a column command issued now;
-	// consecutive row hits pipeline and become bus-limited.
-	dataReady := b.avail
-	if min := now + m.t.cas; dataReady < min {
-		dataReady = min
-	}
-	busStart := dataReady
-	if busStart < ch.freeAt {
-		busStart = ch.freeAt
-	}
-	finish := busStart + m.t.burst
-	ch.freeAt = finish
-	b.lastData = finish
-	b.lastWrite = write
-	m.stats.BusyCPUCycles += m.t.burst
-	if write {
-		m.stats.Writes++
-	} else {
-		m.stats.Reads++
-	}
-	return finish
-}
-
-// PostWrites queues a write batch the way an FR-FCFS controller's write
-// buffer drains it: the transfers occupy the channel data buses (delaying
-// everything issued later) but do not close rows or block later reads on
-// bank timing — reads are prioritized over buffered writes, and ORAM write
-// phases target the rows the read phase just opened. It returns the cycle
-// the last write drains (informational; callers normally don't wait on it).
-func (m *Model) PostWrites(now uint64, accs []Access) uint64 {
-	if len(accs) == 0 {
-		return now
-	}
-	done := now
-	for i := range accs {
-		if freeAt := m.postOne(now, accs[i].Addr); freeAt > done {
-			done = freeAt
-		}
-	}
-	return done
-}
-
-// PostWritePath posts one path-sized write phase given the physical block
-// addresses directly (offset by off), the zero-copy twin of PostWrites —
-// same drain semantics, no []Access rebuild. Posted writes only occupy
-// channel buses, so the run-length form degenerates to one per-channel
-// access count: the drain is O(channels) regardless of path length.
+// PostWritePath queues one write phase (addresses offset by off) the way an
+// FR-FCFS controller's write buffer drains it: the transfers occupy the
+// channel data buses (delaying everything issued later) but do not close
+// rows or block later reads on bank timing — reads are prioritized over
+// buffered writes, and ORAM write phases target the rows the read phase
+// just opened. It returns the cycle the last write drains (informational;
+// callers normally don't wait on it). Posted writes only occupy channel
+// buses, so the run-length form degenerates to one per-channel access
+// count: the drain is O(channels) regardless of path length.
 func (m *Model) PostWritePath(now uint64, phys []uint64, off uint64) uint64 {
 	if len(phys) == 0 {
 		return now
@@ -302,21 +196,6 @@ func (m *Model) PostWritePath(now uint64, phys []uint64, off uint64) uint64 {
 		m.chCount[(a+off)%nCh]++
 	}
 	return m.drainCounts(now)
-}
-
-// postOne drains one buffered write onto addr's channel bus and returns when
-// that channel goes idle.
-func (m *Model) postOne(now uint64, addr uint64) uint64 {
-	ch := &m.channels[int(addr%uint64(m.cfg.Channels))]
-	start := ch.freeAt
-	if start < now {
-		start = now
-	}
-	ch.freeAt = start + m.t.burst
-	m.stats.BusyCPUCycles += m.t.burst
-	m.stats.Writes++
-	m.stats.RowHits++ // write phases target the rows the read opened
-	return ch.freeAt
 }
 
 // FreeAt returns the cycle at which every channel is idle, i.e. when all

@@ -6,28 +6,30 @@ import (
 	"iroram/internal/flight"
 )
 
-// This file implements the run-length path service (PR 7). The subtree data
-// layout guarantees that a path's physical addresses arrive in long
-// same-(channel,bank,row) stretches; the per-address loops in
-// ServicePath/PostWritePath recomputed that structure on every block. The
-// run iterator below pays one address decomposition per block only when a
-// run list is built, and one row-buffer state transition plus one burst
-// accumulation per run when it is serviced — with dram.PathSched memoizing
-// the built lists per leaf so repeat leaves skip the build entirely.
+// This file implements run-length service, the model's only timing code.
+// The subtree data layout guarantees that a path's physical addresses
+// arrive in long same-(channel,bank,row) stretches; a per-address loop
+// would recompute that structure on every block. The run iterator below
+// pays one address decomposition per block only when a run list is built,
+// and one row-buffer state transition plus one burst accumulation per run
+// when it is serviced — with dram.PathSched memoizing the built lists per
+// leaf so repeat leaves skip the build entirely.
 //
-// Correctness argument: serviceOne touches only the state of the channel
-// (bus cursor) and bank (row buffer) the address decomposes to, and every
-// access of one phase is issued at the same cycle `now`. Order across
-// channels therefore cannot affect timing, statistics, or final state —
-// only the per-channel access order matters, and AppendRuns preserves it
-// (runs are emitted in first-address order; a channel's runs form an
-// in-order subsequence). Within one (bank,row) run of n accesses, the first
-// transfer starts at max(bankAvail, now+tCAS, busFree) and the remaining
-// n-1 pipeline bus-limited, so the run finishes exactly n*tBURST after the
-// first transfer starts — the closed form ServiceRuns charges. The
-// retained per-address implementations (ServiceBatch/PostWrites) are the
-// differential oracle; TestServicePathMatchesServiceBatch and the
-// randomized differentials in runs_test.go pin the equivalence.
+// Correctness argument: a single block transfer touches only the state of
+// the channel (bus cursor) and bank (row buffer) its address maps to, and
+// every access of one phase is issued at the same cycle `now` in the same
+// direction. Order across channels therefore cannot affect
+// timing, statistics, or final state — only the per-channel access order
+// matters, and AppendRuns preserves it (runs are emitted in first-address
+// order; a channel's runs form an in-order subsequence). Within one
+// (bank,row) run of n accesses, the first transfer starts at
+// max(bankAvail, now+tCAS, busFree) and the remaining n-1 pipeline
+// bus-limited, so the run finishes exactly n*tBURST after the first
+// transfer starts — the closed form ServiceRuns charges. That holds for any
+// address list, so Ring ORAM and context-switch traffic use it too. The
+// per-address servicer in oracle_test.go is the differential oracle; the
+// randomized differentials in path_test.go and runs_test.go pin the
+// equivalence.
 
 // Run is one maximal stretch of consecutive same-channel path addresses
 // that fall into the same DRAM bank and row. A path's run list is a pure
@@ -41,17 +43,18 @@ type Run struct {
 	Ch, Bank uint16
 }
 
-// AppendRuns decomposes the physical block addresses phys (each offset by
-// off), in order, into per-channel (bank,row) runs appended to dst. Two
-// accesses join the same run exactly when they are consecutive on their
-// channel and hit the same bank and row; the emitted list preserves each
-// channel's access order, which is all the timing model depends on.
+// AppendRuns maps the physical block addresses phys (each offset by off),
+// in order, to channel, bank and row and groups them into per-channel
+// (bank,row) runs appended to dst. Two accesses join the same run exactly
+// when they are consecutive on their channel and hit the same bank and
+// row; the emitted list preserves each channel's access order, which is
+// all the timing model depends on.
 func (m *Model) AppendRuns(phys []uint64, off uint64, dst []Run) []Run {
 	for i := range m.lastRun {
 		m.lastRun[i] = -1
 	}
 	if m.pow2 {
-		// Power-of-two geometry (every preset): decompose with shifts and
+		// Power-of-two geometry (every preset): map with shifts and
 		// masks — the division form below costs three 64-bit divides per
 		// address, which dominates a cold (uncached) run-list build.
 		chShift, rowShift, bkShift := m.chShift, m.rowShift, m.bkShift
@@ -94,10 +97,11 @@ func (m *Model) AppendRuns(phys []uint64, off uint64, dst []Run) []Run {
 }
 
 // ServiceRuns services one read or write path phase given its precomputed
-// run list, starting no earlier than now. Timing, statistics and
-// channel/bank state evolution are identical to ServiceBatch on the
-// per-address expansion of the runs; the returned cycle is when the last
-// transfer finishes on its channel bus.
+// run list, starting no earlier than now (see ServicePath for the bank and
+// bus model). Timing, statistics and channel/bank state evolution are
+// identical to servicing the per-address expansion of the runs one
+// transfer at a time; the returned cycle is when the last transfer
+// finishes on its channel bus.
 func (m *Model) ServiceRuns(now uint64, runs []Run, write bool) uint64 {
 	done := now
 	var total, hits, misses uint64
@@ -118,8 +122,10 @@ func (m *Model) ServiceRuns(now uint64, runs []Run, write bool) uint64 {
 			hits += n
 		} else {
 			// Row transition once per run; the n-1 follow-up transfers hit
-			// the row the first one opened (see serviceOne for the
-			// activate-ahead rationale).
+			// the row the first one opened. The MC knows the phase's whole
+			// address list, so precharge+activate chains from when the bank
+			// last moved data, not from the phase start: in steady state
+			// only the per-block bus occupancy remains.
 			misses++
 			hits += n - 1
 			start := b.lastData
@@ -170,8 +176,8 @@ func (m *Model) ServiceRuns(now uint64, runs []Run, write bool) uint64 {
 }
 
 // PostWriteRuns drains one posted write phase given its precomputed run
-// list — the run-length twin of PostWrites: per-channel bus occupancy only,
-// no bank timing (see PostWrites for the FR-FCFS rationale).
+// list — PostWritePath for a memoized schedule: per-channel bus occupancy
+// only, no bank timing (see PostWritePath for the FR-FCFS rationale).
 func (m *Model) PostWriteRuns(now uint64, runs []Run) uint64 {
 	if len(runs) == 0 {
 		return now

@@ -138,6 +138,90 @@ func TestRunLengthDifferentialPathLike(t *testing.T) {
 	diffState(t, runs, oracle)
 }
 
+// TestRunLengthDifferentialRingShapes feeds both implementations the
+// address lists the controller builds outside Path ORAM paths, on real
+// subtree layouts: a Ring ORAM read (one bucket base per memory level, plus
+// the in-bucket re-reads base + j%z, j < z+S, of every early reshuffle), a
+// contiguous run of slots (Ring's reshuffle write-back and its eviction
+// path's levels×S dummy slots), and a context-switch tree-top spill
+// serviced with write=true and then read back. Unlike the random soup
+// above, these lists repeat addresses within one phase and revisit rows
+// the previous phase left open, and they must still match the oracle
+// exactly. Ordinary path phases are interleaved so bank state is realistic.
+func TestRunLengthDifferentialRingShapes(t *testing.T) {
+	ringS := config.RingScheme().RingS
+	for _, tc := range []struct {
+		name string
+		sys  config.System
+		dram config.DRAM
+	}{
+		{"scaled", config.Scaled(), config.Scaled().DRAM},
+		{"tinyrow", config.Tiny(), tinyRowCfg()},
+		{"oddgeom", config.Tiny(), oddGeomCfg()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.sys.ORAM
+			minLevel := o.TopLevels
+			runs := New(tc.dram)
+			oracle := New(tc.dram)
+			layout := tree.NewLayout(o, minLevel, int(runs.RowBlocks()))
+			spillBase := layout.PhysicalSlots()
+			spillSlots := 0
+			for l := 0; l < minLevel; l++ {
+				spillSlots += o.Z[l] << uint(l)
+			}
+			r := rng.New(55)
+			now := uint64(0)
+			var phys []uint64
+			for iter := 0; iter < 150; iter++ {
+				leaf := block.Leaf(r.Uint64n(o.LeafCount()))
+
+				// Ring read with a random subset of early reshuffles.
+				phys = phys[:0]
+				writes := 0
+				for l := minLevel; l < o.Levels; l++ {
+					base, z := layout.BucketPhys(l, leaf)
+					phys = append(phys, base)
+					if r.Uint64n(3) == 0 {
+						for j := 0; j < z+ringS; j++ {
+							phys = append(phys, base+uint64(j%z))
+						}
+						writes += z + ringS
+					}
+				}
+				now = diffStep(t, iter, runs, oracle, now, phys, 0, false) + r.Uint64n(400)
+
+				// Contiguous slot runs: the reshuffle write-back, then the
+				// eviction path's dummy slots, both from the leaf bucket.
+				leafBase, _ := layout.BucketPhys(o.Levels-1, leaf)
+				for _, n := range []int{writes, (o.Levels - minLevel) * ringS} {
+					phys = phys[:0]
+					for j := 0; j < n; j++ {
+						phys = append(phys, leafBase+uint64(j))
+					}
+					now = diffStep(t, iter, runs, oracle, now, phys, 0, r.Uint64n(2) == 0)
+				}
+
+				// An ordinary path phase between protocol shapes.
+				phys = layout.PathPhys(leaf, phys[:0])
+				now = diffStep(t, iter, runs, oracle, now, phys, 0, false) + r.Uint64n(800)
+
+				// Occasionally a context switch: spill the tree top, then
+				// reload it.
+				if iter%10 == 0 {
+					phys = phys[:0]
+					for j := 0; j < spillSlots; j++ {
+						phys = append(phys, spillBase+uint64(j))
+					}
+					now = diffStep(t, iter, runs, oracle, now, phys, 0, true)
+					now = diffStep(t, iter, runs, oracle, now, phys, 0, false)
+				}
+			}
+			diffState(t, runs, oracle)
+		})
+	}
+}
+
 // TestRunRowBoundaryMidBucket pins the timing edge where a bucket's blocks
 // straddle a DRAM row boundary: on the cramped geometry each channel's run
 // must end exactly at the row edge and the next block must pay a fresh

@@ -121,9 +121,10 @@ func (s *FStash) EachUntil(fn func(tree.Entry) bool) {
 
 // TakeForBucket removes and returns up to max blocks whose leaves allow
 // placement in the bucket that the path of leaf crosses at level — the
-// per-level write-phase selection scan (retained as the reference eviction;
-// the controller hot path uses TakeForPath). accept lets the caller veto
-// candidates (the IR-Stash set-conflict rule); pass nil to accept all.
+// per-level write-phase selection scan (retained for the core tests'
+// reference eviction; the controller hot path uses DrainForPath). accept
+// lets the caller veto candidates (the IR-Stash set-conflict rule); pass
+// nil to accept all.
 // Selected entries are appended to dst (may be nil) and returned.
 func (s *FStash) TakeForBucket(leaf block.Leaf, level, levels, max int,
 	accept func(tree.Entry) bool, dst []tree.Entry) []tree.Entry {
@@ -145,42 +146,26 @@ func (s *FStash) TakeForBucket(leaf block.Leaf, level, levels, max int,
 	return out
 }
 
-// TakeForPath is the single-pass half of the deepest-first eviction
-// (Stefanov et al.): one walk over the stash removes every entry placeable
-// on the path of leaf at level lowLevel or deeper and appends it to
-// perLevel[d], where d is the entry's deepest placeable level
+// DrainForPath is the single-pass half of the deepest-first eviction
+// (Stefanov et al.): it drains the whole stash plus the caller's
+// just-gathered extra entries into perLevel, appending each entry to
+// perLevel[d], where d is its deepest placeable level on the path of leaf
 // (tree.DeepestLevel). The caller then fills buckets deepest-first, letting
 // unplaced entries spill toward the root — O(stash + path) in total, versus
 // the O(levels × stash) of running TakeForBucket once per level.
 //
-// perLevel must have at least levels slices; slices are appended to, so the
-// caller resets and reuses them across paths to stay allocation-free.
-// Entries land in the deterministic order the removal scan visits them
-// (storage order with swap-with-last dynamics), which keeps repeated runs
-// byte-identical.
-func (s *FStash) TakeForPath(leaf block.Leaf, lowLevel, levels int, perLevel [][]tree.Entry) {
-	for i := 0; i < len(s.items); {
-		e := s.items[i]
-		d := tree.DeepestLevel(leaf, e.Leaf, levels)
-		if d < lowLevel {
-			i++
-			continue
-		}
-		perLevel[d] = append(perLevel[d], e)
-		s.removeAt(i) // swaps the last entry into slot i; do not advance
-	}
-}
-
-// DrainForPath is TakeForPath specialized to lowLevel == 0, where the
-// removal scan takes every entry: it drains the whole stash plus the
-// caller's just-gathered extra entries into perLevel, visiting them in
-// exactly the order TakeForPath would have had extra first been Inserted —
-// storage slot 0, then the combined tail in reverse (the swap-with-last
-// dynamics of a scan that never advances past slot 0) — without paying the
-// per-entry index maintenance of Insert followed by removeAt. extra
-// entries must not already be stashed (the controller's a-block-lives-in-
-// exactly-one-place invariant). HighWater advances as if the extra entries
-// had been inserted first.
+// Entries are visited in exactly the order a removal scan over the stash
+// would visit them had extra first been Inserted — storage slot 0, then
+// the combined tail in reverse (the swap-with-last dynamics of a scan that
+// never advances past slot 0) — without paying the per-entry index
+// maintenance of Insert followed by removeAt. That order keeps repeated
+// runs byte-identical; the scan itself (TakeForPath) survives in
+// takeforpath_test.go as the oracle TestDrainForPathMatchesTakeForPath
+// compares against. extra entries must not already be stashed (the
+// controller's a-block-lives-in-exactly-one-place invariant). HighWater
+// advances as if the extra entries had been inserted first. perLevel must
+// have at least levels slices; slices are appended to, so the caller resets
+// and reuses them across paths to stay allocation-free.
 func (s *FStash) DrainForPath(leaf block.Leaf, levels int, perLevel [][]tree.Entry, extra []tree.Entry) {
 	n := len(s.items)
 	if hw := n + len(extra); hw > s.HighWater {

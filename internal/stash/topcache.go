@@ -78,8 +78,8 @@ type TopCache struct {
 
 	slotAddr []uint32
 	slotLeaf []uint32
-	nodeLo   []uint32 // heap node -> first slot of its range
-	cnt      []uint16 // heap node -> live-prefix length
+	nodeLo   []uint32   // heap node -> first slot of its range
+	cnt      []uint16   // heap node -> live-prefix length
 	slotNode []uint32   // slot -> owning heap node (static)
 	slotLvl  []uint8    // slot -> level (static)
 	index    *AddrTable // addr -> global slot; lazy, verify before trusting
