@@ -13,6 +13,9 @@
 #                    comments, and docs/METRICS.md must match the metrics
 #                    registry's self-description both ways
 #   make fmtcheck    gate: every Go file is gofmt-clean
+#   make benchmod    vet + tests of the nested benchmark/ module, which the
+#                    root ./... patterns skip but which compiles against
+#                    core.Controller/core.Stats
 #   make check       all of the above — the documented verification flow
 #   make bench       benchmark harness (one benchmark per paper figure)
 #   make benchjson   performance-trajectory snapshot (BENCH_pr10.json, min of
@@ -27,7 +30,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race alloccheck docscheck fmtcheck check bench benchjson benchcmp flightcheck profile profile-top
+.PHONY: build vet test race alloccheck docscheck fmtcheck benchmod check bench benchjson benchcmp flightcheck profile profile-top
 
 build:
 	$(GO) build ./...
@@ -50,7 +53,10 @@ docscheck:
 fmtcheck:
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "fmtcheck: run gofmt -w on the files above"; exit 1; }
 
-check: build vet test race alloccheck docscheck fmtcheck
+benchmod:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet test race alloccheck docscheck fmtcheck benchmod
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -34,19 +34,10 @@ func main() {
 	if u == 0 {
 		u = iroram.ScaledConfig().ORAM.DataBlocks()
 	}
-	var gen trace.Generator
-	switch *bench {
-	case "mix":
-		gen = trace.PaperMix(u, *seed)
-	case "random":
-		gen = trace.Random(u, 0.5, *seed)
-	default:
-		g, err := trace.Benchmark(*bench, u, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			os.Exit(2)
-		}
-		gen = g
+	gen, err := trace.Named(*bench, u, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+		os.Exit(2)
 	}
 	reqs := trace.Collect(gen, *n)
 	f, err := os.Create(*outPath)

@@ -55,10 +55,8 @@ func (c *Controller) ServeOnChip(now uint64, j Job) (served bool, done uint64) {
 	// 3. ρ: the small tree's position metadata is small enough to live
 	// on-chip (the point of a shallower tree), so membership is known
 	// before any PosMap work; residents need only a small-tree path.
-	if c.rho != nil {
-		if _, ok := c.rho.member.Get(a); ok {
-			return false, 0
-		}
+	if c.inSmallTree(a) {
+		return false, 0
 	}
 	// 4. PosMap resolution, on-chip part only.
 	pm1 := c.pm.Pos1For(a)
@@ -107,10 +105,8 @@ func (c *Controller) PathStep(now uint64, j Job) (completed bool, done uint64) {
 	a := j.Addr
 	// ρ small-tree data access: membership is on-chip metadata, no PosMap
 	// work needed (member blocks carry no main-tree leaf).
-	if c.rho != nil {
-		if _, ok := c.rho.member.Get(a); ok {
-			return true, c.rhoDataAccess(now, a, j.Write)
-		}
+	if c.inSmallTree(a) {
+		return true, c.rhoDataAccess(now, a, j.Write)
 	}
 	pm1 := c.pm.Pos1For(a)
 	if !c.posResident(pm1, false) {

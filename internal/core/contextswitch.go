@@ -36,11 +36,15 @@ func (c *Controller) ContextSwitch(now uint64) uint64 {
 	}
 
 	// 2. Seal and spill the tree-top contents to their memory home (a
-	// reserved region past the tree), then reload on resume. The blocks
-	// stay logically in the top store; only the traffic and time are
-	// modelled, exactly like the paper's "written back ... then rebuilt".
+	// reserved region past the last tree: ρ's small tree follows the main
+	// tree), then reload on resume. The blocks stay logically in the top
+	// store; only the traffic and time are modelled, exactly like the
+	// paper's "written back ... then rebuilt".
 	if c.top != nil {
-		spillBase := c.layout.PhysicalSlots()
+		spillBase := c.physEnd()
+		if c.rho != nil {
+			spillBase = c.rho.physEnd()
+		}
 		slots := 0
 		for l := 0; l < c.minLevel; l++ {
 			slots += int(c.top.CapacityAt(l))

@@ -10,7 +10,9 @@
 //   - Controller (this file / access.go): the Path ORAM protocol — position
 //     map resolution, path read/remap/write phases, stash and tree-top
 //     management. Every protocol action that touches DRAM happens inside a
-//     "path access".
+//     "path access". The main tree and ρ's small tree are both pathTrees
+//     and run one path-access pipeline (pathAccess), which takes the tree
+//     as an argument.
 //   - Issuer (issuer.go): when path accesses are allowed to happen. With
 //     timing protection, exactly one path access leaves the controller
 //     every T cycles; the issuer fills slots with demand work, posted
@@ -46,64 +48,44 @@ import (
 // Controller is the on-chip ORAM controller: control logic, stash(es),
 // position map, PLB, and (optionally) the tree-top store.
 type Controller struct {
-	cfg      config.System
-	o        config.ORAM
-	pm       *posmap.Map
-	tr       *tree.Tree
-	layout   *tree.Layout
-	fstash   *stash.FStash
-	top      stash.TopStore  // nil for TopNone
-	topIdx   stash.AddrIndex // non-nil only for IR-Stash
-	plb      *cache.Cache
-	mem      *dram.Model
-	rng      *rng.Source
-	st       *Stats
-	minLevel int
+	cfg config.System
+	// pathTree is the main ORAM tree; c.o, c.tr, c.fstash, c.top and the
+	// rest of its fields are the main tree's.
+	pathTree
+	pm     *posmap.Map
+	topIdx stash.AddrIndex // non-nil only for IR-Stash
+	plb    *cache.Cache
+	mem    *dram.Model
+	rng    *rng.Source
+	st     *Stats
 
 	rho  *rhoState  // non-nil when the ρ scheme is active
 	ring *ringState // non-nil when the Ring ORAM protocol is active
-
-	// sched memoizes the main tree's per-leaf DRAM run lists; nPathBlocks
-	// is the fixed per-path block count of the main tree, so the hot path
-	// never needs the address list just to know its length.
-	sched       *dram.PathSched
-	nPathBlocks int
 
 	// refPipeline routes pathAccess through the retained multi-walk
 	// reference implementation (access_reference.go). Tests flip it to pin
 	// the fused pipeline differentially.
 	refPipeline bool
 
-	// Scratch buffers reused across path accesses, so the steady-state hot
-	// path allocates nothing (guarded by TestPathAccessZeroAllocs and the
-	// make-check benchmark gate). physBuf also holds the address lists of
-	// Ring ORAM reads and evictions and of the context-switch spill.
-	physBuf []uint64
-	// fetched serves only the reference pipeline (access_reference.go): it
-	// rebuilds per-path membership that the fused pipeline carries for free
-	// on the entries themselves via tree.GatherFlag.
-	fetched   *pathSet
+	// Scratch buffers reused across path accesses of either tree (the two
+	// never run concurrently), so the steady-state hot path allocates
+	// nothing (guarded by TestPathAccessZeroAllocs and the make-check
+	// benchmark gate). physBuf also holds the address lists of Ring ORAM
+	// reads and evictions and of the context-switch spill.
+	physBuf   []uint64
 	readBuf   []tree.Entry   // read-phase entries (tree + top segment)
 	evictList [][]tree.Entry // per-level candidates for evictOntoPath
 	evictBuf  []tree.Entry   // eviction candidate pool / spillover
 	gathered  []tree.Entry   // read-walk scratch: path blocks bound for the drain
-	// Migration-split plumbing for evictOntoPath, built once. The fused
-	// pipeline tallies placements in bulk (migCounts, flushed into the
-	// per-level histograms after the write phase); placeMainRef serves
-	// the reference pipeline, whose entries are never flagged, and consults
-	// the fetched set per entry instead.
-	migCounts    *placeCounts
-	placeMainRef func(tree.Entry, int, bool)
 
-	// Fused-gather state: gatherMain/gatherRho are built once and walk the
-	// tree + top segment of a path, moving blocks straight into the stash
-	// while watching for gTarget — the single-walk replacement for the
+	// Fused-gather state: gather is built once and walks the tree + top
+	// segment of a path, staging blocks for the drain while watching for
+	// gTarget — the single-walk replacement for the
 	// ReadPath-into-buffer-then-scan shape the reference keeps.
-	gatherMain func(tree.Entry, int)
-	gatherRho  func(tree.Entry, int)
-	gTarget    block.ID
-	gFound     bool
-	gLevel     int
+	gather  func(tree.Entry, int)
+	gTarget block.ID
+	gFound  bool
+	gLevel  int
 
 	// fl, when non-nil, receives cycle-stamped span events for sampled
 	// path accesses (see AttachFlight). A nil recorder is inert, so the
@@ -112,18 +94,89 @@ type Controller struct {
 	fl *flight.Recorder
 }
 
+// pathTree is one Path ORAM tree with everything the path-access pipeline
+// reads from it. The controller's main tree and ρ's small tree are both
+// pathTrees and run the same pipeline (pathAccess, pathAccessReference);
+// where the two differ, the difference is data here — geometry, DRAM
+// offset, a nil migration tally on the small tree — never a branch on
+// which tree is running.
+type pathTree struct {
+	o        config.ORAM
+	minLevel int // first memory-resident level; [0, minLevel) live in top
+	tr       *tree.Tree
+	layout   *tree.Layout
+	top      stash.TopStore // nil when no level is on-chip
+	fstash   *stash.FStash
+
+	// sched memoizes the tree's per-leaf DRAM run lists; nPathBlocks is its
+	// fixed per-path block count, so the hot path never needs the address
+	// list just to know its length. The tree's DRAM region starts at
+	// physOff.
+	sched       *dram.PathSched
+	nPathBlocks int
+	physOff     uint64
+
+	// mig tallies each write phase's placements for Fig 5's migration
+	// split; nil on ρ's small tree, which Fig 5 does not chart.
+	mig *placeCounts
+	// paths counts the path accesses run on this tree.
+	paths uint64
+}
+
+// defaultSchedSlots caps the auto-sized schedule cache: 8192 slots of
+// scaled-geometry run lists are ~1.5 MB — enough to make repeat leaves and
+// warm benchmark loops all-hit without scaling storage with the tree.
+const defaultSchedSlots = 8192
+
+// newPathTree builds a tree of geometry o whose memory-resident levels
+// start at minLevel, laid out in DRAM from physOff, with a schedule cache
+// of min(defaultSchedSlots, leaves) slots. The caller attaches the top
+// store that holds levels [0, minLevel).
+func newPathTree(o config.ORAM, minLevel int, mem *dram.Model, physOff uint64) pathTree {
+	n := o.Z.BlocksPerPath(minLevel)
+	return pathTree{
+		o:           o,
+		minLevel:    minLevel,
+		tr:          tree.New(o, minLevel),
+		layout:      tree.NewLayout(o, minLevel, int(mem.RowBlocks())),
+		fstash:      stash.NewFStash(o.StashCapacity),
+		sched:       mem.NewPathSched(int(min(defaultSchedSlots, o.LeafCount())), n, physOff),
+		nPathBlocks: n,
+		physOff:     physOff,
+	}
+}
+
+// physEnd is the first DRAM slot past the tree's region.
+func (t *pathTree) physEnd() uint64 { return t.physOff + t.layout.PhysicalSlots() }
+
+// occupied counts the real blocks held by the tree, its top store and its
+// F-Stash.
+func (t *pathTree) occupied() uint64 {
+	n := t.tr.Occupied() + uint64(t.fstash.Len())
+	if t.top != nil {
+		n += uint64(t.top.Len())
+	}
+	return n
+}
+
+// randomLeaf draws a uniform leaf of the tree from r.
+func (t *pathTree) randomLeaf(r *rng.Source) block.Leaf {
+	return block.Leaf(r.Uint64n(t.o.LeafCount()))
+}
+
 // AttachFlight wires a flight recorder into the access pipeline: every
-// fused path access (main tree and ρ small tree) counts toward the
-// recorder's 1-in-N sample and, when armed, records its read, decrypt
-// and posted-writeback phase spans plus the whole-access span tagged
-// with path type and leaf; the issuer adds per-slot occupancy samples
-// and disarms the recorder when it accounts the slot. The reference
-// pipeline and Ring ORAM's one-block-per-bucket read do not sample; a
-// Ring eviction path or context-switch flush access that does leaves the
-// recorder armed for the dummy slots or spill serviced right after it.
-// Recording only
-// observes — no RNG draws, no timing changes — so every counter,
-// histogram and byte of stdout is identical with tracing on or off.
+// fused path access, on the main tree and on ρ's small tree alike, counts
+// toward the recorder's 1-in-N sample and, when armed, records its read,
+// decrypt and posted-writeback phase spans plus the whole-access span
+// tagged with path type and leaf — the adversary's view of the access,
+// which the security tests read back. The issuer adds per-slot occupancy
+// samples and disarms the recorder when it accounts the slot. The
+// reference pipeline and Ring ORAM's one-block-per-bucket read do not
+// sample; a Ring eviction path or context-switch flush access that does
+// leaves the recorder armed for the dummy slots or spill serviced right
+// after it. Recording only observes — no RNG draws, no timing changes — so
+// every counter, histogram and byte of stdout is identical with tracing on
+// or off.
 func (c *Controller) AttachFlight(fl *flight.Recorder) { c.fl = fl }
 
 // NewController builds and initializes a controller: the position map is
@@ -142,26 +195,16 @@ func NewController(cfg config.System, mem *dram.Model, r *rng.Source) (*Controll
 	}
 	c := &Controller{
 		cfg:       cfg,
-		o:         o,
 		pm:        posmap.New(o, r.Fork()),
-		tr:        tree.New(o, minLevel),
-		layout:    tree.NewLayout(o, minLevel, int(mem.RowBlocks())),
-		fstash:    stash.NewFStash(o.StashCapacity),
+		pathTree:  newPathTree(o, minLevel, mem, 0),
 		plb:       cache.New(o.PLBEntries/o.PLBWays, o.PLBWays),
 		mem:       mem,
 		rng:       r,
 		st:        newStats(o.Levels),
-		minLevel:  minLevel,
 		evictList: make([][]tree.Entry, o.Levels),
 	}
-	// Sized to one path: membership never outlives a Reset, and a path
-	// gathers at most its full (top + memory) block count.
-	c.fetched = newPathSet(o.Z.BlocksPerPath(0))
-	c.migCounts = newPlaceCounts(o.Levels)
-	c.placeMainRef = func(e tree.Entry, level int, _ bool) { c.recordMigration(e.Addr, level) }
-	c.nPathBlocks = o.Z.BlocksPerPath(minLevel)
-	c.sched = newPathSched(mem, o.LeafCount(), c.nPathBlocks, 0)
-	// The gather closures stage path blocks in c.gathered instead of
+	c.mig = newPlaceCounts(o.Levels)
+	// The gather closure stages path blocks in c.gathered instead of
 	// inserting them into the stash: the eviction drain that runs one walk
 	// later would take them right back out, and the index round-trip (a
 	// hash insert plus a swap-maintaining removal per block) is the single
@@ -172,20 +215,9 @@ func NewController(cfg config.System, mem *dram.Model, r *rng.Source) (*Controll
 	// fetched argument — so no membership set is consulted per placement.
 	// The extracted target never reaches the write phase flagged: it is
 	// remapped and re-Inserted (or parked in the LLC) by the caller.
-	c.gatherMain = func(e tree.Entry, level int) {
+	c.gather = func(e tree.Entry, level int) {
 		if e.Addr == c.gTarget {
-			c.gFound = true
-			if level >= c.minLevel {
-				c.gLevel = level
-			}
-			return
-		}
-		e.Leaf |= tree.GatherFlag
-		c.gathered = append(c.gathered, e)
-	}
-	c.gatherRho = func(e tree.Entry, level int) {
-		if e.Addr == c.gTarget {
-			c.gFound = true
+			c.gFound, c.gLevel = true, level
 			return
 		}
 		e.Leaf |= tree.GatherFlag
@@ -267,40 +299,25 @@ func (c *Controller) Utilization() []float64 {
 }
 
 // BlocksPerPath returns the per-path DRAM block count of the main tree.
-func (c *Controller) BlocksPerPath() int { return c.o.Z.BlocksPerPath(c.minLevel) }
+func (c *Controller) BlocksPerPath() int { return c.nPathBlocks }
 
-// randomLeaf draws a uniform main-tree leaf.
-func (c *Controller) randomLeaf() block.Leaf {
-	return block.Leaf(c.rng.Uint64n(c.o.LeafCount()))
-}
-
-// defaultSchedSlots caps the auto-sized schedule cache: 8192 slots of
-// scaled-geometry run lists are ~1.5 MB — enough to make repeat leaves and
-// warm benchmark loops all-hit without scaling storage with the tree.
-const defaultSchedSlots = 8192
-
-// newPathSched builds one tree's schedule cache at
-// min(defaultSchedSlots, leaves) slots.
-func newPathSched(mem *dram.Model, leaves uint64, blocksPerPath int, off uint64) *dram.PathSched {
-	return mem.NewPathSched(int(min(defaultSchedSlots, leaves)), blocksPerPath, off)
-}
-
-// pathRuns returns the memoized DRAM run list for leaf, building and
-// installing it on a cache miss (the only case that still generates the
-// path's physical address list).
-func (c *Controller) pathRuns(leaf block.Leaf) []dram.Run {
-	if runs, ok := c.sched.Lookup(uint64(leaf)); ok {
+// pathRuns returns the memoized DRAM run list for a path of t, building
+// and installing it on a cache miss (the only case that still generates
+// the path's physical address list).
+func (c *Controller) pathRuns(t *pathTree, leaf block.Leaf) []dram.Run {
+	if runs, ok := t.sched.Lookup(uint64(leaf)); ok {
 		return runs
 	}
-	c.physBuf = c.layout.PathPhys(leaf, c.physBuf[:0])
-	return c.sched.Install(uint64(leaf), c.physBuf)
+	c.physBuf = t.layout.PathPhys(leaf, c.physBuf[:0])
+	return t.sched.Install(uint64(leaf), c.physBuf)
 }
 
-// pathAccess is the protocol primitive: read phase (DRAM batch + on-chip
-// segment), stash fill, then the greedy deepest-first write phase. target
-// (if valid) is extracted instead of being stashed; found reports whether
-// it was on the path, and foundLevel is the memory-resident level it was
-// read from (-1 when absent or found in the on-chip top segment).
+// pathAccess is the protocol primitive, run on either tree t: read phase
+// (DRAM batch + on-chip segment), stash fill, then the greedy
+// deepest-first write phase. target (if valid) is extracted instead of
+// being stashed; found reports whether it was on the path, and foundLevel
+// is the memory-resident level it was read from (-1 when absent or found
+// in the on-chip top segment).
 //
 // The returned time is when the requested block is available — the read
 // phase plus the fixed decrypt/authenticate latency. The write phase is
@@ -316,10 +333,10 @@ func (c *Controller) pathRuns(leaf block.Leaf) []dram.Run {
 // walk refills it, and the write phase posts from the same run list. The
 // multi-walk, fresh-address-list shape is retained in access_reference.go
 // and pinned against this one by TestFusedPipelineMatchesReference.
-func (c *Controller) pathAccess(now uint64, leaf block.Leaf, target block.ID,
+func (c *Controller) pathAccess(t *pathTree, now uint64, leaf block.Leaf, target block.ID,
 	ptype block.PathType) (found bool, foundLevel int, done uint64) {
 	if c.refPipeline {
-		return c.pathAccessReference(now, leaf, target, ptype)
+		return c.pathAccessReference(t, now, leaf, target, ptype)
 	}
 	// Arm (or not) the flight recorder for this access before the read
 	// phase so the DRAM hooks see the sampling decision; the issuer
@@ -327,33 +344,30 @@ func (c *Controller) pathAccess(now uint64, leaf block.Leaf, target block.ID,
 	c.fl.SampleAccess()
 	// Read phase: the memory segment of the path, serviced in run-length
 	// form (no address list, no per-address decomposition on repeat leaves).
-	runs := c.pathRuns(leaf)
+	runs := c.pathRuns(t, leaf)
 	readDone := c.mem.ServiceRuns(now, runs, false)
 	c.st.PhaseReadCycles += readDone - now
 
-	// Walk 1: gather. Every real block on the path moves straight into the
-	// stash (or is extracted, if it is the target) as it is removed.
+	// Walk 1: gather. Every real block on the path is staged for the drain
+	// (or extracted, if it is the target) as it is removed.
 	c.gathered = c.gathered[:0]
 	c.gTarget, c.gFound, c.gLevel = target, false, -1
-	c.tr.ReadPathEach(leaf, c.gatherMain)
-	if c.top != nil {
-		c.top.ReadPathEach(leaf, c.gatherMain)
+	t.tr.ReadPathEach(leaf, c.gather)
+	if t.top != nil {
+		t.top.ReadPathEach(leaf, c.gather)
 	}
 	found, foundLevel = c.gFound, c.gLevel
+	if foundLevel < t.minLevel {
+		foundLevel = -1 // absent, or read from the on-chip segment
+	}
 
 	// Walk 2: single-pass deepest-first eviction, memory levels bulk
 	// filled and the on-chip segment honoring S-Stash conflict refusals
 	// ("skip picking this block for this round"). See eviction.go.
-	c.migCounts.reset()
-	c.evictBuf = evictOntoPath(c.fstash, c.tr, c.top, c.o.Z, c.minLevel,
-		c.o.Levels, leaf, c.gathered, c.evictList, c.evictBuf, nil, c.migCounts)
-	for l, p := range c.migCounts.placed {
-		if p > 0 {
-			f := c.migCounts.fetched[l]
-			c.st.MigrationFetched.AddN(l, uint64(f))
-			c.st.MigrationPreexisting.AddN(l, uint64(p-f))
-		}
-	}
+	t.mig.reset()
+	c.evictBuf = evictOntoPath(t.fstash, t.tr, t.top, t.o.Z, t.minLevel,
+		t.o.Levels, leaf, c.gathered, c.evictList, c.evictBuf, nil, t.mig)
+	t.mig.flush(c.st)
 
 	// Write phase DRAM traffic: the same physical blocks, written. The
 	// batch is posted (its completion time is not waited on); it occupies
@@ -361,14 +375,12 @@ func (c *Controller) pathAccess(now uint64, leaf block.Leaf, target block.ID,
 	writeDone := c.mem.PostWriteRuns(readDone, runs)
 	c.st.PhaseWriteBackCycles += writeDone - readDone
 
-	c.st.Paths.Add(ptype, c.nPathBlocks, c.nPathBlocks)
+	c.st.Paths.Add(ptype, t.nPathBlocks, t.nPathBlocks)
+	t.paths++
 	done = readDone + c.o.OnChipLatency
 	c.st.PathLatency[ptype].Observe(done - now)
 	if c.fl.Armed() {
 		c.recordPhases(now, readDone, writeDone, done, leaf, ptype)
-	}
-	if c.st.RecordLeaves {
-		c.st.Leaves = append(c.st.Leaves, leaf)
 	}
 	return found, foundLevel, done
 }
@@ -388,14 +400,6 @@ func (c *Controller) recordPhases(now, readDone, writeDone, done uint64,
 		Kind: flight.KindAccess, Sub: uint8(ptype)})
 }
 
-func (c *Controller) recordMigration(addr block.ID, level int) {
-	if c.fetched.Has(addr) {
-		c.st.MigrationFetched.Add(level)
-	} else {
-		c.st.MigrationPreexisting.Add(level)
-	}
-}
-
 // treeAccess dispatches the main-tree access primitive: Ring ORAM's
 // one-block-per-bucket read when the Ring protocol is active, the Path ORAM
 // read+write path otherwise. foundLevel follows the pathAccess contract:
@@ -405,7 +409,7 @@ func (c *Controller) treeAccess(now uint64, leaf block.Leaf, target block.ID,
 	if c.ring != nil {
 		return c.ringAccess(now, leaf, target, ptype)
 	}
-	return c.pathAccess(now, leaf, target, ptype)
+	return c.pathAccess(&c.pathTree, now, leaf, target, ptype)
 }
 
 // backgroundEvict performs one background-eviction path access (Ren et
@@ -417,7 +421,7 @@ func (c *Controller) backgroundEvict(now uint64) uint64 {
 	if c.ring != nil {
 		done = c.ringEvictPath(now)
 	} else {
-		_, _, done = c.pathAccess(now, c.randomLeaf(), block.Invalid, block.PathEvict)
+		_, _, done = c.pathAccess(&c.pathTree, now, c.randomLeaf(c.rng), block.Invalid, block.PathEvict)
 	}
 	c.st.BgEvictions++
 	c.st.BgEvictionCycles += done - now
@@ -429,7 +433,7 @@ func (c *Controller) backgroundEvict(now uint64) uint64 {
 // (Path ORAM) or consumes bucket dummies exactly like a missing read
 // (Ring ORAM).
 func (c *Controller) dummyPath(now uint64) uint64 {
-	_, _, done := c.treeAccess(now, c.randomLeaf(), block.Invalid, block.PathDummy)
+	_, _, done := c.treeAccess(now, c.randomLeaf(c.rng), block.Invalid, block.PathDummy)
 	c.st.DummyPaths++
 	return done
 }
@@ -456,12 +460,7 @@ func (c *Controller) CheckInvariants() error {
 	}
 	// Tree blocks: verify via per-leaf path reads would be destructive;
 	// instead verify counts: every block is somewhere.
-	total := c.tr.Occupied()
-	if c.top != nil {
-		total += uint64(c.top.Len())
-	}
-	total += uint64(c.fstash.Len())
-	total += uint64(c.plbResident())
+	total := c.occupied() + uint64(c.plbResident())
 	if c.rho != nil {
 		total += c.rho.occupied()
 	}

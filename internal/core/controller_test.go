@@ -426,3 +426,36 @@ func TestContextSwitchIRStash(t *testing.T) {
 	}
 	is.ReadBlock(done+10, 77)
 }
+
+// TestContextSwitchSpillClearsTrees checks that the tree-top spill of a
+// context switch lands past every tree's DRAM region [physOff, physEnd):
+// under ρ the small tree is laid out right after the main tree, so a spill
+// based on the main tree's end alone overwrites it.
+func TestContextSwitchSpillClearsTrees(t *testing.T) {
+	for _, sch := range config.AllSchemes() {
+		sch := sch
+		t.Run(sch.Name, func(t *testing.T) {
+			_, c := newSystem(t, sch)
+			if c.top == nil {
+				t.Skip("no tree top to spill")
+			}
+			trees := []*pathTree{&c.pathTree}
+			if c.rho != nil {
+				trees = append(trees, &c.rho.pathTree)
+			}
+			c.ContextSwitch(0)
+			// The spill is the last address list ContextSwitch services.
+			spill := c.physBuf
+			if len(spill) == 0 {
+				t.Fatal("context switch spilled nothing")
+			}
+			for _, tr := range trees {
+				for _, a := range spill {
+					if a >= tr.physOff && a < tr.physEnd() {
+						t.Fatalf("spill slot %d inside tree region [%d, %d)", a, tr.physOff, tr.physEnd())
+					}
+				}
+			}
+		})
+	}
+}

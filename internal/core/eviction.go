@@ -39,10 +39,10 @@ import (
 // nowhere return to the stash.
 //
 // Precondition: top == nil implies minLevel == 0. On-chip levels exist
-// only together with a top store, and every caller passes a controller's
-// or a ρ tree's own (top, minLevel) pair, for which that holds. Every
-// stashed entry is then placeable at some level of the path, so the whole
-// stash drains into the per-level candidate lists (FStash.DrainForPath).
+// only together with a top store, and every caller passes a pathTree's own
+// (top, minLevel) pair, for which that holds. Every stashed entry is then
+// placeable at some level of the path, so the whole stash drains into the
+// per-level candidate lists (FStash.DrainForPath).
 //
 // placeCounts receives the aggregate placement tally of one write phase:
 // placed[l] blocks landed at level l, fetched[l] of which were gathered by
@@ -60,9 +60,37 @@ func newPlaceCounts(levels int) *placeCounts {
 	return &placeCounts{placed: make([]int, levels), fetched: make([]int, levels)}
 }
 
+// reset, add and flush do nothing on a nil tally (ρ's small tree).
 func (p *placeCounts) reset() {
-	clear(p.placed)
-	clear(p.fetched)
+	if p != nil {
+		clear(p.placed)
+		clear(p.fetched)
+	}
+}
+
+// add tallies one placement at level.
+func (p *placeCounts) add(level int, fetched bool) {
+	if p == nil {
+		return
+	}
+	p.placed[level]++
+	if fetched {
+		p.fetched[level]++
+	}
+}
+
+// flush adds the tally to Fig 5's migration histograms in st.
+func (p *placeCounts) flush(st *Stats) {
+	if p == nil {
+		return
+	}
+	for l, n := range p.placed {
+		if n > 0 {
+			f := p.fetched[l]
+			st.MigrationFetched.AddN(l, uint64(f))
+			st.MigrationPreexisting.AddN(l, uint64(n-f))
+		}
+	}
 }
 
 // lists (at least `levels` slices) and buf are caller-owned scratch reused
@@ -124,12 +152,7 @@ func evictOntoPath(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 					fetched := take[i].Leaf&tree.GatherFlag != 0
 					take[i].Leaf &^= tree.GatherFlag
 					onPlace(take[i], l, fetched)
-					if counts != nil {
-						counts.placed[l]++
-						if fetched {
-							counts.fetched[l]++
-						}
-					}
+					counts.add(l, fetched)
 				}
 			case counts != nil:
 				f := 0
@@ -170,12 +193,7 @@ func evictOntoPath(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 					if onPlace != nil {
 						onPlace(e, l, fetched)
 					}
-					if counts != nil {
-						counts.placed[l]++
-						if fetched {
-							counts.fetched[l]++
-						}
-					}
+					counts.add(l, fetched)
 					placed++
 					continue
 				}

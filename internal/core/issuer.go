@@ -280,7 +280,7 @@ func (is *Issuer) demandSlot(now uint64, j Job) uint64 {
 			is.finish(done)
 			continue
 		}
-		if is.c.rho != nil && is.rhoSlotSmall() != (is.c.NextStepKind(j) == StepSmall) {
+		if is.c.rho != nil && is.rhoSlotSmall() != is.c.inSmallTree(j.Addr) {
 			// Wrong turn in the fixed main:small issue pattern; it cannot
 			// be violated, so this turn carries background work.
 			var done uint64

@@ -158,7 +158,7 @@ func TestRhoBasicOperation(t *testing.T) {
 		a := block.ID(r.Uint64n(1024))
 		now = is.ReadBlock(now+900, a)
 	}
-	if c.rho.SmallPaths == 0 {
+	if c.rho.paths == 0 {
 		t.Fatal("rho never used the small tree")
 	}
 	if c.rho.member.Len() == 0 {
@@ -181,13 +181,13 @@ func TestRhoReuseHitsSmallTree(t *testing.T) {
 	}
 	is := NewIssuer(c, nil)
 	now := is.ReadBlock(0, 42)
-	before := c.rho.SmallPaths
+	before := c.rho.paths
 	// Flush it out of the stash into the small tree with dummies, then
 	// re-read: the access must be a small-tree path, not a main path.
 	is.AdvanceTo(now + 30*c.o.IntervalT)
 	mainBefore := c.st.Paths.Paths[block.PathData]
 	is.ReadBlock(now+31*c.o.IntervalT, 42)
-	if c.rho.SmallPaths == before && c.st.Paths.Paths[block.PathData] > mainBefore {
+	if c.rho.paths == before && c.st.Paths.Paths[block.PathData] > mainBefore {
 		t.Error("re-read went to the main tree despite small-tree residency")
 	}
 }

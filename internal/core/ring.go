@@ -120,9 +120,6 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 		c.mem.PostWritePath(readDone, c.physBuf, 0)
 	}
 	c.st.Paths.Add(ptype, reads, writes)
-	if c.st.RecordLeaves {
-		c.st.Leaves = append(c.st.Leaves, leaf)
-	}
 	done = readDone + c.o.OnChipLatency
 	c.st.PathLatency[ptype].Observe(done - now)
 
@@ -149,7 +146,7 @@ func (c *Controller) ringEvictPath(now uint64) uint64 {
 	// The eviction path moves Z+S blocks per bucket in both directions;
 	// account the dummy slots on top of what pathAccess charges (Z each
 	// way) so the traffic matches the protocol.
-	_, _, done := c.pathAccess(now, leaf, block.Invalid, block.PathEvict)
+	_, _, done := c.pathAccess(&c.pathTree, now, leaf, block.Invalid, block.PathEvict)
 	extra := (c.o.Levels - c.minLevel) * r.s
 	c.st.Paths.BlocksRead += uint64(extra)
 	c.st.Paths.BlocksWrit += uint64(extra)

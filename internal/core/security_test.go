@@ -16,10 +16,16 @@ import (
 	"iroram/internal/block"
 	"iroram/internal/config"
 	"iroram/internal/dram"
+	"iroram/internal/flight"
 	"iroram/internal/rng"
 )
 
-// leafTrace runs a workload and returns the externally visible path trace.
+// leafTrace runs a workload and returns the externally visible path trace:
+// the leaf of every path access, read from the whole-access spans of an
+// every-access flight recorder. It fails unless the recorder kept every
+// event and saw one access span per path access counted in Stats, so a
+// path access that stops emitting its span cannot shrink the trace
+// unnoticed.
 func leafTrace(t *testing.T, sch config.Scheme, addrs []block.ID) []block.Leaf {
 	t.Helper()
 	cfg := config.Tiny().WithScheme(sch)
@@ -28,13 +34,27 @@ func leafTrace(t *testing.T, sch config.Scheme, addrs []block.ID) []block.Leaf {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Stats().RecordLeaves = true
+	fl := flight.New(1<<20, 1)
+	c.AttachFlight(fl)
 	is := NewIssuer(c, nil)
 	now := uint64(0)
 	for _, a := range addrs {
 		now = is.ReadBlock(now+500, a)
 	}
-	return c.Stats().Leaves
+	tr := fl.Snapshot()
+	if tr.Dropped != 0 {
+		t.Fatalf("ring dropped %d events; enlarge the test capacity", tr.Dropped)
+	}
+	var leaves []block.Leaf
+	for _, e := range tr.Events {
+		if e.Kind == flight.KindAccess {
+			leaves = append(leaves, block.Leaf(e.Arg))
+		}
+	}
+	if got, want := uint64(len(leaves)), c.Stats().Paths.Total(); got != want {
+		t.Fatalf("%d access spans for %d path accesses", got, want)
+	}
+	return leaves
 }
 
 // binCounts folds leaves into 8 equal bins.

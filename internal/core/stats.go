@@ -66,13 +66,6 @@ type Stats struct {
 	// ContextSwitches counts Section IV-C stash-flush/top-spill events.
 	ContextSwitches uint64
 
-	// RecordLeaves enables capture of the leaf of every issued path access
-	// into Leaves — the externally visible access trace, used by security
-	// regression tests to check that observed paths are uniform and carry
-	// no workload information. Off by default (it grows unboundedly).
-	RecordLeaves bool
-	Leaves       []block.Leaf
-
 	// PathLatency histograms the service latency (issue to data-available,
 	// in CPU cycles) of every path access, keyed by path type — the
 	// per-access-class latency distributions the observability layer

@@ -83,7 +83,7 @@ func (o Options) interference(sch config.Scheme, a, b string) (coRunProbe, error
 		if err != nil {
 			return 0, err
 		}
-		gen, err := genFor(bench, cfg.ORAM.DataBlocks(), cfg.Seed)
+		gen, err := trace.Named(bench, cfg.ORAM.DataBlocks(), cfg.Seed)
 		if err != nil {
 			return 0, err
 		}
@@ -104,11 +104,11 @@ func (o Options) interference(sch config.Scheme, a, b string) (coRunProbe, error
 		return coRunProbe{}, err
 	}
 	o.attachFlight(s)
-	ga, err := genFor(a, cfg.ORAM.DataBlocks(), cfg.Seed)
+	ga, err := trace.Named(a, cfg.ORAM.DataBlocks(), cfg.Seed)
 	if err != nil {
 		return coRunProbe{}, err
 	}
-	gb, err := genFor(b, cfg.ORAM.DataBlocks(), cfg.Seed)
+	gb, err := trace.Named(b, cfg.ORAM.DataBlocks(), cfg.Seed)
 	if err != nil {
 		return coRunProbe{}, err
 	}

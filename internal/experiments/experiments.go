@@ -233,20 +233,6 @@ func cyclesOf(rs []sim.Result) []float64 {
 	return out
 }
 
-// genFor builds the workload generator named by bench ("mix", "random", or
-// a Table II benchmark) over the protected space, seeded explicitly so a
-// cell's trace is a pure function of its resolved configuration.
-func genFor(bench string, universe, seed uint64) (trace.Generator, error) {
-	switch bench {
-	case "mix":
-		return trace.PaperMix(universe, seed), nil
-	case "random":
-		return trace.Random(universe, 0.5, seed), nil
-	default:
-		return trace.Benchmark(bench, universe, seed)
-	}
-}
-
 // cell is one fully-resolved simulation unit: the post-override system
 // configuration (scheme and Z profile applied, seed pinned) plus the
 // benchmark driving it. Together with Requests and EpochInterval it
@@ -274,7 +260,7 @@ func (c cell) run(requests int, epochInterval, flightSample uint64, flightCap in
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: %s/%s: %w", c.cfg.Scheme.Name, c.bench, err)
 	}
-	gen, err := genFor(c.bench, c.cfg.ORAM.DataBlocks(), c.cfg.Seed)
+	gen, err := trace.Named(c.bench, c.cfg.ORAM.DataBlocks(), c.cfg.Seed)
 	if err != nil {
 		return sim.Result{}, err
 	}

@@ -141,7 +141,7 @@ func Fig4(opts Options) (*stats.Table, error) {
 			return utilCell{}, err
 		}
 		opts.attachFlight(s)
-		gen, err := genFor(benches[i], cfg.ORAM.DataBlocks(), cfg.Seed)
+		gen, err := trace.Named(benches[i], cfg.ORAM.DataBlocks(), cfg.Seed)
 		if err != nil {
 			return utilCell{}, err
 		}

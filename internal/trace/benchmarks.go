@@ -99,6 +99,23 @@ func MustBenchmark(name string, universe, seed uint64) *Synth {
 	return g
 }
 
+// Named returns the generator for a workload name: "mix" (PaperMix),
+// "random" (uniform, half writes), or a Table II benchmark (see
+// BenchmarkNames), over a protected space of universe blocks.
+func Named(name string, universe, seed uint64) (Generator, error) {
+	switch name {
+	case "mix":
+		return PaperMix(universe, seed), nil
+	case "random":
+		return Random(universe, 0.5, seed), nil
+	}
+	g, err := Benchmark(name, universe, seed)
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
 // PaperMix returns the 3-benchmark mix used for the "mix" bar of Fig 10
 // (gcc + mcf + lbm: one low-intensity, one read-chasing, one write-stream).
 func PaperMix(universe, seed uint64) *Mix {

@@ -74,6 +74,21 @@ func TestUnknownBenchmark(t *testing.T) {
 	}
 }
 
+func TestNamedResolvesEveryWorkload(t *testing.T) {
+	for _, name := range append([]string{"mix", "random"}, BenchmarkNames()...) {
+		g, err := Named(name, testUniverse, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g.Name() != name {
+			t.Errorf("Named(%q) built generator %q", name, g.Name())
+		}
+	}
+	if g, err := Named("nope", testUniverse, 1); err == nil || g != nil {
+		t.Fatalf("unknown workload: generator %v, error %v; want nil and an error", g, err)
+	}
+}
+
 func TestBenchmarkNamesMatchTable2(t *testing.T) {
 	names := BenchmarkNames()
 	if len(names) != 13 {

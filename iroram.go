@@ -117,14 +117,7 @@ func MixTrace(universe, seed uint64) TraceGenerator {
 // a Table II benchmark (see Benchmarks) over a protected space of universe
 // blocks.
 func NewTrace(name string, universe, seed uint64) (TraceGenerator, error) {
-	switch name {
-	case "mix":
-		return MixTrace(universe, seed), nil
-	case "random":
-		return RandomTrace(universe, 0.5, seed), nil
-	default:
-		return trace.Benchmark(name, universe, seed)
-	}
+	return trace.Named(name, universe, seed)
 }
 
 // RunBenchmark is the one-call convenience: build a system for cfg, run the
