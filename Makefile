@@ -3,12 +3,10 @@
 #   make build       compile everything
 #   make vet         static analysis
 #   make test        unit + experiment tests (tier-1)
+#                    (includes the *ZeroAllocs gates: the steady-state hot
+#                    paths must not allocate)
 #   make race        full tree under the race detector (the parallel
 #                    experiment engine must stay race-clean)
-#   make alloccheck  gate: the steady-state hot paths (path access, evict,
-#                    tree walk, tree-top find, LLC access, DWB scan,
-#                    histogram observe, fully-traced flight access, cached
-#                    DRAM run service, IR-Stash fill) must not allocate
 #   make docscheck   gate: exported facade/metrics identifiers must carry doc
 #                    comments, and docs/METRICS.md must match the metrics
 #                    registry's self-description both ways
@@ -16,13 +14,11 @@
 #   make benchmod    vet + tests of the nested benchmark/ module, which the
 #                    root ./... patterns skip but which compiles against
 #                    core.Controller/core.Stats
+#   make depcheck    gate: no production package (nor the benchmark binary)
+#                    links package testing; test-only code lives in _test.go
 #   make check       all of the above — the documented verification flow
-#   make bench       benchmark harness (one benchmark per paper figure)
-#   make benchjson   performance-trajectory snapshot (BENCH_pr10.json, min of
-#                    5 reps per benchmark); fails if the quick fig10 gmeans
-#                    drift from BENCH_pr9.json
-#   make benchcmp    compare BENCH_pr10.json against BENCH_pr9.json: fails on
-#                    >10% ns/op regression or any metric drift
+#   make bench       every go benchmark: one per paper figure plus the
+#                    hot-path microbenchmarks in their packages
 #   make flightcheck trace a quick fig10 run, validate it with flightstat,
 #                    and diff the trace bytes across -jobs 1 and -jobs 4
 #   make profile     CPU+heap profile of a quick fig10 regeneration
@@ -30,7 +26,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race alloccheck docscheck fmtcheck benchmod check bench benchjson benchcmp flightcheck profile profile-top
+.PHONY: build vet test race docscheck fmtcheck benchmod depcheck check bench flightcheck profile profile-top
 
 build:
 	$(GO) build ./...
@@ -44,9 +40,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-alloccheck:
-	$(GO) run ./cmd/benchjson -check
-
 docscheck:
 	$(GO) run ./cmd/docscheck
 
@@ -56,16 +49,18 @@ fmtcheck:
 benchmod:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet test race alloccheck docscheck fmtcheck benchmod
+depcheck:
+	@deps=$$($(GO) list -deps ./... && cd benchmark && $(GO) list -deps .) || exit 1; \
+	if echo "$$deps" | grep -qx testing; then \
+		echo "depcheck: production code links package testing; move it into _test.go files"; \
+		$(GO) list -f '{{.ImportPath}} imports {{join .Imports " "}}' ./... | grep -w testing; \
+		exit 1; \
+	fi
+
+check: build vet test race docscheck fmtcheck benchmod depcheck
 
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
-benchjson:
-	$(GO) run ./cmd/benchjson -out BENCH_pr10.json -baseline BENCH_pr9.json
-
-benchcmp:
-	$(GO) run ./cmd/benchjson -diff BENCH_pr10.json -against BENCH_pr9.json
+	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 flightcheck:
 	$(GO) run ./cmd/experiments -fig fig10 -quick -progress=false -jobs 4 \

@@ -2,25 +2,22 @@ package iroram
 
 // The benchmark harness: one testing.B benchmark per paper table/figure
 // (regenerating it at reduced scale and reporting its headline metric via
-// b.ReportMetric), plus microbenchmarks of the core primitives. Full-scale
+// b.ReportMetric), plus whole-system microbenchmarks. The hot-path
+// microbenchmarks and their zero-allocation gates live in their own
+// packages (`go test -bench . ./...` runs them all). Full-scale
 // regeneration is cmd/experiments; EXPERIMENTS.md records the
 // paper-vs-measured values at the default scale.
 
 import (
 	"bytes"
 	"fmt"
-
 	"testing"
 
-	"iroram/internal/block"
-	"iroram/internal/cache"
 	"iroram/internal/config"
 	"iroram/internal/core"
 	"iroram/internal/dram"
 	"iroram/internal/rng"
-	"iroram/internal/stash"
 	"iroram/internal/trace"
-	"iroram/internal/tree"
 )
 
 // benchOpts is the reduced scale every figure benchmark runs at.
@@ -216,63 +213,7 @@ func BenchmarkAblationNoTimingProtection(b *testing.B) {
 	}
 }
 
-// --- microbenchmarks of the core primitives ---
-
-// BenchmarkPathAccess measures end-to-end demand accesses against a cold
-// PLB (up to three path accesses each) on the tiny geometry.
-func BenchmarkPathAccess(b *testing.B) {
-	cfg := config.Tiny().WithScheme(config.Baseline())
-	mem := dram.New(cfg.DRAM)
-	c, err := core.NewController(cfg, mem, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	is := core.NewIssuer(c, nil)
-	r := rng.New(2)
-	nd := cfg.ORAM.DataBlocks()
-	// Warm up out of the timed (and alloc-counted) region so scratch buffers
-	// reach steady-state capacity; make check gates on allocs/op == 0 here.
-	now := uint64(0)
-	for i := 0; i < 2000; i++ {
-		now = is.ReadBlock(now, block.ID(r.Uint64n(nd)))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = is.ReadBlock(now, block.ID(r.Uint64n(nd)))
-	}
-}
-
-// BenchmarkEvict measures the single-pass write phase (path read into the
-// stash + deepest-first eviction) without DRAM timing — the structures the
-// PR 4 open-addressed stash index serves. Body in internal/core so
-// cmd/benchjson snapshots the same code.
-func BenchmarkEvict(b *testing.B) { core.EvictBenchmark(b) }
-
-// BenchmarkTreeWalk measures one path round-trip over the bitmap-indexed
-// tree alone: the occupancy-word walk removing every block on a path, then
-// exact free-mask refills. Body in internal/tree so cmd/benchjson snapshots
-// the same code.
-func BenchmarkTreeWalk(b *testing.B) { tree.WalkBenchmark(b) }
-
-// BenchmarkTopCacheFind measures the tree-top lookup mix (hit Find, miss
-// Find, Remove+Fill churn) through the lazy address index. Body in
-// internal/stash so cmd/benchjson snapshots the same code.
-func BenchmarkTopCacheFind(b *testing.B) { stash.TopCacheFindBenchmark(b) }
-
-// BenchmarkIRStashFill measures the S-Stash mix (set-conflict Fill refusal,
-// LookupByAddr hit, RemoveByAddr+Fill churn) through the memoized MD5 set
-// index. Body in internal/stash so cmd/benchjson snapshots the same code.
-func BenchmarkIRStashFill(b *testing.B) { stash.IRStashFillBenchmark(b) }
-
-// BenchmarkLLCAccess measures one LLC access-or-insert with LRU tracking
-// enabled (the IR-DWB configuration: mask set indexing + summary refresh).
-func BenchmarkLLCAccess(b *testing.B) { cache.AccessBenchmark(b) }
-
-// BenchmarkDWBScan measures the Ptr-register candidate search with one
-// dirty-LRU set among 1024 — the sweep the summary bitmaps collapse to a
-// word-wise scan.
-func BenchmarkDWBScan(b *testing.B) { cache.ScanBenchmark(b) }
+// --- whole-system microbenchmarks ---
 
 // BenchmarkControllerInit measures tree construction + initial placement.
 func BenchmarkControllerInit(b *testing.B) {

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	experiments -fig fig10                 # one figure at default scale
-//	experiments -fig all -out results.md   # everything, markdown report
+//	experiments -fig all -out results.txt  # everything, tables appended to a file
 //	experiments -fig fig3 -requests 60000  # more trace records
 //	experiments -fig all -jobs 8           # fan cells across 8 workers
 //	experiments -fig fig10 -emit jsonl -out artifacts/   # JSONL sidecars

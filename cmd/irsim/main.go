@@ -94,15 +94,7 @@ func run() (code int) {
 			*flightSample, *flightOut)
 	}
 
-	cfg := iroram.ScaledConfig()
-	if *levels == 25 {
-		cfg = iroram.PaperConfig()
-	} else if *levels != 0 {
-		cfg.ORAM.Levels = *levels
-		cfg.ORAM.Z = nil // rebuilt by WithScheme
-	}
-	cfg.Seed = *seed
-
+	cfg := geometry(*levels, *seed)
 	var found bool
 	for _, sch := range iroram.AllSchemes() {
 		if strings.EqualFold(sch.Name, *scheme) {
@@ -138,8 +130,9 @@ func run() (code int) {
 	// The telemetry callback runs between Step calls on this goroutine —
 	// the one point where a registry snapshot is consistent — and the
 	// server retains only marshalled bytes, so the System stays
-	// single-goroutine.
+	// single-goroutine. Without -telemetry there is no callback.
 	var observe func(consumed int)
+	every := 0
 	if *telemAddr != "" {
 		tele, err := telemetry.Start(*telemAddr)
 		if err != nil {
@@ -148,7 +141,7 @@ func run() (code int) {
 		}
 		defer tele.Close()
 		fmt.Fprintf(os.Stderr, "telemetry: serving snapshots on http://%s/\n", tele.Addr())
-		every := *requests / 100
+		every = *requests / 100
 		if every == 0 {
 			every = 1
 		}
@@ -162,18 +155,26 @@ func run() (code int) {
 			}{consumed, *requests, snap})
 			tele.PublishProm(telemetry.PromText(descs, snap))
 		}
-		res := sys.RunObserved(gen, *requests, every, observe)
-		if code := writeFlight(*flightOut, cfg.Scheme.Name+"/"+res.Name, res.Flight); code != 0 {
-			return code
-		}
-		return report(cfg, res, *emitMode, *out, *seed)
 	}
-
-	res := sys.RunObserved(gen, *requests, 0, nil)
+	res := sys.RunObserved(gen, *requests, every, observe)
 	if code := writeFlight(*flightOut, cfg.Scheme.Name+"/"+res.Name, res.Flight); code != 0 {
 		return code
 	}
 	return report(cfg, res, *emitMode, *out, *seed)
+}
+
+// geometry returns the system -levels selects: the scaled default (0),
+// Table I (25), or the scaled system at that tree height.
+func geometry(levels int, seed uint64) iroram.Config {
+	cfg := iroram.ScaledConfig()
+	if levels == 25 {
+		cfg = iroram.PaperConfig()
+	} else if levels != 0 {
+		cfg.ORAM.Levels = levels
+		cfg.ORAM.Z = nil // rebuilt by WithScheme
+	}
+	cfg.Seed = seed
+	return cfg
 }
 
 // writeFlight exports one run's flight trace as a Chrome trace-event file.
@@ -211,7 +212,6 @@ func writeFlightProcs(path string, procs []iroram.FlightProcess) int {
 
 // report prints the run summary and writes the JSONL artifact when asked.
 func report(cfg iroram.Config, res iroram.Result, emitMode, out string, seed uint64) int {
-
 	fmt.Printf("scheme        %s\n", cfg.Scheme.Name)
 	fmt.Printf("workload      %s (%d requests, %d instructions)\n",
 		res.Name, res.Requests, res.Instructions)
@@ -264,15 +264,7 @@ func runComparison(bench string, requests, levels int, seed uint64, emitMode, ou
 	artifacts := &iroram.ArtifactLog{}
 	var procs []iroram.FlightProcess
 	for _, sch := range iroram.AllSchemes() {
-		cfg := iroram.ScaledConfig()
-		if levels == 25 {
-			cfg = iroram.PaperConfig()
-		} else if levels != 0 {
-			cfg.ORAM.Levels = levels
-			cfg.ORAM.Z = nil
-		}
-		cfg.Seed = seed
-		cfg = cfg.WithScheme(sch)
+		cfg := geometry(levels, seed).WithScheme(sch)
 		sys, err := iroram.NewSystem(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "irsim: %s: %v\n", sch.Name, err)

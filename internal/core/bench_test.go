@@ -1,0 +1,117 @@
+package core
+
+import (
+	"testing"
+
+	"iroram/internal/block"
+	"iroram/internal/config"
+	"iroram/internal/dram"
+	"iroram/internal/flight"
+	"iroram/internal/rng"
+)
+
+// The controller's hot paths as warmed rigs. Each rig returns one op; the
+// same op is timed by its BenchmarkX and gated at 0 allocs/op by its
+// TestXZeroAllocs, so `go test ./...` enforces the zero-allocation contract
+// that `go test -bench` measures.
+
+// accessRig builds a Tiny controller under sch with fl (nil for none)
+// attached to the controller and the DRAM model, and warms it until the
+// scratch buffers, the stash index and the posted-write queue reach
+// steady-state capacity. Its op is one end-to-end demand read of a random
+// block against a cold PLB: up to three path accesses, with PosMap
+// recursion, eviction and DRAM traffic.
+func accessRig(tb testing.TB, sch config.Scheme, fl *flight.Recorder) (*Controller, func()) {
+	tb.Helper()
+	cfg := config.Tiny().WithScheme(sch)
+	mem := dram.New(cfg.DRAM)
+	c, err := NewController(cfg, mem, rng.New(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c.AttachFlight(fl)
+	mem.AttachFlight(fl)
+	is := NewIssuer(c, nil)
+	r := rng.New(2)
+	nd := cfg.ORAM.DataBlocks()
+	now := uint64(0)
+	op := func() { now = is.ReadBlock(now, block.ID(r.Uint64n(nd))) }
+	for i := 0; i < 4000; i++ {
+		op()
+	}
+	return c, op
+}
+
+// evictRig warms a Tiny Baseline controller through the issuer. Its op is a
+// full stash round-trip without DRAM timing: read a random path's blocks
+// into the stash, then drain them back with the single-pass deepest-first
+// eviction. That isolates the structures the write phase walks (the
+// open-addressed stash index, the per-level candidate lists) from
+// memory-model arithmetic. The op is warmed too: its first few hundred
+// runs grow the candidate buffers to their high-water marks.
+func evictRig(tb testing.TB) func() {
+	c, _ := accessRig(tb, config.Baseline(), nil)
+	r := rng.New(3)
+	op := func() {
+		leaf := block.Leaf(r.Uint64n(c.o.LeafCount()))
+		c.readBuf = c.tr.ReadPath(leaf, c.readBuf[:0])
+		if c.top != nil {
+			c.readBuf = c.top.ReadPath(leaf, c.readBuf)
+		}
+		for _, e := range c.readBuf {
+			c.fstash.Insert(e)
+		}
+		c.evictBuf = evictOntoPath(c.fstash, c.tr, c.top, c.o.Z, c.minLevel,
+			c.o.Levels, leaf, nil, c.evictList, c.evictBuf, nil, nil)
+	}
+	for i := 0; i < 1000; i++ {
+		op()
+	}
+	return op
+}
+
+func BenchmarkPathAccess(b *testing.B) {
+	_, op := accessRig(b, config.Baseline(), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func BenchmarkEvict(b *testing.B) {
+	op := evictRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// TestPathAccessZeroAllocs pins the zero-allocation guarantee of a
+// steady-state demand access under both tree-top designs: the Baseline's
+// dedicated cache and IR-ORAM's S-Stash.
+func TestPathAccessZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race instrumentation")
+	}
+	for _, sch := range []config.Scheme{config.Baseline(), config.IROramScheme()} {
+		t.Run(sch.Name, func(t *testing.T) {
+			_, op := accessRig(t, sch, nil)
+			if avg := testing.AllocsPerRun(400, op); avg != 0 {
+				t.Errorf("steady-state ReadBlock allocates %.2f times per access, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestEvictZeroAllocs gates BenchmarkEvict's op. The write phase has no
+// periodic amortized work; 1000 runs span many stash-occupancy swings.
+func TestEvictZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race instrumentation")
+	}
+	if avg := testing.AllocsPerRun(1000, evictRig(t)); avg != 0 {
+		t.Errorf("write phase allocates %.2f times per op, want 0", avg)
+	}
+}

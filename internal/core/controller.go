@@ -24,8 +24,8 @@
 // (config, seed) pair fully determines every counter, histogram and epoch
 // in Stats — the basis of the experiment engine's byte-identical-output
 // guarantee. Zero allocations: steady-state path accesses must not touch
-// the heap (TestPathAccessZeroAllocs, `make alloccheck`); the metrics
-// instruments embedded in Stats are updated by direct field writes
+// the heap (TestPathAccessZeroAllocs and the other *ZeroAllocs gates); the
+// metrics instruments embedded in Stats are updated by direct field writes
 // (registration with a metrics.Registry happens once, in RegisterMetrics),
 // and the opt-in epoch time series (Stats.EpochInterval) is the sole
 // sanctioned exception.
@@ -69,8 +69,8 @@ type Controller struct {
 
 	// Scratch buffers reused across path accesses of either tree (the two
 	// never run concurrently), so the steady-state hot path allocates
-	// nothing (guarded by TestPathAccessZeroAllocs and the make-check
-	// benchmark gate). physBuf also holds the address lists of Ring ORAM
+	// nothing (guarded by TestPathAccessZeroAllocs and
+	// TestEvictZeroAllocs). physBuf also holds the address lists of Ring ORAM
 	// reads and evictions and of the context-switch spill.
 	physBuf   []uint64
 	readBuf   []tree.Entry   // read-phase entries (tree + top segment)

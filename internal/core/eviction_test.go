@@ -274,39 +274,3 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 		})
 	}
 }
-
-// TestPathAccessZeroAllocs pins the PR 3 zero-allocation guarantee: after
-// warm-up, a steady-state demand access (including its PosMap recursion,
-// eviction and DRAM traffic) performs no heap allocations. Guarded here and
-// by the make-check gate on BenchmarkPathAccess allocs/op.
-func TestPathAccessZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under -race instrumentation")
-	}
-	for _, sch := range []config.Scheme{config.Baseline(), config.IROramScheme()} {
-		sch := sch
-		t.Run(sch.Name, func(t *testing.T) {
-			cfg := config.Tiny().WithScheme(sch)
-			mem := dram.New(cfg.DRAM)
-			c, err := NewController(cfg, mem, rng.New(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			is := NewIssuer(c, nil)
-			r := rng.New(2)
-			nd := cfg.ORAM.DataBlocks()
-			now := uint64(0)
-			// Warm up: let scratch buffers, the stash index and the posted
-			// write queue reach steady-state capacity.
-			for i := 0; i < 4000; i++ {
-				now = is.ReadBlock(now, block.ID(r.Uint64n(nd)))
-			}
-			avg := testing.AllocsPerRun(400, func() {
-				now = is.ReadBlock(now, block.ID(r.Uint64n(nd)))
-			})
-			if avg != 0 {
-				t.Errorf("steady-state ReadBlock allocates %.2f times per access, want 0", avg)
-			}
-		})
-	}
-}

@@ -73,25 +73,8 @@ func benchAddrs(n int) []uint64 {
 	return phys
 }
 
-// BenchmarkServiceBatch measures one path-sized read phase via the []Access
-// API (the pre-PR3 controller hot path).
-func BenchmarkServiceBatch(b *testing.B) {
-	m := New(config.Scaled().DRAM)
-	phys := benchAddrs(44)
-	accs := make([]Access, len(phys))
-	for i, a := range phys {
-		accs[i] = Access{Addr: a}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var now uint64
-	for i := 0; i < b.N; i++ {
-		now = m.ServiceBatch(now, accs)
-	}
-}
-
-// BenchmarkServicePath measures the same phase via the zero-copy physical
-// address list the controller now holds.
+// BenchmarkServicePath measures one path-sized read phase via the
+// zero-copy physical address list.
 func BenchmarkServicePath(b *testing.B) {
 	m := New(config.Scaled().DRAM)
 	phys := benchAddrs(44)
@@ -100,5 +83,35 @@ func BenchmarkServicePath(b *testing.B) {
 	var now uint64
 	for i := 0; i < b.N; i++ {
 		now = m.ServicePath(now, phys, 0, false)
+	}
+}
+
+// serviceRunsRig builds the run list of one path-sized read phase once, as
+// the per-leaf schedule cache memoizes it. Its op services that list: the
+// schedule-cache hit path, which skips address decomposition entirely.
+func serviceRunsRig() func() {
+	m := New(config.Scaled().DRAM)
+	runs := m.AppendRuns(benchAddrs(44), 0, nil)
+	var now uint64
+	return func() { now = m.ServiceRuns(now, runs, false) }
+}
+
+func BenchmarkServiceRuns(b *testing.B) {
+	op := serviceRunsRig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// TestServiceRunsZeroAllocs gates BenchmarkServiceRuns's op. Banks and
+// channels are fixed arrays, so nothing is amortized.
+func TestServiceRunsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race instrumentation")
+	}
+	if avg := testing.AllocsPerRun(1000, serviceRunsRig()); avg != 0 {
+		t.Errorf("run-length service allocates %.2f times per op, want 0", avg)
 	}
 }

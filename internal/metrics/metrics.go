@@ -8,7 +8,7 @@
 //
 // The instrument types (Hist, LinearHist, plain uint64 counters) are updated
 // on the simulator's access path, which must not allocate (see
-// TestPathAccessZeroAllocs and the `make alloccheck` gate). Hist.Observe and
+// TestPathAccessZeroAllocs and TestHistObserveZeroAllocs). Hist.Observe and
 // LinearHist.Add are plain array writes with no interface dispatch, no
 // atomics and no allocation; instruments are embedded by value in the stats
 // structures they measure and updated through direct field access. The

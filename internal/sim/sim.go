@@ -24,11 +24,11 @@
 //
 // Step and everything it calls — LLC access, path issue and service, DRAM
 // timing, metric updates — must not allocate in steady state
-// (TestPathAccessZeroAllocs, `make alloccheck`). The observability layer
-// respects this: every instrument is a plain field updated in place, the
-// metrics.Registry is consulted only at construction and Snapshot time,
-// and the opt-in epoch time series (SetEpochInterval) is the one feature
-// allowed to allocate, which is why it defaults to off.
+// (TestPathAccessZeroAllocs and the per-package *ZeroAllocs gates). The
+// observability layer respects this: every instrument is a plain field
+// updated in place, the metrics.Registry is consulted only at construction
+// and Snapshot time, and the opt-in epoch time series (SetEpochInterval) is
+// the one feature allowed to allocate, which is why it defaults to off.
 package sim
 
 import (

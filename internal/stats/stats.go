@@ -1,7 +1,6 @@
 // Package stats collects and reports simulator statistics: path-access
-// counters by type (Fig 2, 15), per-level histograms (Fig 6), utilization
-// snapshots (Fig 3, 4, 13), and simple text/CSV tables used by the
-// experiment harness.
+// counters by type (Fig 2, 15), per-level histograms (Fig 6), and simple
+// text/CSV tables used by the experiment harness.
 //
 // The raw instruments are built on internal/metrics — LevelHist is the
 // metrics.LinearHist primitive, and every counter here is registered into a
@@ -15,7 +14,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"iroram/internal/block"
@@ -73,14 +71,6 @@ type LevelHist = metrics.LinearHist
 // NewLevelHist returns a histogram for levels levels.
 func NewLevelHist(levels int) *LevelHist {
 	return metrics.NewLinearHist(levels)
-}
-
-// UtilSnapshot is one utilization-per-level measurement (Fig 3): the ratio
-// of real data blocks to allocated slots at each tree level, labelled by the
-// number of path accesses executed so far.
-type UtilSnapshot struct {
-	Label string
-	Util  []float64
 }
 
 // Series is a labelled sequence of float64 values, one entry per benchmark
@@ -263,18 +253,4 @@ func StdDev(values []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(values)))
-}
-
-// Median returns the median, or 0 for an empty slice.
-func Median(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), values...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
 }

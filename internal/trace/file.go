@@ -101,7 +101,9 @@ func Read(r io.Reader) (name string, reqs []Request, err error) {
 	if count > 1<<32 {
 		return "", nil, fmt.Errorf("%w: implausible record count %d", ErrBadFormat, count)
 	}
-	reqs = make([]Request, 0, count)
+	// The count is untrusted: records are appended as they parse, so a
+	// short file claiming billions of records fails at its first missing
+	// record instead of preallocating for them.
 	for i := uint64(0); i < count; i++ {
 		addr, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -118,7 +120,10 @@ func Read(r io.Reader) (name string, reqs []Request, err error) {
 		if err != nil {
 			return "", nil, fmt.Errorf("%w: record %d: %v", ErrBadFormat, i, err)
 		}
-		reqs = append(reqs, Request{Addr: addr, GapInstr: uint32(gap), Write: flags&1 != 0})
+		if flags > 1 {
+			return "", nil, fmt.Errorf("%w: record %d flags %#x", ErrBadFormat, i, flags)
+		}
+		reqs = append(reqs, Request{Addr: addr, GapInstr: uint32(gap), Write: flags == 1})
 	}
 	return string(nameBytes), reqs, nil
 }

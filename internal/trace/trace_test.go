@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -224,16 +225,21 @@ func TestFileRoundTripProperty(t *testing.T) {
 	}
 }
 
+// garbageTraces are binary trace files Read must reject with ErrBadFormat.
+var garbageTraces = [][]byte{
+	nil,
+	[]byte("nope"),
+	[]byte("IRTR\x02"),               // bad version
+	append([]byte("IRTR\x01"), 0xff), // truncated varint
+	// 2^32 records claimed, none present: must not preallocate them.
+	[]byte("IRTR\x01\x00\x80\x80\x80\x80\x10"),
+	[]byte("IRTR\x01\x00\x01\x05\x00\x02"), // flag byte other than 0 and 1
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("nope"),
-		[]byte("IRTR\x02"),               // bad version
-		append([]byte("IRTR\x01"), 0xff), // truncated varint
-	}
-	for i, c := range cases {
-		if _, _, err := Read(bytes.NewReader(c)); err == nil {
-			t.Errorf("case %d: expected error", i)
+	for i, c := range garbageTraces {
+		if _, _, err := Read(bytes.NewReader(c)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("case %d: err = %v, want ErrBadFormat", i, err)
 		}
 	}
 }

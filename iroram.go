@@ -207,7 +207,8 @@ func NewArtifactRecord(figure, scheme, bench, label string, seed uint64, r Resul
 // of cycle-stamped events sampled from the simulation. Attach one to a
 // System before its first Step; a nil recorder is valid and inert, so the
 // steady-state cost when tracing is off is a single branch (and zero
-// allocations either way — `make alloccheck` enforces both).
+// allocations either way — the core package's Flight*ZeroAllocs tests
+// enforce both).
 type FlightRecorder = flight.Recorder
 
 // NewFlightRecorder returns a recorder holding up to capacity events
