@@ -2,18 +2,15 @@ package iroram
 
 // Benchmarks for the extension studies (Ring ORAM integration, co-run
 // interference, the Section IV-D future work, the Section VI-F energy
-// model, and the design-choice ablations) plus the functional-store
-// primitives added beyond the simulator.
+// model, and the design-choice ablations).
 
 import (
-	"bytes"
 	"testing"
 
 	"iroram/internal/block"
 	"iroram/internal/config"
 	"iroram/internal/core"
 	"iroram/internal/dram"
-	"iroram/internal/merkle"
 	"iroram/internal/rng"
 )
 
@@ -99,58 +96,5 @@ func BenchmarkContextSwitch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now = is.ReadBlock(now+500, block.ID(1+2*r.Uint64n(1000)))
 		now = c.ContextSwitch(now)
-	}
-}
-
-func BenchmarkMerkleUpdateVerify(b *testing.B) {
-	tr, err := merkle.New(1 << 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := merkle.LeafDigest(0, []byte("payload"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := i % (1 << 12)
-		if err := tr.Update(idx, d); err != nil {
-			b.Fatal(err)
-		}
-		if err := tr.Verify(idx, d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRecursiveStoreAccess(b *testing.B) {
-	store, err := NewRecursiveObliviousStore(ObliviousStoreConfig{
-		Blocks: 2048, BlockSize: 64, Key: bytes.Repeat([]byte{2}, 32), Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(3)
-	payload := []byte("recursive")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := store.Write(r.Uint64n(2048), payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIntegrityStoreAccess(b *testing.B) {
-	store, err := NewObliviousStore(ObliviousStoreConfig{
-		Blocks: 2048, BlockSize: 64, Key: bytes.Repeat([]byte{3}, 32),
-		Seed: 1, Integrity: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(4)
-	payload := []byte("sealed+merkle")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := store.Write(r.Uint64n(2048), payload); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -9,7 +9,6 @@ package iroram
 // paper-vs-measured values at the default scale.
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -233,25 +232,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := g.Next(); !ok {
 			b.Fatal("exhausted")
-		}
-	}
-}
-
-// BenchmarkObliviousStoreAccess measures the functional Path ORAM with real
-// crypto: one sealed path read+write per operation.
-func BenchmarkObliviousStoreAccess(b *testing.B) {
-	store, err := NewObliviousStore(ObliviousStoreConfig{
-		Blocks: 4096, BlockSize: 64, Key: bytes.Repeat([]byte{1}, 32), Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := []byte("benchmark-payload")
-	r := rng.New(3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := store.Write(r.Uint64n(4096), payload); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -1,8 +1,7 @@
 // Package iroram is a from-scratch reproduction of IR-ORAM ("IR-ORAM: Path
 // Access Type Based Memory Intensity Reduction for Path-ORAM", HPCA 2022):
 // a Path ORAM controller simulator implementing the paper's three
-// path-type-specific optimizations plus the designs it compares against,
-// and a functional oblivious block store usable as a real library.
+// path-type-specific optimizations plus the designs it compares against.
 //
 // # The simulator
 //
@@ -50,11 +49,4 @@
 // (ExperimentOptions.EpochInterval, System.SetEpochInterval) are opt-in
 // because they allocate. See docs/OBSERVABILITY.md for a walkthrough,
 // including the live -telemetry HTTP endpoint.
-//
-// # The oblivious store
-//
-// NewObliviousStore returns a working Path ORAM over sealed memory
-// (AES-128-CTR + HMAC-SHA-256): every access is one path read + one path
-// write regardless of address, operation, or hit/miss, and any tampering
-// with the untrusted memory image fails authentication.
 package iroram

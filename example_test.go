@@ -24,54 +24,6 @@ func Example_compareSchemes() {
 	// Output: IR-ORAM is faster: true
 }
 
-// The functional oblivious store: encrypted, authenticated, oblivious.
-func ExampleNewObliviousStore() {
-	store, err := iroram.NewObliviousStore(iroram.ObliviousStoreConfig{
-		Blocks:    256,
-		BlockSize: 64,
-		Key:       bytes.Repeat([]byte{7}, 32),
-		Seed:      1,
-		Integrity: true, // Merkle tree: replay of stale memory is detected
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := store.Write(42, []byte("attack at dawn")); err != nil {
-		log.Fatal(err)
-	}
-	plain, err := store.Read(42)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s\n", bytes.TrimRight(plain, "\x00"))
-	// Output: attack at dawn
-}
-
-// Freecursive-style recursion: the position map itself lives in a second,
-// 16x-smaller Path ORAM, so client state is tiny.
-func ExampleNewRecursiveObliviousStore() {
-	store, err := iroram.NewRecursiveObliviousStore(iroram.ObliviousStoreConfig{
-		Blocks:    512,
-		BlockSize: 64,
-		Key:       bytes.Repeat([]byte{9}, 32),
-		Seed:      1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := store.Write(3, []byte("hello")); err != nil {
-		log.Fatal(err)
-	}
-	v, err := store.Read(3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	data, pm := store.Accesses()
-	fmt.Printf("%s (data paths %v, posmap paths %v)\n",
-		bytes.TrimRight(v, "\x00"), data >= 2, pm >= 2)
-	// Output: hello (data paths true, posmap paths true)
-}
-
 // Regenerating one of the paper's figures programmatically.
 func ExampleExperiment() {
 	opts := iroram.QuickExperiments()

@@ -120,13 +120,6 @@ func newStats(levels int) *Stats {
 	}
 }
 
-// DataHits returns how many data requests were served without a data path
-// access (stash + S-Stash + dedicated top cache).
-func (s *Stats) DataHits() uint64 { return s.StashHits + s.SStashHits + s.TopHits }
-
-// pathTypeCount is a convenience for figure drivers.
-func (s *Stats) pathTypeCount(t block.PathType) uint64 { return s.Paths.Paths[t] }
-
 // PosPathFraction returns the PTp share of all path accesses.
 func (s *Stats) PosPathFraction() float64 {
 	return s.Paths.Fraction(block.PathPos1) + s.Paths.Fraction(block.PathPos2)

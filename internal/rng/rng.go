@@ -4,9 +4,9 @@
 // Determinism matters for a reproduction: given a seed, every experiment in
 // this repository produces byte-identical statistics. The generator is
 // xoshiro256** seeded through splitmix64, the combination recommended by the
-// xoshiro authors. It is NOT cryptographically secure; the ORAM leaf remaps
-// in a real deployment must use a CSPRNG, and the obliviousstore example
-// shows how to plug one in.
+// xoshiro authors. It is NOT cryptographically secure: an ORAM controller
+// deployed in hardware must draw its leaf remaps from a CSPRNG. The simulator
+// needs only uniform, reproducible leaves.
 package rng
 
 // Source is a deterministic xoshiro256** generator.
@@ -83,9 +83,6 @@ func (r *Source) Intn(n int) int {
 	}
 	return int(r.Uint64n(uint64(n)))
 }
-
-// Uint32 returns a uniform 32-bit value.
-func (r *Source) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
 // Float64 returns a uniform value in [0, 1).
 func (r *Source) Float64() float64 {

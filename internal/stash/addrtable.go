@@ -97,15 +97,16 @@ func (t *AddrTable) GetOrPut(id block.ID, v uint32) (uint32, bool) {
 	if id == block.Invalid {
 		panic("stash: AddrTable key must not be block.Invalid")
 	}
-	if t.n >= t.grow {
-		t.rehash(len(t.keys) * 2)
-	}
 	for i := t.slot(id); ; i = (i + 1) & t.mask {
 		k := t.keys[i]
 		if k == id {
 			return t.vals[i], true
 		}
 		if k == block.Invalid {
+			if t.n >= t.grow {
+				t.rehash(len(t.keys) * 2)
+				return t.GetOrPut(id, v)
+			}
 			t.keys[i] = id
 			t.vals[i] = v
 			t.n++
@@ -114,13 +115,12 @@ func (t *AddrTable) GetOrPut(id block.ID, v uint32) (uint32, bool) {
 	}
 }
 
-// Put inserts or updates id -> v.
+// Put inserts or updates id -> v. Like GetOrPut, it checks the load bound
+// only on reaching an empty slot, so an update of a present key never
+// grows the table; an insert at the bound doubles it and re-probes.
 func (t *AddrTable) Put(id block.ID, v uint32) {
 	if id == block.Invalid {
 		panic("stash: AddrTable key must not be block.Invalid")
-	}
-	if t.n >= t.grow {
-		t.rehash(len(t.keys) * 2)
 	}
 	for i := t.slot(id); ; i = (i + 1) & t.mask {
 		k := t.keys[i]
@@ -129,6 +129,11 @@ func (t *AddrTable) Put(id block.ID, v uint32) {
 			return
 		}
 		if k == block.Invalid {
+			if t.n >= t.grow {
+				t.rehash(len(t.keys) * 2)
+				t.Put(id, v)
+				return
+			}
 			t.keys[i] = id
 			t.vals[i] = v
 			t.n++
@@ -186,9 +191,10 @@ func (t *AddrTable) deleteAt(i uint64) {
 }
 
 // Full reports whether the next insert of a new key would trigger a
-// doubling. Callers that tolerate stale entries (the lazy TopCache index)
-// check it before Put and Sweep instead, so a pre-sized table never grows
-// — and therefore never allocates — in steady state.
+// doubling (updates of present keys never do). Callers that tolerate
+// stale entries (the lazy TopCache index) check it before Put and Sweep
+// instead, so a pre-sized table never grows — and therefore never
+// allocates — in steady state.
 func (t *AddrTable) Full() bool { return t.n >= t.grow }
 
 // Sweep deletes, in place and without allocating, every entry for which

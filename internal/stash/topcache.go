@@ -226,7 +226,7 @@ func (t *TopCache) Remove(addr block.ID, leaf block.Leaf) bool {
 		t.slotAddr[s] = moved
 		t.slotLeaf[s] = t.slotLeaf[last]
 		// moved is resident, so its key is present: this Put updates in
-		// place and cannot grow the table.
+		// place, and AddrTable grows only on an insert of a new key.
 		t.index.Put(block.ID(moved), s)
 	}
 	t.cnt[n]--

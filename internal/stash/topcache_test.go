@@ -162,6 +162,42 @@ func TestTopCacheDifferential(t *testing.T) {
 	}
 }
 
+// TestTopCacheRemoveKeepsIndexSize: a Remove that lands while the lazy
+// index sits at its growth bound re-puts the block its swap-with-last
+// moves. That key is present, so the Put is an update and must leave the
+// index at its size; the next Fill sweeps the dead keys out instead.
+func TestTopCacheRemoveKeepsIndexSize(t *testing.T) {
+	o := config.Tiny().ORAM
+	tc := NewTopCache(o.Levels, o.TopLevels, o.Z)
+	pairs, fresh := loadTopStore(tc, o)
+	// Churn fresh addresses through one slot: every Remove leaves a dead
+	// key behind, until the index reaches its bound.
+	p := pairs[0]
+	for !tc.index.Full() {
+		if !tc.Remove(p.addr, p.leaf) {
+			t.Fatal("resident block not removed")
+		}
+		p.addr, fresh = fresh, fresh+1
+		if !tc.Fill(p.level, p.leaf, tree.Entry{Addr: p.addr, Leaf: p.leaf}) {
+			t.Fatal("fill of the freed slot refused")
+		}
+	}
+	// Remove the first of the root bucket's blocks, so the swap-with-last
+	// moves another resident into its slot.
+	const root = 1 // heap index of the level-0 bucket
+	if tc.cnt[root] < 2 {
+		t.Fatalf("root bucket holds %d blocks, want at least 2", tc.cnt[root])
+	}
+	s := tc.nodeLo[root]
+	slots := len(tc.index.keys)
+	if !tc.Remove(block.ID(tc.slotAddr[s]), block.Leaf(tc.slotLeaf[s])) {
+		t.Fatal("root block not removed")
+	}
+	if got := len(tc.index.keys); got != slots {
+		t.Fatalf("Remove at the index bound grew the index from %d to %d slots", slots, got)
+	}
+}
+
 // subtreePathLeaf builds a random leaf in the same level-subtree as leaf —
 // the placement constraint Fill enforces.
 func subtreePathLeaf(r *rng.Source, leaf block.Leaf, level, levels int) block.Leaf {

@@ -7,7 +7,6 @@ import (
 	"iroram/internal/experiments"
 	"iroram/internal/flight"
 	"iroram/internal/metrics"
-	"iroram/internal/obliv"
 	"iroram/internal/runner"
 	"iroram/internal/sim"
 	"iroram/internal/stats"
@@ -244,27 +243,3 @@ type FlightCell = experiments.FlightCell
 // ExperimentOptions.Flight alongside an ArtifactLog. Single-goroutine, like
 // everything on the driver's calling path.
 type FlightLog = experiments.FlightLog
-
-// ObliviousStoreConfig sizes a functional oblivious store.
-type ObliviousStoreConfig = obliv.Config
-
-// ObliviousStore is a working Path ORAM over sealed memory.
-type ObliviousStore = obliv.Store
-
-// NewObliviousStore builds a functional Path ORAM: real data, real
-// AES-CTR+HMAC sealing, oblivious access pattern. Set Integrity for the
-// Merkle tree that additionally defeats replay of stale memory.
-func NewObliviousStore(cfg ObliviousStoreConfig) (*ObliviousStore, error) {
-	return obliv.NewStore(cfg)
-}
-
-// RecursiveObliviousStore is a functional Path ORAM whose position map
-// lives in a second, 16x-smaller Path ORAM (Freecursive-style recursion).
-type RecursiveObliviousStore = obliv.RecursiveStore
-
-// NewRecursiveObliviousStore builds the two-level construction: client
-// state shrinks to one leaf per 16 blocks, and every access costs exactly
-// one position-map path plus one data path.
-func NewRecursiveObliviousStore(cfg ObliviousStoreConfig) (*RecursiveObliviousStore, error) {
-	return obliv.NewRecursiveStore(cfg)
-}

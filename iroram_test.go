@@ -1,9 +1,6 @@
 package iroram
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func TestPublicQuickstart(t *testing.T) {
 	cfg := TinyConfig().WithScheme(IROram())
@@ -63,25 +60,6 @@ func TestPublicAllFigureNamesDispatch(t *testing.T) {
 		if _, err := Experiment(name, opts); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-	}
-}
-
-func TestPublicObliviousStore(t *testing.T) {
-	store, err := NewObliviousStore(ObliviousStoreConfig{
-		Blocks: 128, BlockSize: 64, Key: bytes.Repeat([]byte{1}, 32), Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Write(3, []byte("hello oram")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.Read(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(bytes.TrimRight(got, "\x00")) != "hello oram" {
-		t.Fatalf("got %q", got)
 	}
 }
 
