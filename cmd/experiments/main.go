@@ -62,7 +62,7 @@ func main() {
 
 func run() (code int) {
 	var (
-		fig      = flag.String("fig", "all", "experiment: table2, fig2..fig16, notp, zsearch, or all")
+		fig      = flag.String("fig", "all", figUsage())
 		requests = flag.Int("requests", 30000, "trace records per run")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		benches  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 13)")
@@ -250,6 +250,11 @@ func run() (code int) {
 		return 1
 	}
 	return writeSidecars()
+}
+
+// figUsage is the -fig help: every name the command accepts.
+func figUsage() string {
+	return "experiment: " + strings.Join(iroram.FigureNames, ", ") + ", zsearch, or all"
 }
 
 // parseBenchmarks splits a comma-separated benchmark list, trimming

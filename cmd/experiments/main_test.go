@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"iroram"
 )
 
 func TestParseBenchmarksTrimsWhitespace(t *testing.T) {
@@ -45,6 +47,20 @@ func TestParseBenchmarksRejectsEmpties(t *testing.T) {
 	for _, s := range []string{"gcc,,mcf", " ", "gcc,"} {
 		if _, err := parseBenchmarks(s); err == nil {
 			t.Errorf("%q accepted despite empty entry", s)
+		}
+	}
+}
+
+func TestFigUsageListsEveryFigure(t *testing.T) {
+	listed := make(map[string]bool)
+	for _, tok := range strings.FieldsFunc(figUsage(), func(r rune) bool {
+		return r == ' ' || r == ',' || r == ':'
+	}) {
+		listed[tok] = true
+	}
+	for _, name := range append(append([]string{}, iroram.FigureNames...), "zsearch", "all") {
+		if !listed[name] {
+			t.Errorf("-fig help %q does not list %s", figUsage(), name)
 		}
 	}
 }

@@ -23,7 +23,6 @@ func main() {
 		outPath  = flag.String("o", "", "output file (required)")
 		seed     = flag.Uint64("seed", 1, "generator seed")
 		universe = flag.Uint64("universe", 0, "protected space in blocks (0 = scaled default)")
-		text     = flag.Bool("text", false, "write the human-readable text format instead of binary")
 	)
 	flag.Parse()
 	if *outPath == "" {
@@ -46,11 +45,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer f.Close()
-	write := trace.Write
-	if *text {
-		write = trace.WriteText
-	}
-	if err := write(f, *bench, reqs); err != nil {
+	if err := trace.Write(f, *bench, reqs); err != nil {
 		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 		os.Exit(1)
 	}

@@ -1,81 +1,72 @@
 package iroram
 
-import "iroram/internal/experiments"
+import (
+	"strings"
 
-// Figure names accepted by Experiment, in paper order.
-var FigureNames = []string{
-	"table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-	"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "notp",
-	"energy", "corun", "futurework", "ring",
-	"ablation-sstash", "ablation-interval", "ablation-mlp", "ablation-plb",
+	"iroram/internal/experiments"
+)
+
+// figures is every experiment Experiment runs, in paper order.
+var figures = []struct {
+	name string
+	run  func(ExperimentOptions) (*Table, error)
+}{
+	{"table2", experiments.Table2},
+	{"fig2", experiments.Fig2},
+	{"fig3", experiments.Fig3},
+	{"fig4", experiments.Fig4},
+	{"fig5", experiments.Fig5},
+	{"fig6", experiments.Fig6},
+	{"fig7", experiments.Fig7},
+	{"fig10", experiments.Fig10},
+	{"fig11", experiments.Fig11},
+	{"fig12", experiments.Fig12},
+	{"fig13", experiments.Fig13},
+	{"fig14", experiments.Fig14},
+	{"fig15", experiments.Fig15},
+	{"fig16", experiments.Fig16},
+	{"notp", experiments.NoTimingProtection},
+	{"energy", experiments.Energy},
+	{"corun", experiments.CoRun},
+	{"futurework", experiments.FutureWork},
+	{"ring", experiments.Ring},
+	{"ablation-sstash", experiments.SStashAssocAblation},
+	{"ablation-interval", experiments.IntervalAblation},
+	{"ablation-mlp", experiments.MLPAblation},
+	{"ablation-plb", experiments.PLBAblation},
 }
 
-// Experiment regenerates one paper table or figure by name ("table2",
-// "fig2" ... "fig16", "notp" for the timing-protection ablation) at the
-// given scale. See DESIGN.md for the experiment index and EXPERIMENTS.md
-// for recorded paper-vs-measured values.
-func Experiment(name string, opts ExperimentOptions) (*Table, error) {
-	// Artifact records emitted by the drivers are labelled with the
-	// experiment name they ran under.
-	opts.Figure = name
-	switch name {
-	case "table2":
-		return experiments.Table2(opts)
-	case "fig2":
-		return experiments.Fig2(opts)
-	case "fig3":
-		return experiments.Fig3(opts)
-	case "fig4":
-		return experiments.Fig4(opts)
-	case "fig5":
-		return experiments.Fig5(opts)
-	case "fig6":
-		return experiments.Fig6(opts)
-	case "fig7":
-		return experiments.Fig7(opts)
-	case "fig10":
-		return experiments.Fig10(opts)
-	case "fig11":
-		return experiments.Fig11(opts)
-	case "fig12":
-		return experiments.Fig12(opts)
-	case "fig13":
-		return experiments.Fig13(opts)
-	case "fig14":
-		return experiments.Fig14(opts)
-	case "fig15":
-		return experiments.Fig15(opts)
-	case "fig16":
-		return experiments.Fig16(opts, 3)
-	case "notp":
-		return experiments.NoTimingProtection(opts)
-	case "energy":
-		return experiments.Energy(opts)
-	case "corun":
-		return experiments.CoRun(opts, nil)
-	case "futurework":
-		return experiments.FutureWork(opts)
-	case "ring":
-		return experiments.Ring(opts)
-	case "ablation-sstash":
-		return experiments.SStashAssocAblation(opts, nil)
-	case "ablation-interval":
-		return experiments.IntervalAblation(opts, nil)
-	case "ablation-mlp":
-		return experiments.MLPAblation(opts, nil)
-	case "ablation-plb":
-		return experiments.PLBAblation(opts, nil)
-	default:
-		return nil, &UnknownExperimentError{Name: name}
+// FigureNames lists the experiment names Experiment accepts, in paper order.
+var FigureNames = func() []string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
 	}
+	return names
+}()
+
+// Experiment regenerates one paper table or figure, named by one of
+// FigureNames, at the given scale. See DESIGN.md for the experiment index
+// and EXPERIMENTS.md for recorded paper-vs-measured values.
+func Experiment(name string, opts ExperimentOptions) (*Table, error) {
+	for _, f := range figures {
+		if f.name == name {
+			// Artifact records emitted by the driver are labelled with the
+			// experiment name it ran under.
+			opts.Figure = name
+			return f.run(opts)
+		}
+	}
+	return nil, &UnknownExperimentError{Name: name}
 }
 
 // UnknownExperimentError reports an unrecognized experiment name.
 type UnknownExperimentError struct{ Name string }
 
-// Error spells out the unknown name and where the valid ones live.
+// Error spells out the unknown name and the valid ones.
 func (e *UnknownExperimentError) Error() string {
-	return "iroram: unknown experiment " + e.Name + " (see FigureNames)"
+	return "iroram: unknown experiment " + e.Name + " (valid: " +
+		strings.Join(FigureNames, ", ") + ")"
 }
 
 // SearchZProfile runs the greedy IR-Alloc bucket-size search of Section

@@ -7,8 +7,8 @@
 // ablation bases, and the scheme grids of Fig10/11/14/15/energy overlap
 // further. Every cell is a pure function of its fully-resolved configuration
 // (internal/experiments documents the determinism contract), so exact
-// memoization is safe: the cache key is a canonical fingerprint of the
-// post-override config.System plus the benchmark name, request count and
+// memoization is safe: the cache key (Key) prints the post-override
+// config.System in Go syntax plus the benchmark name, request count and
 // epoch interval — everything the cell's result depends on.
 //
 // # Single-flight contract
@@ -27,14 +27,6 @@
 // sim package doc); consumers — table math, artifact records — only read
 // it. TestCachedResultImmutable in internal/experiments pins that contract:
 // if it ever fails, hits must start deep-copying.
-//
-// # Fail-closed keying
-//
-// The key encoder is hand-written field by field. A reflection guard runs
-// before the first Key and panics if config.System (or any struct reachable
-// from it) has gained a field the encoder does not cover — growing the
-// configuration surface without extending the fingerprint fails loudly
-// instead of ever serving a stale hit.
 package cellcache
 
 import (
@@ -49,8 +41,6 @@ import (
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	hits    uint64
-	misses  uint64
 }
 
 // entry is one cell's slot: done closes when the first requester's compute
@@ -81,33 +71,15 @@ func New() *Cache {
 func (c *Cache) Do(key string, compute func() (sim.Result, error)) (res sim.Result, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		c.hits++
 		c.mu.Unlock()
 		<-e.done
 		return e.res, true, e.err
 	}
 	e := &entry{done: make(chan struct{})}
 	c.entries[key] = e
-	c.misses++
 	c.mu.Unlock()
 
 	e.res, e.err = compute()
 	close(e.done)
 	return e.res, false, e.err
-}
-
-// Stats returns how many Do calls were served from the cache (completed or
-// in-flight entries) and how many ran their compute function.
-func (c *Cache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len returns the number of distinct cells the cache holds (including any
-// still in flight).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

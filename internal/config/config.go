@@ -8,10 +8,10 @@
 // SystemConfig and a seed.
 //
 // The configuration structs double as the cache identity of a simulation
-// cell: internal/cellcache fingerprints a fully-resolved System field by
-// field. Adding a field here is safe — a reflection guard there fails
-// loudly until the key encoder covers it — but the new field must be added
-// to that encoder before anything using the cell cache runs.
+// cell: internal/cellcache keys a fully-resolved System by its Go-syntax
+// (%#v) form, so a field added here joins the key with no other change.
+// Keep the fields plain values: a pointer would print as an address, and
+// the cache would then miss on every equal cell.
 package config
 
 import (

@@ -20,10 +20,8 @@ import (
 // paths. Low associativity refuses more tree-top fills (blocks bounce back
 // to the F-Stash), eroding IR-Stash's benefit — the reason the paper picked
 // 4-way.
-func SStashAssocAblation(opts Options, ways []int) (*stats.Table, error) {
-	if len(ways) == 0 {
-		ways = []int{1, 2, 4, 8}
-	}
+func SStashAssocAblation(opts Options) (*stats.Table, error) {
+	ways := []int{1, 2, 4, 8}
 	benches := opts.benchmarks()
 	rows := make([]string, len(ways))
 	for i, w := range ways {
@@ -62,10 +60,8 @@ func SStashAssocAblation(opts Options, ways []int) (*stats.Table, error) {
 // smaller T means more dummy paths (bandwidth waste); larger T delays
 // demand requests arriving between issues. The paper fixes T=1000 for all
 // benchmarks to avoid the covert channel of per-application T.
-func IntervalAblation(opts Options, intervals []uint64) (*stats.Table, error) {
-	if len(intervals) == 0 {
-		intervals = []uint64{250, 500, 1000, 2000, 4000}
-	}
+func IntervalAblation(opts Options) (*stats.Table, error) {
+	intervals := []uint64{250, 500, 1000, 2000, 4000}
 	benches := opts.benchmarks()
 	rows := make([]string, len(intervals))
 	for i, tv := range intervals {
@@ -112,10 +108,8 @@ func IntervalAblation(opts Options, intervals []uint64) (*stats.Table, error) {
 // MLPAblation sweeps the core's outstanding-miss budget under Baseline,
 // quantifying how much of Path ORAM's cost an OoO core can hide — the
 // modeling decision DESIGN.md documents.
-func MLPAblation(opts Options, mlps []int) (*stats.Table, error) {
-	if len(mlps) == 0 {
-		mlps = []int{1, 2, 4, 8}
-	}
+func MLPAblation(opts Options) (*stats.Table, error) {
+	mlps := []int{1, 2, 4, 8}
 	benches := opts.benchmarks()
 	rows := make([]string, len(mlps))
 	for i, m := range mlps {
@@ -152,10 +146,8 @@ func MLPAblation(opts Options, mlps []int) (*stats.Table, error) {
 
 // PLBAblation sweeps the PLB capacity under Baseline: the PosMap-path share
 // is the PLB's miss traffic, the quantity IR-Stash then attacks.
-func PLBAblation(opts Options, entries []int) (*stats.Table, error) {
-	if len(entries) == 0 {
-		entries = []int{16, 32, 64, 128}
-	}
+func PLBAblation(opts Options) (*stats.Table, error) {
+	entries := []int{16, 32, 64, 128}
 	benches := opts.benchmarks()
 	rows := make([]string, len(entries))
 	for i, e := range entries {

@@ -16,9 +16,9 @@ import (
 // Record field or a registered metric name changes meaning (additive
 // changes — new metric names — do not bump it; see docs/METRICS.md for the
 // compatibility policy). Version 2: the `metrics` field became optional —
-// probe drivers (Fig 3/4/13 utilization, the co-run interference probe,
-// the Z-profile search) emit partial records without a registry snapshot,
-// where version 1 guaranteed every record carried one.
+// probe drivers (the co-run interference probe, the Z-profile search) emit
+// partial records without a registry snapshot, where version 1 guaranteed
+// every record carried one.
 const SchemaVersion = 2
 
 // Record is one JSONL artifact line: the full metric dump of one simulated

@@ -19,6 +19,7 @@ func TestCachedResultImmutable(t *testing.T) {
 	opts.Requests = 400
 	opts.Benchmarks = []string{"gcc", "mcf"}
 	opts.Cache = cellcache.New()
+	opts.Counters = &CellCounters{}
 	opts.EpochInterval = 100 // populate the Epochs slice so it is covered too
 
 	res1, err := opts.runOne(config.Baseline(), "gcc")
@@ -39,7 +40,7 @@ func TestCachedResultImmutable(t *testing.T) {
 	if _, err := Table2(driver); err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := opts.Cache.Stats(); hits == 0 {
+	if opts.Counters.Hits.Load() == 0 {
 		t.Fatal("driver did not hit the cached cell; the test exercises nothing")
 	}
 

@@ -5,7 +5,6 @@ import (
 
 	"iroram/internal/config"
 	"iroram/internal/flight"
-	"iroram/internal/sim"
 	"iroram/internal/stats"
 	"iroram/internal/trace"
 )
@@ -25,10 +24,8 @@ import (
 // intensity leaves more slack for the co-runner. Every (scheme, pair) cell
 // runs in parallel; the three runs inside a cell (two solos, one co-run)
 // stay sequential on that worker.
-func CoRun(opts Options, pairs [][2]string) (*stats.Table, error) {
-	if len(pairs) == 0 {
-		pairs = [][2]string{{"gcc", "mcf"}, {"mcf", "lbm"}, {"dee", "bla"}}
-	}
+func CoRun(opts Options) (*stats.Table, error) {
+	pairs := [][2]string{{"gcc", "mcf"}, {"mcf", "lbm"}, {"dee", "bla"}}
 	rows := make([]string, len(pairs))
 	for i, p := range pairs {
 		rows[i] = fmt.Sprintf("%s+%s", p[0], p[1])
@@ -75,35 +72,21 @@ type coRunProbe struct {
 }
 
 func (o Options) interference(sch config.Scheme, a, b string) (coRunProbe, error) {
-	half := o.Requests / 2
-	solo := func(bench string) (uint64, error) {
-		cfg := o.Base.WithScheme(sch)
-		cfg.Seed = o.Seed
-		s, err := sim.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		gen, err := trace.Named(bench, cfg.ORAM.DataBlocks(), cfg.Seed)
-		if err != nil {
-			return 0, err
-		}
-		return s.Run(gen, half).Cycles, nil
-	}
-	ta, err := solo(a)
+	cfg := o.configFor(sch)
+	half := o
+	half.Requests = o.Requests / 2
+	ra, err := half.run(cell{cfg: cfg, bench: a})
 	if err != nil {
 		return coRunProbe{}, err
 	}
-	tb, err := solo(b)
+	rb, err := half.run(cell{cfg: cfg, bench: b})
 	if err != nil {
 		return coRunProbe{}, err
 	}
-	cfg := o.Base.WithScheme(sch)
-	cfg.Seed = o.Seed
-	s, err := sim.New(cfg)
+	s, err := o.newSystem(cfg)
 	if err != nil {
 		return coRunProbe{}, err
 	}
-	o.attachFlight(s)
 	ga, err := trace.Named(a, cfg.ORAM.DataBlocks(), cfg.Seed)
 	if err != nil {
 		return coRunProbe{}, err
@@ -112,9 +95,9 @@ func (o Options) interference(sch config.Scheme, a, b string) (coRunProbe, error
 	if err != nil {
 		return coRunProbe{}, err
 	}
-	mixed := s.Run(trace.NewMix(a+"+"+b, ga, gb), 2*half)
+	mixed := s.Run(trace.NewMix(a+"+"+b, ga, gb), 2*half.Requests)
 	return coRunProbe{
-		factor:   float64(mixed.Cycles) / float64(ta+tb),
+		factor:   float64(mixed.Cycles) / float64(ra.Cycles+rb.Cycles),
 		cycles:   mixed.Cycles,
 		requests: mixed.Requests,
 		trace:    mixed.Flight,

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section VI) plus the motivation studies (Section III). Each
-// driver is a pure function of an Options value and returns a stats.Table
-// whose rows/series mirror what the paper plots; cmd/experiments prints
-// them and EXPERIMENTS.md records paper-vs-measured values.
+// evaluation (Section VI) plus the motivation studies (Section III). Every
+// driver is a func(Options) (*stats.Table, error), a pure function of its
+// options whose table rows/series mirror what the paper plots;
+// cmd/experiments prints them and EXPERIMENTS.md records paper-vs-measured
+// values.
 //
 // # Parallel execution
 //
@@ -10,11 +11,13 @@
 // cells. Each cell builds a private sim.System and trace.Generator from the
 // cell's configuration and seed — a System is single-goroutine, so
 // parallelism is always one System per worker — and the drivers fan cells
-// across Options.Jobs workers via internal/runner. Results are collected by
-// cell index, never by completion order, and every cell's randomness is a
-// pure function of (Options.Seed, cell identity), so the tables are
-// bit-identical for every worker count: Jobs == 1 reproduces the historical
-// sequential loops exactly.
+// across Options.Jobs workers via internal/runner. Every System is built
+// by one constructor that also applies the options' epoch interval and
+// flight recorder, so each figure's records and traces observe alike.
+// Results are collected by cell index, never by completion order, and
+// every cell's randomness is a pure function of (Options.Seed, cell
+// identity), so the tables are bit-identical for every worker count:
+// Jobs == 1 reproduces the historical sequential loops exactly.
 //
 // # Cross-figure memoization
 //
@@ -73,11 +76,10 @@ type Options struct {
 	// Artifacts, when non-nil, collects one JSONL Record per simulated
 	// cell (see artifacts.go). Records are appended after each batch
 	// completes, in cell-index order on the calling goroutine, so the
-	// artifact bytes are identical for every Jobs value. Drivers whose
-	// cells do not produce a full sim.Result — the utilization snapshots
-	// of Fig 3/4/13, the co-run latency probe, the Z-profile search —
-	// emit partial records (no metrics snapshot, see NewProbeRecord) so
-	// every figure has a sidecar.
+	// artifact bytes are identical for every Jobs value. The two drivers
+	// that reduce a cell to one scalar — the co-run interference probe and
+	// the Z-profile search — emit partial records (no metrics snapshot,
+	// see NewProbeRecord) so every figure has a sidecar.
 	Artifacts *ArtifactLog
 	// Figure labels the records emitted into Artifacts; the facade's
 	// Experiment dispatcher sets it to the experiment name.
@@ -87,12 +89,11 @@ type Options struct {
 	// simulated cell (same post-batch, cell-index-order append contract
 	// as Artifacts). FlightSample must also be non-zero for cells to be
 	// traced: each cell's System gets a private recorder sampling 1 in
-	// FlightSample path accesses into a ring of FlightCap events
-	// (flight.DefaultCapacity when zero). Tracing observes only — tables
-	// and artifact records are byte-identical with it on or off.
+	// FlightSample path accesses into a ring of flight.DefaultCapacity
+	// events. Tracing observes only — tables and artifact records are
+	// byte-identical with it on or off.
 	Flight       *FlightLog
 	FlightSample uint64
-	FlightCap    int
 
 	// EpochInterval, when non-zero, enables periodic epoch snapshots every
 	// EpochInterval issued paths in each cell's System (time series in the
@@ -243,20 +244,34 @@ type cell struct {
 	bench string
 }
 
-// cellFor resolves one (scheme, benchmark) cell against the options' base
-// geometry — the single constructor behind runOne and runProfile.
-func (o Options) cellFor(sch config.Scheme, bench string) cell {
+// configFor resolves sch against the options' base geometry and pins the
+// seed — the one configuration every driver's cells start from.
+func (o Options) configFor(sch config.Scheme) config.System {
 	cfg := o.Base.WithScheme(sch)
 	cfg.Seed = o.Seed
-	return cell{cfg: cfg, bench: bench}
+	return cfg
+}
+
+// newSystem builds a System for cfg armed with the options' observation
+// settings: the epoch interval and, when tracing, a private flight
+// recorder whose snapshot rides back on Result.Flight. Every System a
+// driver simulates is built here, so every figure observes alike.
+func (o Options) newSystem(cfg config.System) (*sim.System, error) {
+	s, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.SetEpochInterval(o.EpochInterval)
+	if o.FlightSample > 0 {
+		s.AttachFlight(flight.New(0, o.FlightSample))
+	}
+	return s, nil
 }
 
 // run simulates the cell directly: a fresh System and Generator per call,
-// so concurrent calls never share state. flightSample non-zero attaches a
-// private flight recorder (ring capacity flightCap, DefaultCapacity when
-// zero) whose trace snapshot rides back on Result.Flight.
-func (c cell) run(requests int, epochInterval, flightSample uint64, flightCap int) (sim.Result, error) {
-	s, err := sim.New(c.cfg)
+// so concurrent calls never share state.
+func (o Options) run(c cell) (sim.Result, error) {
+	s, err := o.newSystem(c.cfg)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("experiments: %s/%s: %w", c.cfg.Scheme.Name, c.bench, err)
 	}
@@ -264,11 +279,7 @@ func (c cell) run(requests int, epochInterval, flightSample uint64, flightCap in
 	if err != nil {
 		return sim.Result{}, err
 	}
-	s.SetEpochInterval(epochInterval)
-	if flightSample > 0 {
-		s.AttachFlight(flight.New(flightCap, flightSample))
-	}
-	return s.Run(gen, requests), nil
+	return s.Run(gen, o.Requests), nil
 }
 
 // runCell executes one cell, routing through the cross-figure cache when one
@@ -279,15 +290,13 @@ func (o Options) runCell(c cell) (sim.Result, error) {
 		o.Counters.Cells.Add(1)
 	}
 	if o.Cache == nil {
-		return c.run(o.Requests, o.EpochInterval, o.FlightSample, o.FlightCap)
+		return o.run(c)
 	}
 	key := cellcache.Key(c.cfg, c.bench, o.Requests, o.EpochInterval)
 	if o.Counters != nil {
 		o.Counters.RecordKey(key)
 	}
-	res, hit, err := o.Cache.Do(key, func() (sim.Result, error) {
-		return c.run(o.Requests, o.EpochInterval, o.FlightSample, o.FlightCap)
-	})
+	res, hit, err := o.Cache.Do(key, func() (sim.Result, error) { return o.run(c) })
 	if hit && o.Counters != nil {
 		o.Counters.Hits.Add(1)
 	}
@@ -296,12 +305,12 @@ func (o Options) runCell(c cell) (sim.Result, error) {
 
 // runOne executes one (scheme, benchmark) cell and returns its result.
 func (o Options) runOne(sch config.Scheme, bench string) (sim.Result, error) {
-	return o.runCell(o.cellFor(sch, bench))
+	return o.runCell(cell{cfg: o.configFor(sch), bench: bench})
 }
 
 // runProfile is runOne with an explicit Z profile override (Fig 12/16).
 func (o Options) runProfile(sch config.Scheme, prof config.ZProfile, bench string) (sim.Result, error) {
-	c := o.cellFor(sch, bench)
+	c := cell{cfg: o.configFor(sch), bench: bench}
 	c.cfg.ORAM.Z = prof
 	return o.runCell(c)
 }

@@ -188,7 +188,7 @@ func TestFig15DummyDrop(t *testing.T) {
 func TestFig16Runs(t *testing.T) {
 	opts := Quick()
 	opts.Requests = 1200
-	tab, err := Fig16(opts, 2)
+	tab, err := Fig16(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

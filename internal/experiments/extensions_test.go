@@ -9,7 +9,7 @@ import (
 func TestCoRunInterference(t *testing.T) {
 	opts := Quick()
 	opts.Requests = 2400
-	tab, err := CoRun(opts, [][2]string{{"gcc", "mcf"}})
+	tab, err := CoRun(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSStashAssocAblation(t *testing.T) {
 	opts := Quick()
 	opts.Requests = 1500
 	opts.Benchmarks = []string{"gcc"}
-	tab, err := SStashAssocAblation(opts, []int{1, 4})
+	tab, err := SStashAssocAblation(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestIntervalAblation(t *testing.T) {
 	opts := Quick()
 	opts.Requests = 1200
 	opts.Benchmarks = []string{"gcc"}
-	tab, err := IntervalAblation(opts, []uint64{500, 1000, 4000})
+	tab, err := IntervalAblation(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMLPAblation(t *testing.T) {
 	opts := Quick()
 	opts.Requests = 1500
 	opts.Benchmarks = []string{"mcf"}
-	tab, err := MLPAblation(opts, []int{1, 4})
+	tab, err := MLPAblation(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPLBAblation(t *testing.T) {
 	opts := Quick()
 	opts.Requests = 1500
 	opts.Benchmarks = []string{"mcf"}
-	tab, err := PLBAblation(opts, []int{16, 128})
+	tab, err := PLBAblation(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

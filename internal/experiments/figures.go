@@ -94,13 +94,11 @@ func utilizationTable(opts Options, sch config.Scheme, title string) (*stats.Tab
 		snaps []sim.UtilSnapshot
 	}
 	cells, err := mapCells(opts, 1, func(int) (utilCell, error) {
-		cfg := opts.Base.WithScheme(sch)
-		cfg.Seed = opts.Seed
-		s, err := sim.New(cfg)
+		cfg := opts.configFor(sch)
+		s, err := opts.newSystem(cfg)
 		if err != nil {
 			return utilCell{}, err
 		}
-		opts.attachFlight(s)
 		gen := trace.UtilizationTrace(cfg.ORAM.DataBlocks(), opts.Requests, opts.Seed)
 		res, out := s.RunWithSnapshots(gen, opts.Requests, 4)
 		return utilCell{res: res, snaps: out}, nil
@@ -134,13 +132,11 @@ func Fig4(opts Options) (*stats.Table, error) {
 		util []float64
 	}
 	cells, err := mapCells(opts, len(benches), func(i int) (utilCell, error) {
-		cfg := opts.Base.WithScheme(config.Baseline())
-		cfg.Seed = opts.Seed
-		s, err := sim.New(cfg)
+		cfg := opts.configFor(config.Baseline())
+		s, err := opts.newSystem(cfg)
 		if err != nil {
 			return utilCell{}, err
 		}
-		opts.attachFlight(s)
 		gen, err := trace.Named(benches[i], cfg.ORAM.DataBlocks(), cfg.Seed)
 		if err != nil {
 			return utilCell{}, err
@@ -392,12 +388,11 @@ func Fig15(opts Options) (*stats.Table, error) {
 
 // Fig16 is the IR-Alloc scalability study: speedup over Baseline on random
 // traces as the protected memory grows (levels-1, levels, levels+1), with
-// the across-seed standard deviation the paper reports as negligible. All
-// (geometry × seed × scheme) cells run as one parallel batch.
-func Fig16(opts Options, seeds int) (*stats.Table, error) {
-	if seeds <= 0 {
-		seeds = 3
-	}
+// the across-seed standard deviation over three seeds, which the paper
+// reports as negligible. All (geometry × seed × scheme) cells run as one
+// parallel batch.
+func Fig16(opts Options) (*stats.Table, error) {
+	const seeds = 3
 	baseLevels := opts.Base.ORAM.Levels
 	deltas := []int{-1, 0, 1}
 	rows := []string{}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"iroram/internal/flight"
-	"iroram/internal/sim"
 )
 
 // FlightCell pairs one simulated cell's identity with its flight-recorder
@@ -26,16 +25,6 @@ func (c FlightCell) processName() string {
 		name += "/" + c.Label
 	}
 	return name
-}
-
-// attachFlight attaches a private flight recorder to a directly-built
-// System when the options request tracing — the twin of what cell.run
-// does on the cached runCell path, for drivers that construct their own
-// Systems (the utilization figures).
-func (o Options) attachFlight(s *sim.System) {
-	if o.FlightSample > 0 {
-		s.AttachFlight(flight.New(o.FlightCap, o.FlightSample))
-	}
 }
 
 // FlightLog accumulates flight traces during a sweep. Like ArtifactLog it

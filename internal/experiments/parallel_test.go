@@ -24,9 +24,9 @@ var drivers = map[string]func(Options) (*stats.Table, error){
 	"fig12":  Fig12,
 	"fig14":  Fig14,
 	"fig15":  Fig15,
-	"fig16":  func(o Options) (*stats.Table, error) { return Fig16(o, 2) },
+	"fig16":  Fig16,
 	"notp":   NoTimingProtection,
-	"corun":  func(o Options) (*stats.Table, error) { return CoRun(o, [][2]string{{"gcc", "mcf"}}) },
+	"corun":  CoRun,
 	"ring":   Ring,
 	"energy": Energy,
 }

@@ -92,25 +92,6 @@ func (r *Source) Float64() float64 {
 // Bool returns true with probability p.
 func (r *Source) Bool(p float64) bool { return r.Float64() < p }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Fork derives an independent child stream. Children of the same parent at
 // different points of the parent stream are uncorrelated.
 func (r *Source) Fork() *Source { return New(r.Uint64()) }

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -92,41 +91,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 	if mean := sum / draws; math.Abs(mean-0.5) > 0.01 {
 		t.Errorf("mean = %v, want about 0.5", mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	check := func(seed uint64, n8 uint8) bool {
-		n := int(n8%64) + 1
-		p := New(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := New(5)
-	xs := []int{1, 2, 3, 4, 5, 6, 7}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle lost elements: sum %d != %d", got, sum)
 	}
 }
 

@@ -5,9 +5,9 @@
 // (scheme × benchmark) cells. Every cell constructs a private sim.System and
 // trace.Generator from the cell's configuration and seed, so cells share no
 // mutable state and are embarrassingly parallel. This package supplies the
-// one fan-out primitive they all use, Map, the seeding helper CellSeed, and
-// the cross-pool concurrency bound Limit that lets several overlapping
-// batches (the -fig all figure drivers) share one global worker budget.
+// one fan-out primitive they all use, Map, and the cross-pool concurrency
+// bound Limit that lets several overlapping batches (the -fig all figure
+// drivers) share one global worker budget.
 //
 // # Determinism contract
 //
@@ -32,8 +32,6 @@ package runner
 
 import (
 	"context"
-	"encoding/binary"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"time"
@@ -249,27 +247,4 @@ func (p Pool) report(pr Progress) {
 	if p.OnProgress != nil {
 		p.OnProgress(pr)
 	}
-}
-
-// CellSeed derives a stable per-cell seed from a base seed and the cell's
-// identity labels (scheme name, benchmark name, sweep index, ...) via
-// FNV-1a. Identical inputs yield the identical seed on every platform and in
-// every scheduling order, and distinct label tuples yield uncorrelated seeds
-// once passed through the simulator's splitmix64 seeding.
-//
-// The experiment drivers seed each cell as a pure function of (base seed,
-// cell identity); for single-seed sweeps that function is the identity on
-// the base seed (each cell builds a private System from it), while
-// multi-seed sweeps use CellSeed to decorrelate repetitions without any
-// shared RNG stream.
-func CellSeed(base uint64, labels ...string) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], base)
-	h.Write(b[:])
-	for _, l := range labels {
-		h.Write([]byte{0})
-		h.Write([]byte(l))
-	}
-	return h.Sum64()
 }

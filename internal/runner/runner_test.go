@@ -176,28 +176,6 @@ func TestMapZeroCells(t *testing.T) {
 	}
 }
 
-func TestCellSeedStableAndDistinct(t *testing.T) {
-	a := CellSeed(1, "IR-ORAM", "mcf")
-	if b := CellSeed(1, "IR-ORAM", "mcf"); a != b {
-		t.Errorf("CellSeed not stable: %d vs %d", a, b)
-	}
-	seen := map[uint64][]string{}
-	for _, labels := range [][]string{
-		{"IR-ORAM", "mcf"}, {"IR-ORAM", "gcc"}, {"Baseline", "mcf"},
-		{"IR-ORAMm", "cf"}, // label-boundary ambiguity must not collide
-		{}, {"x"},
-	} {
-		s := CellSeed(1, labels...)
-		if prev, dup := seen[s]; dup {
-			t.Errorf("CellSeed collision: %v and %v -> %d", prev, labels, s)
-		}
-		seen[s] = labels
-	}
-	if CellSeed(1, "a") == CellSeed(2, "a") {
-		t.Error("CellSeed ignores the base seed")
-	}
-}
-
 // TestLimitBoundsAcrossPools runs several concurrent Map batches sharing one
 // Limit and asserts the cross-pool peak concurrency never exceeds the
 // limit's capacity even though each pool alone could run more workers.

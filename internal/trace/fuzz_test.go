@@ -35,36 +35,3 @@ func FuzzRead(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadText is FuzzRead for the text format.
-func FuzzReadText(f *testing.F) {
-	for _, c := range []string{
-		"",
-		"# trace: handmade\n# a comment\n12 r 100\n\n34 W 0\n56 w 4000000\n",
-		"12 r",
-		"12 q 5",
-		"12 r 99999999999999",
-	} {
-		f.Add([]byte(c))
-	}
-	for _, c := range garbageTraces {
-		f.Add(c)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		name, reqs, err := ReadText(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := WriteText(&out, name, reqs); err != nil {
-			t.Fatal(err)
-		}
-		name2, reqs2, err := ReadText(&out)
-		if err != nil {
-			t.Fatalf("re-read of written trace: %v", err)
-		}
-		if name2 != name || !slices.Equal(reqs2, reqs) {
-			t.Fatalf("round trip changed the trace: %q %v -> %q %v", name, reqs, name2, reqs2)
-		}
-	})
-}

@@ -147,14 +147,6 @@ type ExperimentOptions = experiments.Options
 // delivered to ExperimentOptions.Progress after each completed cell.
 type Progress = runner.Progress
 
-// CellSeed derives a stable per-cell seed from a base seed and identity
-// labels (scheme, benchmark, sweep index, ...). Use it to decorrelate
-// repetitions of a sweep without sharing an RNG stream across cells, which
-// would make results depend on scheduling.
-func CellSeed(base uint64, labels ...string) uint64 {
-	return runner.CellSeed(base, labels...)
-}
-
 // DefaultExperiments returns full-fidelity options (scaled geometry).
 func DefaultExperiments() ExperimentOptions { return experiments.Default() }
 

@@ -11,31 +11,6 @@ import (
 	"iroram/internal/runner"
 )
 
-// CellCache memoizes simulation cell results across experiment drivers:
-// identical (configuration, benchmark, requests, epoch-interval) cells
-// simulate once and every later requester is served the stored Result.
-// Attach one to ExperimentOptions.Cache, or let Sweep manage it. See
-// internal/cellcache for the single-flight and immutability contracts.
-type CellCache = cellcache.Cache
-
-// NewCellCache returns an empty cross-figure cell cache.
-func NewCellCache() *CellCache { return cellcache.New() }
-
-// CellCounters tallies cell requests and cache hits across experiment
-// batches; attach one to ExperimentOptions.Counters. All fields are atomic,
-// so one value may be shared by concurrently running drivers.
-type CellCounters = experiments.CellCounters
-
-// CellLimit bounds how many simulation cells execute concurrently across
-// every ExperimentOptions sharing it — the machine-wide budget when several
-// figure drivers run at once. Attach via ExperimentOptions.Limit, or let
-// Sweep manage it.
-type CellLimit = runner.Limit
-
-// NewCellLimit returns a limit admitting n concurrent cells; n <= 0 means
-// GOMAXPROCS.
-func NewCellLimit(n int) *CellLimit { return runner.NewLimit(n) }
-
 // FigureRun reports the outcome of one experiment within a Sweep.
 type FigureRun struct {
 	// Name is the experiment name the run regenerated.
@@ -104,7 +79,7 @@ func (s Sweep) Run(deliver func(FigureRun)) error {
 	}
 	if !s.Overlap || len(names) == 1 {
 		for _, name := range names {
-			fr := s.runFigure(name, s.Options, cache, &CellCounters{})
+			fr := s.runFigure(name, s.Options, cache, &experiments.CellCounters{})
 			deliver(fr)
 			if fr.Err != nil {
 				return fr.Err
@@ -119,7 +94,7 @@ func (s Sweep) Run(deliver func(FigureRun)) error {
 // its outcome. The options value is taken by value: each figure gets its
 // own copy to mutate.
 func (s Sweep) runFigure(name string, opts ExperimentOptions, cache *cellcache.Cache,
-	counters *CellCounters) FigureRun {
+	counters *experiments.CellCounters) FigureRun {
 	opts.Cache = cache
 	opts.Counters = counters
 	if s.ProgressFor != nil {
@@ -154,7 +129,7 @@ func (s Sweep) runOverlapped(names []string, cache *cellcache.Cache, deliver fun
 	results := make([]FigureRun, len(names))
 	logs := make([]*ArtifactLog, len(names))
 	flogs := make([]*FlightLog, len(names))
-	counters := make([]*CellCounters, len(names))
+	counters := make([]*experiments.CellCounters, len(names))
 	var wg sync.WaitGroup
 	for i, name := range names {
 		opts := s.Options
@@ -180,7 +155,7 @@ func (s Sweep) runOverlapped(names []string, cache *cellcache.Cache, deliver fun
 				}
 			}
 		}
-		counters[i] = &CellCounters{}
+		counters[i] = &experiments.CellCounters{}
 		wg.Add(1)
 		go func(i int, name string, opts ExperimentOptions) {
 			defer wg.Done()

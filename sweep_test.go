@@ -204,3 +204,39 @@ func TestSweepSerializesProgress(t *testing.T) {
 		t.Errorf("%d concurrent progress observations", v)
 	}
 }
+
+// TestSweepObservesEveryFigure: every figure honors the observation
+// settings, whichever way its driver builds Systems. Each record with a
+// metrics snapshot carries the epoch series, and every figure that
+// simulates a cell exports a flight trace (fig7 is arithmetic and runs
+// none).
+func TestSweepObservesEveryFigure(t *testing.T) {
+	opts := QuickExperiments()
+	opts.Requests = 400
+	opts.EpochInterval = 50
+	opts.Artifacts = &ArtifactLog{}
+	opts.Flight = &FlightLog{}
+	opts.FlightSample = 16
+	if err := (Sweep{Options: opts, Dedup: true, Overlap: true}).Run(func(fr FigureRun) {
+		if fr.Err != nil {
+			t.Fatalf("%s: %v", fr.Name, fr.Err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range opts.Artifacts.Records() {
+		if rec.Metrics != nil && len(rec.Epochs) == 0 {
+			t.Errorf("%s %s/%s label %q: record has metrics but no epochs",
+				rec.Figure, rec.Scheme, rec.Benchmark, rec.Label)
+		}
+	}
+	traced := make(map[string]bool)
+	for _, c := range opts.Flight.Cells() {
+		traced[c.Figure] = true
+	}
+	for _, name := range FigureNames {
+		if name != "fig7" && !traced[name] {
+			t.Errorf("%s: no flight trace", name)
+		}
+	}
+}
