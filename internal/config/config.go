@@ -313,6 +313,10 @@ func (s System) Validate() error {
 	if slots := o.Z.Slots(); uint64(float64(slots)*0.95) < need {
 		return fmt.Errorf("config: %d blocks need more than 95%% of %d slots", need, slots)
 	}
+	// The tree stores block addresses as uint32.
+	if need >= 1<<32 {
+		return fmt.Errorf("config: %d blocks overflow the 32-bit block address", need)
+	}
 	if s.Scheme.Top == TopIRStash && o.SStashWays <= 0 {
 		return errors.New("config: IR-Stash requires SStashWays > 0")
 	}

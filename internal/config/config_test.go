@@ -142,6 +142,31 @@ func TestValidateCatchesBadGeometry(t *testing.T) {
 	}
 }
 
+// TestValidateBlockAddressWidth checks the 32-bit block address limit at
+// the paper's geometry grown to L levels. Only Validate runs: the trees
+// would take tens of GB.
+func TestValidateBlockAddressWidth(t *testing.T) {
+	cases := []struct {
+		levels int
+		want   string // "" when the geometry is valid
+	}{
+		{30, ""},
+		{31, "32-bit"},
+		{32, "32-bit"},
+	}
+	for _, c := range cases {
+		err := withGeometry(c.levels).Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("L=%d: %v", c.levels, err)
+		case c.want != "" && err == nil:
+			t.Errorf("L=%d: %d blocks accepted", c.levels, withGeometry(c.levels).ORAM.DataBlocks())
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("L=%d: error %q does not mention %q", c.levels, err, c.want)
+		}
+	}
+}
+
 func TestBandedCoversAllLevels(t *testing.T) {
 	check := func(seed uint64) bool {
 		levels := int(seed%20) + 12

@@ -77,7 +77,10 @@ func (c *Controller) ServeOnChip(now uint64, j Job) (served bool, done uint64) {
 	}
 	// 5. Tree-top hit (baseline dedicated cache): now that the leaf is
 	// known, an on-chip hit is served with no path access and no remap.
-	if c.top != nil {
+	// Under IR-Stash, step 2's miss already rules a hit out: every TT
+	// pointer names a valid slot in its block's MD5 set, the set
+	// LookupByAddr searched.
+	if c.top != nil && c.topIdx == nil {
 		if lvl, ok := c.top.Find(a, leaf); ok {
 			c.st.TopHits++
 			c.st.HitLevels.Add(lvl)

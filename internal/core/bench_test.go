@@ -8,6 +8,7 @@ import (
 	"iroram/internal/dram"
 	"iroram/internal/flight"
 	"iroram/internal/rng"
+	"iroram/internal/stash"
 )
 
 // The controller's hot paths as warmed rigs. Each rig returns one op; the
@@ -42,21 +43,28 @@ func accessRig(tb testing.TB, sch config.Scheme, fl *flight.Recorder) (*Controll
 	return c, op
 }
 
-// evictRig warms a Tiny Baseline controller through the issuer. Its op is a
-// full stash round-trip without DRAM timing: read a random path's blocks
-// into the stash, then drain them back with the single-pass deepest-first
-// eviction. That isolates the structures the write phase walks (the
-// open-addressed stash index, the per-level candidate lists) from
-// memory-model arithmetic. The op is warmed too: its first few hundred
-// runs grow the candidate buffers to their high-water marks.
-func evictRig(tb testing.TB) func() {
-	c, _ := accessRig(tb, config.Baseline(), nil)
+// evictRig warms a Tiny controller under sch through the issuer. Its op is
+// a full stash round-trip without DRAM timing: read a random path's blocks
+// into the stash, remap one of them as a demand access does, then drain
+// them back with the single-pass deepest-first eviction. That isolates the
+// structures the write phase walks (the open-addressed stash index, the
+// per-level candidate lists, the tree-top store) from memory-model
+// arithmetic. The remapped blocks keep the tree top in use: without them
+// every block settles into the memory levels and the top stays empty. The
+// op is warmed too: its first few hundred runs grow the candidate buffers
+// to their high-water marks.
+func evictRig(tb testing.TB, sch config.Scheme) (*Controller, func()) {
+	c, _ := accessRig(tb, sch, nil)
 	r := rng.New(3)
 	op := func() {
 		leaf := block.Leaf(r.Uint64n(c.o.LeafCount()))
 		c.readBuf = c.tr.ReadPath(leaf, c.readBuf[:0])
 		if c.top != nil {
 			c.readBuf = c.top.ReadPath(leaf, c.readBuf)
+		}
+		if n := len(c.readBuf); n > 0 {
+			e := &c.readBuf[r.Uint64n(uint64(n))]
+			e.Leaf = c.pm.Remap(e.Addr)
 		}
 		for _, e := range c.readBuf {
 			c.fstash.Insert(e)
@@ -67,7 +75,7 @@ func evictRig(tb testing.TB) func() {
 	for i := 0; i < 1000; i++ {
 		op()
 	}
-	return op
+	return c, op
 }
 
 func BenchmarkPathAccess(b *testing.B) {
@@ -79,12 +87,20 @@ func BenchmarkPathAccess(b *testing.B) {
 	}
 }
 
+// evictSchemes are evictRig's inputs: Baseline's dedicated tree-top cache,
+// and IR-ORAM's S-Stash, whose Fill can refuse a block for a set conflict.
+var evictSchemes = []config.Scheme{config.Baseline(), config.IROramScheme()}
+
 func BenchmarkEvict(b *testing.B) {
-	op := evictRig(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op()
+	for _, sch := range evictSchemes {
+		b.Run(sch.Name, func(b *testing.B) {
+			_, op := evictRig(b, sch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
 	}
 }
 
@@ -107,11 +123,25 @@ func TestPathAccessZeroAllocs(t *testing.T) {
 
 // TestEvictZeroAllocs gates BenchmarkEvict's op. The write phase has no
 // periodic amortized work; 1000 runs span many stash-occupancy swings.
+// Under IR-ORAM the runs must include S-Stash set-conflict refusals.
 func TestEvictZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race instrumentation")
 	}
-	if avg := testing.AllocsPerRun(1000, evictRig(t)); avg != 0 {
-		t.Errorf("write phase allocates %.2f times per op, want 0", avg)
+	for _, sch := range evictSchemes {
+		t.Run(sch.Name, func(t *testing.T) {
+			c, op := evictRig(t, sch)
+			irs, _ := c.top.(*stash.IRStash)
+			var before uint64
+			if irs != nil {
+				before = irs.Conflicts
+			}
+			if avg := testing.AllocsPerRun(1000, op); avg != 0 {
+				t.Errorf("write phase allocates %.2f times per op, want 0", avg)
+			}
+			if irs != nil && irs.Conflicts == before {
+				t.Error("no S-Stash set-conflict refusal in 1000 write phases")
+			}
+		})
 	}
 }

@@ -442,7 +442,7 @@ func (c *Controller) dummyPath(now uint64) uint64 {
 // capacity invariants; tests call it after workloads. It returns the first
 // violation found.
 func (c *Controller) CheckInvariants() error {
-	seen := make(map[block.ID]string, c.pm.Total())
+	seen := make(map[block.ID]string, c.fstash.Len())
 	note := func(id block.ID, where string) error {
 		if prev, dup := seen[id]; dup {
 			return fmt.Errorf("core: block %v in both %s and %s", id, prev, where)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"iroram/internal/block"
@@ -44,6 +45,34 @@ func TestInitialPlacementCoversSpace(t *testing.T) {
 	// Initial stash spill must be tiny at 50% load.
 	if c.fstash.Len() > c.o.StashCapacity {
 		t.Errorf("init spilled %d blocks to the stash", c.fstash.Len())
+	}
+}
+
+// TestCheckInvariantsAllocationBounded bounds the heap one CheckInvariants
+// call allocates on a warmed Tiny IR-ORAM controller. Its duplicate check
+// covers the F-Stash, so its map must scale with the F-Stash, not with
+// the 34,800 blocks of the unified space.
+func TestCheckInvariantsAllocationBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under -race instrumentation")
+	}
+	is, c := newSystem(t, config.IROramScheme())
+	r := rng.New(5)
+	now := uint64(0)
+	for i := 0; i < 2000; i++ {
+		now = is.ReadBlock(now, block.ID(r.Uint64n(c.pm.DataBlocks())))
+	}
+	const bound = 16 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := c.CheckInvariants()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("CheckInvariants allocated %d bytes with %d blocks in the F-Stash, want at most %d",
+			got, c.fstash.Len(), bound)
 	}
 }
 

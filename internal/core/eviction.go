@@ -34,9 +34,17 @@ import (
 // [minLevel, levels) are bulk-filled into tr, and — when top is non-nil —
 // the on-chip levels [0, minLevel) are filled per-entry through top.Fill,
 // honoring its refusals (S-Stash set conflicts, the paper's "skip picking
-// this block for this round" rule); refused blocks stay candidates for
-// shallower levels, exactly like the reference scan. Entries that fit
-// nowhere return to the stash.
+// this block for this round" rule). A refused block is never offered again
+// in the same phase: its set cannot gain a free way while the phase only
+// adds blocks, so every shallower level would refuse it too. Refused blocks
+// keep their place in the pool, so every placement, and the order in which
+// entries that fit nowhere return to the stash, are those of offering every
+// block again at every level (fillTopLevelsReoffer in
+// eviction_reference_test.go).
+//
+// Every on-chip refusal is a set conflict: the read phase emptied each
+// bucket on the path, and a level takes at most z[l] blocks, so no Fill
+// finds its bucket full (TestEvictionRefusalDifferential checks this).
 //
 // Precondition: top == nil implies minLevel == 0. On-chip levels exist
 // only together with a top store, and every caller passes a pathTree's own
@@ -102,6 +110,26 @@ func (p *placeCounts) flush(st *Stats) {
 // demand pipeline passes exactly one. The returned slice is buf's
 // (possibly grown) backing for the caller to keep.
 func evictOntoPath(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
+	z config.ZProfile, minLevel, levels int, leaf block.Leaf,
+	gathered []tree.Entry, lists [][]tree.Entry, buf []tree.Entry,
+	onPlace func(e tree.Entry, level int, fetched bool),
+	counts *placeCounts) []tree.Entry {
+
+	buf = fillMemoryLevels(fs, tr, z, minLevel, levels, leaf, gathered, lists, buf, onPlace, counts)
+	if top != nil {
+		buf = fillTopLevels(top, z, minLevel, leaf, lists, buf, onPlace, counts)
+	}
+	for _, e := range buf {
+		e.Leaf &^= tree.GatherFlag
+		fs.Insert(e)
+	}
+	return buf[:0]
+}
+
+// fillMemoryLevels is the first half of evictOntoPath: it drains fs into
+// lists, fills the memory-resident levels, and returns the leftover pool in
+// buf, still flagged, for the on-chip levels and the stash.
+func fillMemoryLevels(fs *stash.FStash, tr *tree.Tree,
 	z config.ZProfile, minLevel, levels int, leaf block.Leaf,
 	gathered []tree.Entry, lists [][]tree.Entry, buf []tree.Entry,
 	onPlace func(e tree.Entry, level int, fetched bool),
@@ -181,31 +209,40 @@ func evictOntoPath(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 	for ll := cur - 1; ll >= minLevel; ll-- {
 		buf = append(buf, lists[ll]...)
 	}
-	if top != nil {
-		for l := minLevel - 1; l >= 0; l-- {
-			buf = append(buf, lists[l]...)
-			placed, w := 0, 0
-			for r := 0; r < len(buf); r++ {
-				e := buf[r]
-				fetched := e.Leaf&tree.GatherFlag != 0
-				e.Leaf &^= tree.GatherFlag
-				if placed < z[l] && top.Fill(l, leaf, e) {
-					if onPlace != nil {
-						onPlace(e, l, fetched)
-					}
-					counts.add(l, fetched)
-					placed++
-					continue
+	return buf
+}
+
+// fillTopLevels is the second half of evictOntoPath: it offers the pool in
+// buf, joined by lists[l] at each on-chip level l, to top, and returns the
+// blocks that fit nowhere in pool order. buf[:refused] holds the blocks a
+// set conflict has refused. Each level offers the rest in order until its
+// bucket is full; a refusal joins the prefix, and the unoffered tail keeps
+// its order behind it.
+func fillTopLevels(top stash.TopStore, z config.ZProfile, minLevel int, leaf block.Leaf,
+	lists [][]tree.Entry, buf []tree.Entry,
+	onPlace func(e tree.Entry, level int, fetched bool),
+	counts *placeCounts) []tree.Entry {
+
+	refused := 0
+	for l := minLevel - 1; l >= 0; l-- {
+		buf = append(buf, lists[l]...)
+		placed, r := 0, refused
+		for ; r < len(buf) && placed < z[l]; r++ {
+			e := buf[r]
+			fetched := e.Leaf&tree.GatherFlag != 0
+			e.Leaf &^= tree.GatherFlag
+			if top.Fill(l, leaf, e) {
+				if onPlace != nil {
+					onPlace(e, l, fetched)
 				}
-				buf[w] = buf[r] // refused: keep the flag for shallower levels
-				w++
+				counts.add(l, fetched)
+				placed++
+				continue
 			}
-			buf = buf[:w]
+			buf[refused] = buf[r] // keeps the flag for the stash strip
+			refused++
 		}
+		buf = buf[:refused+copy(buf[refused:], buf[r:])]
 	}
-	for _, e := range buf {
-		e.Leaf &^= tree.GatherFlag
-		fs.Insert(e)
-	}
-	return buf[:0]
+	return buf
 }

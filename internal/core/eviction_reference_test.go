@@ -56,3 +56,47 @@ func evictOntoPathReference(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 		}
 	}
 }
+
+// evictOntoPathReoffer is evictOntoPath with the on-chip loop it had before
+// refused blocks were skipped (fillTopLevelsReoffer), the oracle of
+// TestEvictionRefusalDifferential.
+func evictOntoPathReoffer(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
+	z config.ZProfile, minLevel, levels int, leaf block.Leaf,
+	gathered []tree.Entry, lists [][]tree.Entry, buf []tree.Entry,
+	onPlace func(e tree.Entry, level int, fetched bool)) []tree.Entry {
+
+	buf = fillMemoryLevels(fs, tr, z, minLevel, levels, leaf, gathered, lists, buf, onPlace, nil)
+	buf = fillTopLevelsReoffer(top, z, minLevel, leaf, lists, buf, onPlace)
+	for _, e := range buf {
+		e.Leaf &^= tree.GatherFlag
+		fs.Insert(e)
+	}
+	return buf[:0]
+}
+
+// fillTopLevelsReoffer offers the whole pool again at every on-chip level,
+// so a block an S-Stash set conflict refused at a deeper level is asked
+// about, and refused, once more at each shallower one.
+func fillTopLevelsReoffer(top stash.TopStore, z config.ZProfile, minLevel int, leaf block.Leaf,
+	lists [][]tree.Entry, buf []tree.Entry,
+	onPlace func(e tree.Entry, level int, fetched bool)) []tree.Entry {
+
+	for l := minLevel - 1; l >= 0; l-- {
+		buf = append(buf, lists[l]...)
+		placed, w := 0, 0
+		for r := 0; r < len(buf); r++ {
+			e := buf[r]
+			fetched := e.Leaf&tree.GatherFlag != 0
+			e.Leaf &^= tree.GatherFlag
+			if placed < z[l] && top.Fill(l, leaf, e) {
+				onPlace(e, l, fetched)
+				placed++
+				continue
+			}
+			buf[w] = buf[r] // refused: keep the flag for shallower levels
+			w++
+		}
+		buf = buf[:w]
+	}
+	return buf
+}

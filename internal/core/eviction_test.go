@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"iroram/internal/block"
@@ -273,4 +274,162 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// refusalAudit is an IR-Stash that fails the test on a Fill refused by a
+// full bucket. IRStash.Fill checks the block's set first and counts every
+// set-full refusal in Conflicts, so a refusal that leaves Conflicts unchanged
+// found its bucket full. A set-full refusal holds for the rest of a write
+// phase; a bucket-full one would not, and skipping the block afterwards
+// would then be wrong.
+type refusalAudit struct {
+	*stash.IRStash
+	t *testing.T
+}
+
+func (a refusalAudit) Fill(level int, leaf block.Leaf, e tree.Entry) bool {
+	before := a.Conflicts
+	if a.IRStash.Fill(level, leaf, e) {
+		return true
+	}
+	if a.Conflicts == before {
+		a.t.Fatalf("Fill of %v at level %d of path %d refused by a full bucket", e.Addr, level, leaf)
+	}
+	return false
+}
+
+// TestEvictionRefusalDifferential pins the on-chip write loop, which offers
+// each block until its first S-Stash refusal, against the loop that offered
+// the whole pool again at every level (evictOntoPathReoffer). Two sides
+// built the same way (F-Stash, tree, IR-Stash) hold the same blocks and run
+// the same randomized paths: each path is read into flagged gathered
+// entries, one block is remapped as a demand access would, and the write
+// phase runs through the new loop on one side and the reference on the
+// other. Both must place the same blocks at the same levels in the same
+// order and leave the same F-Stash order; every few hundred paths the
+// S-Stash contents are compared block by block. The reference re-offers
+// must have been refused many times over for the test to mean anything.
+func TestEvictionRefusalDifferential(t *testing.T) {
+	o := config.Tiny().WithScheme(config.IROramScheme()).ORAM
+	type placement struct {
+		addr    block.ID
+		level   int
+		fetched bool
+	}
+	type side struct {
+		fs       *stash.FStash
+		tr       *tree.Tree
+		irs      *stash.IRStash
+		top      refusalAudit
+		lists    [][]tree.Entry
+		gathered []tree.Entry
+		buf      []tree.Entry
+		placed   []placement
+		residue  []tree.Entry
+	}
+	// At 90% of the slots, the first paths drain a stash of thousands of
+	// blocks through a full S-Stash, so most on-chip offers are refused.
+	blocks := o.Z.Slots() * 9 / 10
+	leafOf := make([]block.Leaf, blocks)
+	r := rng.New(41)
+	for i := range leafOf {
+		leafOf[i] = block.Leaf(r.Uint64n(o.LeafCount()))
+	}
+	newSide := func() *side {
+		s := &side{
+			fs:    stash.NewFStash(o.StashCapacity),
+			tr:    tree.New(o, o.TopLevels),
+			irs:   stash.NewIRStash(o.Levels, o.TopLevels, o.Z, o.SStashWays),
+			lists: make([][]tree.Entry, o.Levels),
+		}
+		s.top = refusalAudit{s.irs, t}
+		for id := range leafOf {
+			e := tree.Entry{Addr: block.ID(id), Leaf: leafOf[id]}
+			if _, ok := s.tr.Place(e); ok {
+				continue
+			}
+			placed := false
+			for l := o.TopLevels - 1; l >= 0 && !placed; l-- {
+				placed = s.irs.Fill(l, e.Leaf, e)
+			}
+			if !placed {
+				s.fs.Insert(e)
+			}
+		}
+		return s
+	}
+	live, ref := newSide(), newSide()
+	for _, s := range []*side{live, ref} {
+		s.irs.Conflicts = 0
+	}
+
+	const paths = 4000
+	for i := 0; i < paths; i++ {
+		leaf := block.Leaf(r.Uint64n(o.LeafCount()))
+		for _, s := range []*side{live, ref} {
+			s.gathered = s.gathered[:0]
+			s.placed = s.placed[:0]
+			gather := func(e tree.Entry, _ int) {
+				e.Leaf |= tree.GatherFlag
+				s.gathered = append(s.gathered, e)
+			}
+			s.tr.ReadPathEach(leaf, gather)
+			s.irs.ReadPathEach(leaf, gather)
+		}
+		// A demand access takes one path block out and re-stashes it under
+		// a fresh leaf after the write phase.
+		var target tree.Entry
+		hasTarget := len(live.gathered) > 0
+		if hasTarget {
+			k := int(r.Uint64n(uint64(len(live.gathered))))
+			target = live.gathered[k]
+			target.Leaf = block.Leaf(r.Uint64n(o.LeafCount()))
+			for _, s := range []*side{live, ref} {
+				s.gathered = append(s.gathered[:k], s.gathered[k+1:]...)
+			}
+		}
+
+		record := func(s *side) func(tree.Entry, int, bool) {
+			return func(e tree.Entry, l int, fetched bool) {
+				s.placed = append(s.placed, placement{e.Addr, l, fetched})
+			}
+		}
+		live.buf = evictOntoPath(live.fs, live.tr, live.top, o.Z, o.TopLevels, o.Levels, leaf,
+			live.gathered, live.lists, live.buf, record(live), nil)
+		ref.buf = evictOntoPathReoffer(ref.fs, ref.tr, ref.top, o.Z, o.TopLevels, o.Levels, leaf,
+			ref.gathered, ref.lists, ref.buf, record(ref))
+
+		if !slices.Equal(live.placed, ref.placed) {
+			t.Fatalf("path %d (leaf %d): placements diverge:\nlive %v\nref  %v", i, leaf, live.placed, ref.placed)
+		}
+		for _, s := range []*side{live, ref} {
+			if hasTarget {
+				s.fs.Insert(target)
+			}
+			s.residue = s.residue[:0]
+			s.fs.Each(func(e tree.Entry) { s.residue = append(s.residue, e) })
+		}
+		if !slices.Equal(live.residue, ref.residue) {
+			t.Fatalf("path %d: F-Stash order diverges:\nlive %v\nref  %v", i, live.residue, ref.residue)
+		}
+		if i%500 == 499 {
+			for id := block.ID(0); id < block.ID(blocks); id++ {
+				l1, ok1 := live.irs.LookupByAddr(id)
+				l2, ok2 := ref.irs.LookupByAddr(id)
+				if ok1 != ok2 || l1 != l2 {
+					t.Fatalf("path %d: S-Stash holds %v as (%d,%v) live, (%d,%v) ref", i, id, l1, ok1, l2, ok2)
+				}
+			}
+			for l := 0; l < o.TopLevels; l++ {
+				if a, b := live.irs.OccupiedAt(l), ref.irs.OccupiedAt(l); a != b {
+					t.Fatalf("path %d: S-Stash level %d holds %d live, %d ref", i, l, a, b)
+				}
+			}
+		}
+	}
+	if skipped := ref.irs.Conflicts - live.irs.Conflicts; live.irs.Conflicts < 1000 || skipped < 1000 {
+		t.Errorf("refusals: %d live, %d with re-offers; want at least 1000 of each kind",
+			live.irs.Conflicts, skipped)
+	}
+	t.Logf("refusals over %d paths: %d live, %d with re-offers", paths, live.irs.Conflicts, ref.irs.Conflicts)
 }

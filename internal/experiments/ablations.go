@@ -16,10 +16,9 @@ import (
 // fans its (setting × benchmark) cells as one parallel batch.
 
 // SStashAssocAblation sweeps the S-Stash associativity under IR-Stash and
-// reports speedup over Baseline plus the set-conflict refusals per 1000
-// paths. Low associativity refuses more tree-top fills (blocks bounce back
-// to the F-Stash), eroding IR-Stash's benefit — the reason the paper picked
-// 4-way.
+// reports one series, the gmean speedup over Baseline. Low associativity
+// refuses more tree-top fills (blocks bounce back to the F-Stash), eroding
+// IR-Stash's benefit — the reason the paper picked 4-way.
 func SStashAssocAblation(opts Options) (*stats.Table, error) {
 	ways := []int{1, 2, 4, 8}
 	benches := opts.benchmarks()

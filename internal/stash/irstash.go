@@ -4,6 +4,7 @@ import (
 	"crypto/md5"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"iroram/internal/block"
 	"iroram/internal/tree"
@@ -23,14 +24,17 @@ import (
 // A block therefore occupies one S-Stash slot and one TT pointer at a time.
 // When the write phase cannot place a block because its S-Stash set is
 // full, Fill refuses and the block stays in the F-Stash for a later round
-// (the paper's conflict rule).
+// (the paper's conflict rule). A per-set count of free ways answers that
+// refusal without scanning the set. The write phase offers each F-Stash
+// resident until its first refusal: a set cannot gain a free way while the
+// phase only adds blocks.
 //
 // The set index is always the crypto/md5 one above; the simulator only
 // memoizes it. A direct-mapped memo of setMemoSlots entries remembers the
-// set of each recently hashed address, so the write phase, which re-offers
-// the same F-Stash residents at every on-chip level of every path, hashes
-// each of them once while it stays hot. Placement, conflicts and every
-// simulated output are those of hashing on every call.
+// set of each recently hashed address, and a path read records the set of
+// every block it drains, so the write phase that offers those blocks right
+// back hashes each F-Stash resident once while it stays hot. Placement,
+// conflicts and every simulated output are those of hashing on every call.
 type IRStash struct {
 	topLevels int
 	levels    int
@@ -38,10 +42,13 @@ type IRStash struct {
 	sets      int
 	ways      int
 	slots     []sslot
+	// free[set] counts the invalid ways of set.
+	free []int32
 	// tt[node] holds up to Z(level) pointers into slots; -1 means empty.
 	tt       [][]int32
 	occupied []uint64
-	// Conflicts counts Fill refusals due to S-Stash set conflicts.
+	// Conflicts counts Fill refusals whose S-Stash set was full, at most one
+	// per block in each write phase. Only tests read it.
 	Conflicts uint64
 	// memoKey[i] is the address whose MD5 set memoSet[i] holds, at slot
 	// mix64(addr) mod setMemoSlots. Unused slots hold block.Invalid with
@@ -83,10 +90,14 @@ func NewIRStash(levels, topLevels int, z []int, ways int) *IRStash {
 		sets:      sets,
 		ways:      ways,
 		slots:     make([]sslot, sets*ways),
+		free:      make([]int32, sets),
 		tt:        make([][]int32, 1<<uint(topLevels)),
 		occupied:  make([]uint64, topLevels),
 		memoKey:   make([]block.ID, setMemoSlots),
 		memoSet:   make([]uint32, setMemoSlots),
+	}
+	for i := range s.free {
+		s.free[i] = int32(ways)
 	}
 	invalidSet := s.hashSet(block.Invalid)
 	for i := range s.memoKey {
@@ -128,6 +139,21 @@ func (s *IRStash) setOf(addr block.ID) int {
 	return int(s.memoSet[i])
 }
 
+// vacate invalidates slot ptr and returns its set.
+func (s *IRStash) vacate(ptr int32) int {
+	set := int(ptr) / s.ways
+	s.slots[ptr].valid = false
+	s.free[set]++
+	return set
+}
+
+// drained records the set of a block a path read just drained, which the
+// write phase is about to offer back to Fill.
+func (s *IRStash) drained(addr block.ID, set int) {
+	i := mix64(addr) & (setMemoSlots - 1)
+	s.memoKey[i], s.memoSet[i] = addr, uint32(set)
+}
+
 // hashSet hashes addr with MD5 and maps it to an S-Stash set.
 func (s *IRStash) hashSet(addr block.ID) uint32 {
 	var buf [8]byte
@@ -164,7 +190,7 @@ func (s *IRStash) ReadPath(leaf block.Leaf, dst []tree.Entry) []tree.Entry {
 			}
 			sl := &s.slots[ptr]
 			out = append(out, tree.Entry{Addr: sl.addr, Leaf: sl.leaf})
-			sl.valid = false
+			s.drained(sl.addr, s.vacate(ptr))
 			s.tt[n][i] = -1
 			s.occupied[l]--
 		}
@@ -182,7 +208,7 @@ func (s *IRStash) ReadPathEach(leaf block.Leaf, visit func(tree.Entry, int)) {
 			}
 			sl := &s.slots[ptr]
 			e := tree.Entry{Addr: sl.addr, Leaf: sl.leaf}
-			sl.valid = false
+			s.drained(sl.addr, s.vacate(ptr))
 			s.tt[n][i] = -1
 			s.occupied[l]--
 			visit(e, l)
@@ -190,35 +216,32 @@ func (s *IRStash) ReadPathEach(leaf block.Leaf, visit func(tree.Entry, int)) {
 	}
 }
 
-// Fill implements TopStore. It refuses on bucket overflow or when the
-// block's S-Stash set has no free way (counted in Conflicts).
+// Fill implements TopStore. It refuses when the block's S-Stash set has no
+// free way (counted in Conflicts) or its bucket is full.
 func (s *IRStash) Fill(level int, leaf block.Leaf, e tree.Entry) bool {
 	if !tree.SameSubtree(leaf, e.Leaf, level, s.levels) {
 		panic(fmt.Sprintf("stash: block %v (leaf %d) misplaced at top level %d of path %d",
 			e.Addr, e.Leaf, level, leaf))
 	}
-	n := s.node(level, leaf)
-	ptrIdx := -1
-	for i, ptr := range s.tt[n] {
-		if ptr < 0 {
-			ptrIdx = i
-			break
-		}
+	set := s.setOf(e.Addr)
+	if s.free[set] == 0 {
+		s.Conflicts++
+		return false
 	}
+	n := s.node(level, leaf)
+	ptrIdx := slices.Index(s.tt[n], -1)
 	if ptrIdx < 0 {
 		return false // bucket full
 	}
-	base := s.setOf(e.Addr) * s.ways
-	for w := 0; w < s.ways; w++ {
-		if sl := &s.slots[base+w]; !sl.valid {
-			*sl = sslot{addr: e.Addr, leaf: e.Leaf, node: int32(n), valid: true}
-			s.tt[n][ptrIdx] = int32(base + w)
-			s.occupied[level]++
-			return true
-		}
+	w := set * s.ways
+	for s.slots[w].valid {
+		w++
 	}
-	s.Conflicts++
-	return false
+	s.slots[w] = sslot{addr: e.Addr, leaf: e.Leaf, node: int32(n), valid: true}
+	s.free[set]--
+	s.tt[n][ptrIdx] = int32(w)
+	s.occupied[level]++
+	return true
 }
 
 // Find implements TopStore via the TT walk, mirroring how the controller
@@ -240,7 +263,7 @@ func (s *IRStash) Remove(addr block.ID, leaf block.Leaf) bool {
 		n := s.node(l, leaf)
 		for i, ptr := range s.tt[n] {
 			if ptr >= 0 && s.slots[ptr].addr == addr {
-				s.slots[ptr].valid = false
+				s.vacate(ptr)
 				s.tt[n][i] = -1
 				s.occupied[l]--
 				return true
@@ -264,7 +287,7 @@ func (s *IRStash) RemoveByAddr(addr block.ID) bool {
 				}
 			}
 			s.occupied[levelOfNode(int(sl.node))]--
-			sl.valid = false
+			s.vacate(int32(base + w))
 			return true
 		}
 	}

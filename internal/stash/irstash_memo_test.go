@@ -79,9 +79,12 @@ func TestIRStashSetOfMatchesMD5(t *testing.T) {
 }
 
 // TestIRStashMemoDifferential runs interleaved Fill, LookupByAddr,
-// RemoveByAddr and ReadPath against a model that places blocks by the
-// reference MD5 set: every Fill outcome, conflict count, lookup and removal
-// must match, and placed blocks must sit in their MD5 set.
+// RemoveByAddr, Remove, ReadPath and ReadPathEach against a model that
+// places blocks by the reference MD5 set: every Fill outcome, conflict
+// count, lookup and removal must match, and placed blocks must sit in their
+// MD5 set. After every op, a Find hit must imply a LookupByAddr hit (the
+// reason ServeOnChip skips the tree-top walk under IR-Stash), and every
+// set's free-way count must equal a recount of its invalid ways.
 func TestIRStashMemoDifferential(t *testing.T) {
 	for _, ways := range []int{1, 4} {
 		s := NewIRStash(testLevels, testTop, topZ(), ways)
@@ -109,6 +112,14 @@ func TestIRStashMemoDifferential(t *testing.T) {
 		}
 		r := rng.New(uint64(20 + ways))
 		leaves := uint64(1) << (testLevels - 1)
+		// probeLeaf is a's own leaf while a is stored, else a fixed leaf
+		// derived from a, so probes draw nothing from r.
+		probeLeaf := func(a block.ID) block.Leaf {
+			if m, ok := model[a]; ok {
+				return m.leaf
+			}
+			return block.Leaf(uint64(a) % leaves)
+		}
 		for op := 0; op < 100000; op++ {
 			a := pool(r)
 			switch k := r.Uint64n(10); {
@@ -121,7 +132,7 @@ func TestIRStashMemoDifferential(t *testing.T) {
 				n := s.node(level, leaf)
 				set := md5Set(a, s.sets)
 				want := bucketCount[n] < s.z[level] && setCount[set] < ways
-				if bucketCount[n] < s.z[level] && !want {
+				if setCount[set] == ways {
 					conflicts++
 				}
 				if got := s.Fill(level, leaf, tree.Entry{Addr: a, Leaf: leaf}); got != want {
@@ -139,10 +150,16 @@ func TestIRStashMemoDifferential(t *testing.T) {
 					t.Fatalf("ways %d op %d: LookupByAddr(%v) = %d,%v, model %d,%v",
 						ways, op, a, leaf, ok, m.leaf, want)
 				}
-			case k < 9: // RemoveByAddr
+			case k < 9: // RemoveByAddr, or Remove on the block's own path
 				m, want := model[a]
-				if got := s.RemoveByAddr(a); got != want {
-					t.Fatalf("ways %d op %d: RemoveByAddr(%v) = %v, model %v", ways, op, a, got, want)
+				var got bool
+				if op%2 == 0 {
+					got = s.RemoveByAddr(a)
+				} else {
+					got = s.Remove(a, probeLeaf(a))
+				}
+				if got != want {
+					t.Fatalf("ways %d op %d: removing %v = %v, model %v", ways, op, a, got, want)
 				}
 				if want {
 					delete(model, a)
@@ -151,18 +168,42 @@ func TestIRStashMemoDifferential(t *testing.T) {
 				}
 			default: // drain one path, as the read phase does
 				leaf := block.Leaf(r.Uint64n(leaves))
-				for _, e := range s.ReadPath(leaf, nil) {
+				drain := func(e tree.Entry, _ int) {
 					m, ok := model[e.Addr]
 					if !ok || m.leaf != e.Leaf {
-						t.Fatalf("ways %d op %d: ReadPath returned unknown %v", ways, op, e)
+						t.Fatalf("ways %d op %d: path read returned unknown %v", ways, op, e)
 					}
 					delete(model, e.Addr)
 					setCount[md5Set(e.Addr, s.sets)]--
 					bucketCount[m.node]--
 				}
+				if op%2 == 0 {
+					for _, e := range s.ReadPath(leaf, nil) {
+						drain(e, 0)
+					}
+				} else {
+					s.ReadPathEach(leaf, drain)
+				}
 			}
 			if got, want := s.setOf(a), md5Set(a, s.sets); got != want {
 				t.Fatalf("ways %d op %d: setOf(%v) = %d, MD5 gives %d", ways, op, a, got, want)
+			}
+			if _, hit := s.Find(a, probeLeaf(a)); hit {
+				if _, ok := s.LookupByAddr(a); !ok {
+					t.Fatalf("ways %d op %d: Find hits %v, LookupByAddr misses", ways, op, a)
+				}
+			}
+			for set := 0; set < s.sets; set++ {
+				invalid := 0
+				for w := 0; w < ways; w++ {
+					if !s.slots[set*ways+w].valid {
+						invalid++
+					}
+				}
+				if int(s.free[set]) != invalid {
+					t.Fatalf("ways %d op %d: set %d counts %d free ways, holds %d invalid",
+						ways, op, set, s.free[set], invalid)
+				}
 			}
 		}
 		if s.Conflicts != conflicts || conflicts == 0 {

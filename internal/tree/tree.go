@@ -69,10 +69,10 @@ type Tree struct {
 	zmask   []uint64
 }
 
-// New allocates an empty tree holding levels [minLevel, o.Levels). It panics
-// if the unified block space could overflow the 32-bit slot encoding (every
-// supported geometry, L <= 34, is far below that) or if any bucket size
-// exceeds the 64 slots an occupancy word can track.
+// New allocates an empty tree holding levels [minLevel, o.Levels). Slots
+// store addresses and leaves as uint32, and config.Validate rejects every
+// geometry whose unified block space reaches 2^32. New panics if any bucket
+// size exceeds the 64 slots an occupancy word can track.
 func New(o config.ORAM, minLevel int) *Tree {
 	if minLevel < 0 || minLevel >= o.Levels {
 		panic(fmt.Sprintf("tree: minLevel %d out of [0,%d)", minLevel, o.Levels))
