@@ -161,6 +161,16 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // Contains reports presence without touching recency or stats.
 func (c *Cache) Contains(addr uint64) bool { return c.find(addr) != nil }
 
+// EachValid calls fn for every valid line, in set and way order, without
+// touching recency or stats.
+func (c *Cache) EachValid(fn func(Line)) {
+	for _, w := range c.lines {
+		if w.valid {
+			fn(Line{Addr: w.addr, Valid: true, Dirty: w.dirty})
+		}
+	}
+}
+
 // IsDirty reports whether the line is present and dirty, without side
 // effects.
 func (c *Cache) IsDirty(addr uint64) bool {

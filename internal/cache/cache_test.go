@@ -133,6 +133,31 @@ func TestOccupancyAndDirtyCount(t *testing.T) {
 	}
 }
 
+// TestEachValidVisitsResidentLines checks the line walk against Contains,
+// IsDirty and Occupancy after random inserts, invalidations and evictions.
+func TestEachValidVisitsResidentLines(t *testing.T) {
+	c := New(8, 4)
+	r := rng.New(3)
+	for i := 0; i < 500; i++ {
+		a := r.Uint64n(100)
+		if r.Bool(0.2) {
+			c.Invalidate(a)
+		} else {
+			c.Insert(a, r.Bool(0.5))
+		}
+	}
+	seen := map[uint64]bool{}
+	c.EachValid(func(l Line) {
+		if !l.Valid || seen[l.Addr] || !c.Contains(l.Addr) || c.IsDirty(l.Addr) != l.Dirty {
+			t.Fatalf("EachValid gave %+v (seen before: %v)", l, seen[l.Addr])
+		}
+		seen[l.Addr] = true
+	})
+	if len(seen) != c.Occupancy() {
+		t.Fatalf("EachValid visited %d lines, Occupancy is %d", len(seen), c.Occupancy())
+	}
+}
+
 func TestMissRate(t *testing.T) {
 	if (Stats{}).MissRate() != 0 {
 		t.Error("idle MissRate should be 0")

@@ -30,6 +30,11 @@ const PosMapEntryBytes = 4
 // PosMapFanout is the number of PosMap entries per 64 B block.
 const PosMapFanout = BlockSize / PosMapEntryBytes
 
+// MaxLevels caps ORAM.Levels. It keeps every leaf below 2^31: leaves are
+// 32-bit and the top bit is reserved as an in-flight marker
+// (tree.GatherFlag). The tree sizes its per-path scratch by it.
+const MaxLevels = 32
+
 // ZProfile holds the bucket size (Z) of every tree level, index 0 = root.
 // A classic Path ORAM uses a uniform profile; IR-Alloc shrinks the middle
 // levels. Levels cached on-chip (below ORAM.TopLevels) use their profile
@@ -281,12 +286,12 @@ type System struct {
 func (s System) Validate() error {
 	o := s.ORAM
 	switch {
-	// 32 keeps every leaf below 2^31: leaves are 32-bit and the top bit is
-	// reserved as an in-flight marker (tree.GatherFlag).
-	case o.Levels < 3 || o.Levels > 32:
-		return fmt.Errorf("config: ORAM levels %d out of [3,32]", o.Levels)
+	case o.Levels < 3 || o.Levels > MaxLevels:
+		return fmt.Errorf("config: ORAM levels %d out of [3,%d]", o.Levels, MaxLevels)
 	case o.TopLevels < 0 || o.TopLevels >= o.Levels:
 		return fmt.Errorf("config: top levels %d out of [0,%d)", o.TopLevels, o.Levels)
+	case o.TopLevels == 0 && s.Scheme.Top != TopNone:
+		return fmt.Errorf("config: tree-top design %v needs at least one on-chip level", s.Scheme.Top)
 	case len(o.Z) != o.Levels:
 		return fmt.Errorf("config: Z profile has %d levels, want %d", len(o.Z), o.Levels)
 	case o.StashCapacity < 8:
@@ -319,6 +324,9 @@ func (s System) Validate() error {
 	}
 	if s.Scheme.Top == TopIRStash && o.SStashWays <= 0 {
 		return errors.New("config: IR-Stash requires SStashWays > 0")
+	}
+	if s.Scheme.Top == TopIRStash && o.Z.Slots() == o.Z.MemorySlots(o.TopLevels) {
+		return errors.New("config: IR-Stash requires a tree-top slot (Z > 0 on an on-chip level)")
 	}
 	if s.Scheme.ProactiveRemap && (!s.Scheme.DelayedRemap || !s.Scheme.DWB) {
 		return errors.New("config: ProactiveRemap requires DelayedRemap and DWB")

@@ -116,6 +116,12 @@ func TestValidateCatchesBadGeometry(t *testing.T) {
 	}{
 		{"levels", func(s *System) { s.ORAM.Levels = 2 }, "levels"},
 		{"top", func(s *System) { s.ORAM.TopLevels = 99 }, "top levels"},
+		{"notop", func(s *System) { s.ORAM.TopLevels = 0 }, "on-chip level"},
+		{"nosstash", func(s *System) {
+			s.Scheme = IRStashScheme()
+			s.ORAM.TopLevels = 1
+			s.ORAM.Z[0] = 0
+		}, "tree-top slot"},
 		{"zlen", func(s *System) { s.ORAM.Z = Uniform(3, 4) }, "Z profile"},
 		{"zzero", func(s *System) { s.ORAM.Z[12] = 0 }, "Z=0"},
 		{"stash", func(s *System) { s.ORAM.StashCapacity = 1 }, "stash"},

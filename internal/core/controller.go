@@ -32,8 +32,6 @@
 package core
 
 import (
-	"fmt"
-
 	"iroram/internal/block"
 	"iroram/internal/cache"
 	"iroram/internal/config"
@@ -149,16 +147,6 @@ func newPathTree(o config.ORAM, minLevel int, mem *dram.Model, physOff uint64) p
 // physEnd is the first DRAM slot past the tree's region.
 func (t *pathTree) physEnd() uint64 { return t.physOff + t.layout.PhysicalSlots() }
 
-// occupied counts the real blocks held by the tree, its top store and its
-// F-Stash.
-func (t *pathTree) occupied() uint64 {
-	n := t.tr.Occupied() + uint64(t.fstash.Len())
-	if t.top != nil {
-		n += uint64(t.top.Len())
-	}
-	return n
-}
-
 // randomLeaf draws a uniform leaf of the tree from r.
 func (t *pathTree) randomLeaf(r *rng.Source) block.Leaf {
 	return block.Leaf(r.Uint64n(t.o.LeafCount()))
@@ -244,19 +232,15 @@ func NewController(cfg config.System, mem *dram.Model, r *rng.Source) (*Controll
 }
 
 // initPlacement distributes every unified block along its assigned path,
-// deepest bucket first, spilling to the on-chip top store and then to the
-// stash (which background eviction will drain during warm-up).
+// deepest bucket first (tree.Load, the bulk form of placing the blocks one
+// at a time in id order), spilling to the on-chip top store and then to
+// the stash (which background eviction will drain during warm-up), in id
+// order.
 func (c *Controller) initPlacement() {
-	total := block.ID(c.pm.Total())
-	for id := block.ID(0); id < total; id++ {
-		e := tree.Entry{Addr: id, Leaf: c.pm.Leaf(id)}
-		if _, ok := c.tr.Place(e); ok {
-			continue
+	for _, e := range c.tr.Load(c.pm.Total(), c.pm.Leaf, nil) {
+		if !c.placeInTop(e) {
+			c.fstash.Insert(e)
 		}
-		if c.placeInTop(e) {
-			continue
-		}
-		c.fstash.Insert(e)
 	}
 }
 
@@ -436,56 +420,4 @@ func (c *Controller) dummyPath(now uint64) uint64 {
 	_, _, done := c.treeAccess(now, c.randomLeaf(c.rng), block.Invalid, block.PathDummy)
 	c.st.DummyPaths++
 	return done
-}
-
-// CheckInvariants walks the whole system and verifies single-residency and
-// capacity invariants; tests call it after workloads. It returns the first
-// violation found.
-func (c *Controller) CheckInvariants() error {
-	seen := make(map[block.ID]string, c.fstash.Len())
-	note := func(id block.ID, where string) error {
-		if prev, dup := seen[id]; dup {
-			return fmt.Errorf("core: block %v in both %s and %s", id, prev, where)
-		}
-		seen[id] = where
-		return nil
-	}
-	var err error
-	c.fstash.EachUntil(func(e tree.Entry) bool {
-		err = note(e.Addr, "fstash")
-		return err == nil
-	})
-	if err != nil {
-		return err
-	}
-	// Tree blocks: verify via per-leaf path reads would be destructive;
-	// instead verify counts: every block is somewhere.
-	total := c.occupied() + uint64(c.plbResident())
-	if c.rho != nil {
-		total += c.rho.occupied()
-	}
-	expect := c.pm.Total()
-	if c.cfg.Scheme.DelayedRemap || c.rho != nil {
-		// Blocks held out (in the LLC / pending reinsert) are allowed to
-		// be missing; only over-counting is a bug.
-		if total > expect {
-			return fmt.Errorf("core: %d blocks resident, expected at most %d", total, expect)
-		}
-		return nil
-	}
-	if total != expect {
-		return fmt.Errorf("core: %d blocks resident, expected %d", total, expect)
-	}
-	return nil
-}
-
-// plbResident counts PosMap blocks currently owned by the PLB.
-func (c *Controller) plbResident() int {
-	n := 0
-	for id := block.ID(c.pm.DataBlocks()); id < block.ID(c.pm.Total()); id++ {
-		if c.plb.Contains(uint64(id)) {
-			n++
-		}
-	}
-	return n
 }

@@ -2,12 +2,15 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"iroram/internal/block"
+	"iroram/internal/cache"
 	"iroram/internal/config"
 	"iroram/internal/dram"
 	"iroram/internal/rng"
+	"iroram/internal/tree"
 )
 
 func newSystem(t *testing.T, sch config.Scheme) (*Issuer, *Controller) {
@@ -49,9 +52,8 @@ func TestInitialPlacementCoversSpace(t *testing.T) {
 }
 
 // TestCheckInvariantsAllocationBounded bounds the heap one CheckInvariants
-// call allocates on a warmed Tiny IR-ORAM controller. Its duplicate check
-// covers the F-Stash, so its map must scale with the F-Stash, not with
-// the 34,800 blocks of the unified space.
+// call allocates on a warmed Tiny IR-ORAM controller: its residency bitset
+// over the 34,942 blocks of the unified space is 4.4 KB.
 func TestCheckInvariantsAllocationBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under -race instrumentation")
@@ -73,6 +75,96 @@ func TestCheckInvariantsAllocationBounded(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Errorf("CheckInvariants allocated %d bytes with %d blocks in the F-Stash, want at most %d",
 			got, c.fstash.Len(), bound)
+	}
+}
+
+// warmBaseline returns a Tiny Baseline controller after 2000 demand reads.
+func warmBaseline(t *testing.T) *Controller {
+	t.Helper()
+	is, c := newSystem(t, config.Baseline())
+	r := rng.New(5)
+	now := uint64(0)
+	for i := 0; i < 2000; i++ {
+		now = is.ReadBlock(now, block.ID(r.Uint64n(c.pm.DataBlocks())))
+	}
+	return c
+}
+
+// editBucket finds a bucket of level holding at least two blocks, drains
+// its path and refills every bucket as read, except that edit rewrites the
+// entries of that bucket first. FillBucket keeps the edit on the bucket's
+// subtree.
+func editBucket(t *testing.T, c *Controller, level int, edit func([]tree.Entry) []tree.Entry) {
+	t.Helper()
+	fill := make([]int, 1<<uint(level))
+	c.tr.Each(func(_ tree.Entry, l int, bucket uint64) {
+		if l == level {
+			fill[bucket]++
+		}
+	})
+	for bucket, n := range fill {
+		if n < 2 {
+			continue
+		}
+		leaf := block.Leaf(uint64(bucket) << uint(c.o.Levels-1-level))
+		byLevel := make([][]tree.Entry, c.o.Levels)
+		c.tr.ReadPathEach(leaf, func(e tree.Entry, l int) { byLevel[l] = append(byLevel[l], e) })
+		byLevel[level] = edit(byLevel[level])
+		for l, es := range byLevel {
+			c.tr.FillBucket(l, leaf, es)
+		}
+		return
+	}
+	t.Fatalf("no level-%d bucket holds two blocks", level)
+}
+
+// TestCheckInvariantsCatchesDuplicateWithLoss stores one block of a level-5
+// bucket twice and loses another from the same bucket, on a warmed Tiny
+// Baseline controller, leaving every count intact. A check that marked
+// residency only inside the F-Stash and compared totals passed this state.
+func TestCheckInvariantsCatchesDuplicateWithLoss(t *testing.T) {
+	c := warmBaseline(t)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("before the edit: %v", err)
+	}
+	editBucket(t, c, 5, func(es []tree.Entry) []tree.Entry {
+		es[len(es)-1] = es[0]
+		return es
+	})
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "held twice") {
+		t.Fatalf("CheckInvariants = %v, want a block held twice", err)
+	}
+}
+
+// TestCheckInvariantsCatchesOnChipFaults covers the structures outside the
+// tree: a block dropped from the F-Stash is held nowhere, a stashed block
+// under a stale leaf is lost to its path, and a copy of a PLB-resident
+// PosMap block in the F-Stash is held twice.
+func TestCheckInvariantsCatchesOnChipFaults(t *testing.T) {
+	c := warmBaseline(t)
+	var stashed tree.Entry
+	c.fstash.EachUntil(func(e tree.Entry) bool { stashed = e; return false })
+	if c.fstash.Len() == 0 || !c.fstash.Remove(stashed.Addr) {
+		t.Fatal("warmed controller has an empty F-Stash")
+	}
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "held nowhere") {
+		t.Fatalf("after dropping %v: CheckInvariants = %v", stashed.Addr, err)
+	}
+	c.fstash.Insert(tree.Entry{Addr: stashed.Addr, Leaf: stashed.Leaf ^ 1})
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "its leaf is") {
+		t.Fatalf("with %v stashed under a stale leaf: CheckInvariants = %v", stashed.Addr, err)
+	}
+	c.fstash.Insert(stashed)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("after restoring %v: %v", stashed.Addr, err)
+	}
+
+	var resident uint64
+	c.plb.EachValid(func(l cache.Line) { resident = l.Addr })
+	id := block.ID(resident)
+	c.fstash.Insert(tree.Entry{Addr: id, Leaf: c.pm.Leaf(id)})
+	if err := c.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "held twice") {
+		t.Fatalf("with PLB block %v also stashed: CheckInvariants = %v", id, err)
 	}
 }
 

@@ -343,11 +343,8 @@ func TestEvictionRefusalDifferential(t *testing.T) {
 			lists: make([][]tree.Entry, o.Levels),
 		}
 		s.top = refusalAudit{s.irs, t}
-		for id := range leafOf {
-			e := tree.Entry{Addr: block.ID(id), Leaf: leafOf[id]}
-			if _, ok := s.tr.Place(e); ok {
-				continue
-			}
+		spill := s.tr.Load(blocks, func(id block.ID) block.Leaf { return leafOf[id] }, nil)
+		for _, e := range spill {
 			placed := false
 			for l := o.TopLevels - 1; l >= 0 && !placed; l-- {
 				placed = s.irs.Fill(l, e.Leaf, e)

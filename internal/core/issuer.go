@@ -202,17 +202,29 @@ func (is *Issuer) backgroundWork(slot uint64) uint64 {
 	}
 	is.drainFreeWrites(slot)
 	if len(is.writeQ) > 0 {
-		completed, done := is.c.PathStep(slot, is.writeQ[0])
-		if completed {
-			is.writeQ = is.writeQ[1:]
-		}
-		return done
+		return is.writeStep(slot)
 	}
 	if done, ok := is.tryDWB(slot); ok {
 		return done
 	}
 	return is.c.dummyPath(slot)
 }
+
+// writeStep performs one path access toward the posted write at the head
+// of the queue and returns its completion time.
+func (is *Issuer) writeStep(slot uint64) uint64 {
+	completed, done := is.c.PathStep(slot, is.writeQ[0])
+	if completed {
+		is.writeQ = is.writeQ[1:]
+	}
+	return done
+}
+
+// maxEvictRun caps consecutive eviction issues ahead of other work, so a
+// pathologically full stash (e.g. an over-aggressive IR-Alloc profile on a
+// random trace, or a tree loaded near capacity) degrades to slow progress
+// instead of livelock.
+const maxEvictRun = 16
 
 // tryDWB converts the dummy issue into an early write-back step when a
 // candidate is in flight or can be found (Section IV-D).
@@ -266,10 +278,6 @@ func (is *Issuer) tryDWB(slot uint64) (done uint64, ok bool) {
 // other tree's turns in the fixed pattern).
 func (is *Issuer) demandSlot(now uint64, j Job) uint64 {
 	is.AdvanceTo(now)
-	// Cap consecutive eviction issues so a pathologically full stash (e.g.
-	// an over-aggressive IR-Alloc profile on a random trace) degrades to
-	// slow progress instead of livelock.
-	const maxEvictRun = 16
 	evictions := 0
 	for {
 		slot := is.earliestIssue(now)
@@ -365,8 +373,25 @@ func (is *Issuer) PostWrite(now uint64, addr block.ID) uint64 {
 	is.AdvanceTo(now)
 	is.writeQ = append(is.writeQ, Job{Addr: addr, Write: true})
 	t := now
+	evictions := 0
 	for len(is.writeQ) > is.maxWriteQ {
-		is.issueBackground(is.earliestIssue(t))
+		slot := is.earliestIssue(t)
+		evict := is.c.StashOverfull() && (is.c.rho == nil || !is.rhoSlotSmall())
+		switch {
+		case evict && evictions == maxEvictRun:
+			// Serve the queue head instead of a further eviction, as
+			// demandSlot lets a demand step through, so a stash that
+			// eviction cannot drain does not stall the core forever.
+			done := is.writeStep(slot)
+			is.record(slot)
+			is.finish(done)
+			evictions = 0
+		case evict:
+			evictions++
+			is.issueBackground(slot)
+		default:
+			is.issueBackground(slot)
+		}
 		t = is.prevDone
 		is.drainFreeWrites(t)
 	}

@@ -224,6 +224,37 @@ func TestPostWriteReturnsImmediatelyWhenRoom(t *testing.T) {
 	}
 }
 
+// TestPostWriteProgressesWithOverfullStash is FuzzNewController's first
+// find: an IR-ORAM tree with 11 of its 12 levels on-chip, holding 12,000
+// data blocks against 8,192 memory slots, keeps the F-Stash over its
+// eviction threshold. A posted-write queue at its bound then asked for
+// background work forever, and background work was always a stash
+// eviction, so PostWrite never returned. Every maxEvictRun evictions the
+// queue head now gets a path, as a waiting demand read does.
+func TestPostWriteProgressesWithOverfullStash(t *testing.T) {
+	cfg := config.Tiny().WithScheme(config.IROramScheme())
+	o := &cfg.ORAM
+	o.Levels, o.TopLevels = 12, 11
+	o.Z = config.Uniform(12, 4)
+	o.Z[0] = 14
+	o.UserBlocks = 12000
+	c, err := NewController(cfg, dram.New(cfg.DRAM), rng.New(cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	is := NewIssuer(c, nil)
+	now := uint64(0)
+	for i := 0; i < 3*cfg.CPU.WriteQueueDepth; i++ {
+		now = is.PostWrite(now, block.ID(i*53))
+	}
+	if !c.StashOverfull() {
+		t.Fatalf("stash holds %d blocks, not over the eviction threshold", c.StashLen())
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAdvanceToIdempotent(t *testing.T) {
 	is, c := newSystem(t, config.Baseline())
 	is.AdvanceTo(10 * c.o.IntervalT)

@@ -63,6 +63,15 @@ func pipelineWorkload(n int, dataBlocks uint64, sch config.Scheme) []pipelineOp 
 	return ops
 }
 
+// occupied counts the real blocks held by t's tree, top store and F-Stash.
+func (t *pathTree) occupied() uint64 {
+	n := t.tr.Occupied() + uint64(t.fstash.Len())
+	if t.top != nil {
+		n += uint64(t.top.Len())
+	}
+	return n
+}
+
 // pipelineSystem builds one controller + issuer for the differential run.
 func pipelineSystem(t *testing.T, sch config.Scheme, ref bool) (*Issuer, *Controller) {
 	t.Helper()

@@ -294,6 +294,20 @@ func (s *IRStash) RemoveByAddr(addr block.ID) bool {
 	return false
 }
 
+// Each implements TopStore through the TT pointers, bucket by bucket in
+// heap order.
+func (s *IRStash) Each(visit func(e tree.Entry, level int, bucket uint64)) {
+	for n := 1; n < len(s.tt); n++ {
+		level := levelOfNode(n)
+		for _, ptr := range s.tt[n] {
+			if ptr >= 0 {
+				sl := &s.slots[ptr]
+				visit(tree.Entry{Addr: sl.addr, Leaf: sl.leaf}, level, uint64(n-1<<uint(level)))
+			}
+		}
+	}
+}
+
 // OccupiedAt implements TopStore.
 func (s *IRStash) OccupiedAt(level int) uint64 { return s.occupied[level] }
 

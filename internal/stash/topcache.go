@@ -28,6 +28,9 @@ type TopStore interface {
 	Find(addr block.ID, leaf block.Leaf) (level int, ok bool)
 	// Remove deletes addr from the path of leaf.
 	Remove(addr block.ID, leaf block.Leaf) bool
+	// Each hands every held block to visit with its level and its bucket's
+	// index within the level, without modifying the store.
+	Each(visit func(e tree.Entry, level int, bucket uint64))
 	// OccupiedAt returns the number of real blocks at one top level.
 	OccupiedAt(level int) uint64
 	// CapacityAt returns the allocated slots at one top level.
@@ -49,9 +52,7 @@ type AddrIndex interface {
 // must resolve its PosMap entry before a tree-top hit can be discovered —
 // the PosMap waste IR-Stash eliminates.
 //
-// Storage is the same SoA layout as tree.Tree (parallel slotAddr/slotLeaf
-// arrays), so the controller's fused walk runs the identical inner loop
-// over the on-chip and memory-resident segments. Each heap-indexed node
+// Storage is parallel slotAddr/slotLeaf arrays. Each heap-indexed node
 // (node of level l, index i = 2^l + i) owns the fixed slot range
 // [nodeLo[n], nodeLo[n]+z[l]); its live entries are the dense prefix of
 // length cnt[n], appended to by Fill and compacted by Remove's
@@ -232,6 +233,18 @@ func (t *TopCache) Remove(addr block.ID, leaf block.Leaf) bool {
 	t.cnt[n]--
 	t.occupied[l]--
 	return true
+}
+
+// Each implements TopStore, node by node in heap order.
+func (t *TopCache) Each(visit func(e tree.Entry, level int, bucket uint64)) {
+	for l := 0; l < t.topLevels; l++ {
+		for i := 0; i < 1<<uint(l); i++ {
+			n := (1 << uint(l)) + i
+			for s := t.nodeLo[n]; s < t.nodeLo[n]+uint32(t.cnt[n]); s++ {
+				visit(tree.Entry{Addr: block.ID(t.slotAddr[s]), Leaf: block.Leaf(t.slotLeaf[s])}, l, uint64(i))
+			}
+		}
+	}
 }
 
 // OccupiedAt implements TopStore.

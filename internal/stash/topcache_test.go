@@ -215,3 +215,53 @@ func shadowAnyOnPath(s *shadowTop, leaf block.Leaf) (block.ID, bool) {
 	}
 	return 0, false
 }
+
+// TestTopStoreEachWalksHeldBlocks fills both tree-top designs from random
+// leaves, removes some blocks, and checks that Each visits Len() blocks,
+// each once, each in the bucket its leaf's path crosses at its level, and
+// that the walk changes nothing Find can see.
+func TestTopStoreEachWalksHeldBlocks(t *testing.T) {
+	o := config.Tiny().ORAM
+	for _, top := range []TopStore{
+		NewTopCache(o.Levels, o.TopLevels, o.Z),
+		NewIRStash(o.Levels, o.TopLevels, o.Z, o.SStashWays),
+	} {
+		r := rng.New(11)
+		var held []tree.Entry
+		for id := block.ID(0); id < 400; id++ {
+			e := tree.Entry{Addr: id, Leaf: block.Leaf(r.Uint64n(o.LeafCount()))}
+			for l := o.TopLevels - 1; l >= 0; l-- {
+				if top.Fill(l, e.Leaf, e) {
+					held = append(held, e)
+					break
+				}
+			}
+		}
+		for i := 0; i < len(held); i += 3 {
+			if !top.Remove(held[i].Addr, held[i].Leaf) {
+				t.Fatalf("%T: Remove(%v) failed", top, held[i].Addr)
+			}
+		}
+		seen := map[block.ID]bool{}
+		top.Each(func(e tree.Entry, level int, bucket uint64) {
+			if seen[e.Addr] {
+				t.Fatalf("%T: block %v visited twice", top, e.Addr)
+			}
+			seen[e.Addr] = true
+			if uint64(e.Leaf)>>uint(o.Levels-1-level) != bucket {
+				t.Fatalf("%T: block %v (leaf %d) visited in bucket %d of level %d", top, e.Addr, e.Leaf, bucket, level)
+			}
+			if l, ok := top.Find(e.Addr, e.Leaf); !ok || l != level {
+				t.Fatalf("%T: Each put %v at level %d, Find says (%d, %v)", top, e.Addr, level, l, ok)
+			}
+		})
+		if len(seen) != top.Len() || len(seen) == 0 {
+			t.Fatalf("%T: Each visited %d blocks, Len is %d", top, len(seen), top.Len())
+		}
+		for i, e := range held {
+			if _, ok := top.Find(e.Addr, e.Leaf); ok != (i%3 != 0) || seen[e.Addr] != ok {
+				t.Fatalf("%T: block %v held %v, visited %v", top, e.Addr, ok, seen[e.Addr])
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math/bits"
 	"testing"
 
 	"iroram/internal/block"
@@ -16,7 +17,7 @@ type scanBucket struct {
 }
 
 // scanTree is the historical slot-scan tree retained as the differential
-// oracle for the occupancy-bitmap engine: validity sentinels per slot,
+// oracle for the record layout's occupancy words: validity sentinels per slot,
 // linear probes everywhere. Its contract is the one the bitmap code must
 // reproduce bit for bit — fills claim the lowest free slot, walks and
 // probes visit slots in ascending order — so every observable output
@@ -140,6 +141,14 @@ func (s *scanTree) occupied() uint64 {
 	return n
 }
 
+// FreeAt returns the number of free slots in the bucket the path of leaf
+// crosses at level: one popcount of the bucket's free mask. Only the
+// differential test below needs it, to check the mask against the oracle's
+// slot scan.
+func (t *Tree) FreeAt(level int, leaf block.Leaf) int {
+	return bits.OnesCount64(^t.rec[t.record(level, leaf)] & t.lv[level].mask)
+}
+
 // visitRec is one emitted (entry, level) observation for order comparison.
 type visitRec struct {
 	e Entry
@@ -154,7 +163,7 @@ func subtreeLeaf(r *rng.Source, leaf block.Leaf, level, levels int) block.Leaf {
 	return block.Leaf(base | r.Uint64n(uint64(1)<<shift))
 }
 
-// TestOccupancyDifferential drives the bitmap tree and the slot-scan oracle
+// TestOccupancyDifferential drives the record tree and the slot-scan oracle
 // through a long randomized schedule of the full operation mix — path
 // drains, per-level fills, probes, removals, deepest-first placements —
 // asserting identical observable behavior after every step: emission

@@ -7,20 +7,28 @@
 // The tree stores only the memory-resident levels [MinLevel, Levels); the
 // on-chip top levels live in internal/stash (dedicated TopCache or S-Stash).
 //
+// # Bucket records
+//
+// Every bucket is one record of 1+Z uint64 words in a single array: the
+// bucket's occupancy word first, then its Z slot words (addr | leaf<<32).
+// A level's records are contiguous, so bucket (level, idx) starts at
+// word base[level] + idx*(1+Z[level]). One record per bucket puts a
+// bucket's occupancy and its blocks in the same or the adjacent cache
+// line, so a path walk pays about one miss per deep level instead of one
+// per array.
+//
 // # Occupancy invariant
 //
-// Alongside the slot arrays the tree keeps one uint64 occupancy word per
-// bucket (every supported geometry has Z <= 64): bit b of bucket (level,
-// idx)'s word is set exactly when slot levelBase[level]+idx*Z+b holds a
-// real block. The word is authoritative — every mutation updates it in
-// lockstep with the slot writes, slot contents are meaningful only where
-// their bit is set (removal clears the bit without touching the slot
-// arrays), and no validity sentinel is ever consulted: per-slot validity
-// checks are folded into the occupancy word. Path walks iterate set bits
-// (bits.TrailingZeros64) in ascending slot order, fills claim the lowest
-// clear bit of ^occ&zmask — both identical in visit/placement order to the
-// historical per-slot scans (pinned by the differential tests in
-// occupancy_test.go) — and empty buckets skip in O(1) on one word load.
+// Bit b of a bucket's occupancy word (every supported geometry has
+// Z <= 64) is set exactly when slot b holds a real block. The word is
+// authoritative — every mutation updates it in lockstep with the slot
+// writes, slot words are meaningful only where their bit is set (removal
+// clears the bit without touching the slot), and no validity sentinel is
+// ever consulted. Path walks load every level's occupancy word first, then
+// iterate set bits (bits.TrailingZeros64) in ascending slot order; fills
+// claim the lowest clear bit of ^occ&mask — both identical in visit and
+// placement order to a per-slot scan (pinned by the differential tests in
+// occupancy_test.go) — and empty buckets skip in O(1) on one word.
 package tree
 
 import (
@@ -42,69 +50,74 @@ type Entry struct {
 // may set on Entry.Leaf while an entry is in flight between the gather and
 // the write phase ("this block was fetched by the current path access" —
 // the Fig 5 migration split). Real leaves are below 2^31 on every valid
-// geometry (config caps Levels at 32), so the top bit of the 32-bit leaf
-// is free. The flag exists only inside the eviction drain's scratch: the
-// write phase strips it before an entry reaches any storage structure
-// (tree, tree-top store, or stash), and classification masks it before
-// leaf arithmetic.
+// geometry (config caps Levels at config.MaxLevels), so the top bit of the
+// 32-bit leaf is free. The flag exists only inside the eviction drain's
+// scratch: the write phase strips it before an entry reaches any storage
+// structure (tree, tree-top store, or stash), and classification masks it
+// before leaf arithmetic.
 const GatherFlag block.Leaf = 1 << 31
 
 // Tree is the bucket storage of the memory-resident levels.
 type Tree struct {
-	levels    int
-	minLevel  int
-	z         []int
-	leafBits  uint // levels-1, shift for path indexing
-	levelBase []uint64
-	slotAddr  []uint32
-	slotLeaf  []uint32
-	occupied  []uint64 // per level, indexed [0, levels); top levels stay 0
-
-	// occ holds one occupancy word per bucket of the memory-resident
-	// levels; the word of bucket (level, idx) is occ[occBase[level]+idx].
-	// zmask[level] has the low Z[level] bits set, so ^occ&zmask is the
-	// bucket's free-slot mask. See the package doc for the invariant.
-	occ     []uint64
-	occBase []uint64
-	zmask   []uint64
+	levels   int
+	minLevel int
+	z        []int
+	leafBits uint // levels-1, shift for path indexing
+	lv       []levelGeom
+	// rec holds the bucket records of levels [minLevel, levels); see the
+	// package doc.
+	rec      []uint64
+	occupied []uint64 // per level, indexed [0, levels); top levels stay 0
 }
 
-// New allocates an empty tree holding levels [minLevel, o.Levels). Slots
-// store addresses and leaves as uint32, and config.Validate rejects every
-// geometry whose unified block space reaches 2^32. New panics if any bucket
-// size exceeds the 64 slots an occupancy word can track.
+// levelGeom locates one level's records in Tree.rec.
+type levelGeom struct {
+	base  uint64 // word offset of the level's first record
+	width uint64 // words per record: 1 + Z
+	mask  uint64 // low Z bits set: ^occ&mask is a bucket's free-slot mask
+}
+
+// New allocates an empty tree holding levels [minLevel, o.Levels). Slot
+// words store addresses and leaves as uint32 halves, and config.Validate
+// rejects every geometry whose unified block space reaches 2^32. New
+// panics if o.Levels exceeds config.MaxLevels or any bucket size exceeds
+// the 64 slots an occupancy word can track.
 func New(o config.ORAM, minLevel int) *Tree {
-	if minLevel < 0 || minLevel >= o.Levels {
-		panic(fmt.Sprintf("tree: minLevel %d out of [0,%d)", minLevel, o.Levels))
+	if minLevel < 0 || minLevel >= o.Levels || o.Levels > config.MaxLevels {
+		panic(fmt.Sprintf("tree: minLevel %d out of [0,%d) or more than %d levels",
+			minLevel, o.Levels, config.MaxLevels))
 	}
 	t := &Tree{
-		levels:    o.Levels,
-		minLevel:  minLevel,
-		z:         append([]int(nil), o.Z...),
-		leafBits:  uint(o.Levels - 1),
-		levelBase: make([]uint64, o.Levels+1),
-		occupied:  make([]uint64, o.Levels),
-		occBase:   make([]uint64, o.Levels),
-		zmask:     make([]uint64, o.Levels),
+		levels:   o.Levels,
+		minLevel: minLevel,
+		z:        append([]int(nil), o.Z...),
+		leafBits: uint(o.Levels - 1),
+		lv:       make([]levelGeom, o.Levels),
+		occupied: make([]uint64, o.Levels),
 	}
-	var slots, buckets uint64
+	var words uint64
 	for l := 0; l < o.Levels; l++ {
 		if o.Z[l] > 64 {
 			panic(fmt.Sprintf("tree: Z=%d at level %d exceeds the 64-slot occupancy word", o.Z[l], l))
 		}
-		t.zmask[l] = ^uint64(0) >> (64 - uint(o.Z[l]))
-		t.levelBase[l] = slots
-		t.occBase[l] = buckets
+		t.lv[l] = levelGeom{
+			base:  words,
+			width: 1 + uint64(o.Z[l]),
+			mask:  ^uint64(0) >> (64 - uint(o.Z[l])),
+		}
 		if l >= minLevel {
-			slots += (uint64(1) << uint(l)) * uint64(o.Z[l])
-			buckets += uint64(1) << uint(l)
+			words += (uint64(1) << uint(l)) * t.lv[l].width
 		}
 	}
-	t.levelBase[o.Levels] = slots
-	t.slotAddr = make([]uint32, slots)
-	t.slotLeaf = make([]uint32, slots)
-	t.occ = make([]uint64, buckets)
+	t.rec = make([]uint64, words)
 	return t
+}
+
+// slotWord packs e into a slot word; entryOf unpacks one.
+func slotWord(e Entry) uint64 { return uint64(uint32(e.Addr)) | uint64(e.Leaf)<<32 }
+
+func entryOf(s uint64) Entry {
+	return Entry{Addr: block.ID(uint32(s)), Leaf: block.Leaf(s >> 32)}
 }
 
 // Levels returns L.
@@ -144,11 +157,22 @@ func DeepestLevel(a, b block.Leaf, levels int) int {
 	return levels - 1 - (64 - bits.LeadingZeros64(x))
 }
 
-// bucketSlots returns the slot range of bucket (level, idx).
-func (t *Tree) bucketSlots(level int, idx uint64) (lo, hi uint64) {
-	z := uint64(t.z[level])
-	lo = t.levelBase[level] + idx*z
-	return lo, lo + z
+// record returns the offset in rec of the record of the bucket the path of
+// leaf crosses at level.
+func (t *Tree) record(level int, leaf block.Leaf) uint64 {
+	g := &t.lv[level]
+	return g.base + t.BucketIndex(level, leaf)*g.width
+}
+
+// loadPath copies the occupancy word of every memory-resident bucket on the
+// path of leaf into occ before any of them is used, so the cache misses of
+// the levels overlap instead of each queueing behind the previous level's
+// walk. A bucket's slots share its record, so the walk that follows finds
+// them in, or next to, the lines these loads bring in.
+func (t *Tree) loadPath(leaf block.Leaf, occ *[config.MaxLevels]uint64) {
+	for l := t.minLevel; l < t.levels; l++ {
+		occ[l] = t.rec[t.record(l, leaf)]
+	}
 }
 
 // ReadPath removes every real block on the path of leaf (memory-resident
@@ -156,24 +180,19 @@ func (t *Tree) bucketSlots(level int, idx uint64) (lo, hi uint64) {
 // access. The blocks are appended to dst (pass nil, or a reused buffer to
 // keep the hot path allocation-free) and returned root-to-leaf.
 func (t *Tree) ReadPath(leaf block.Leaf, dst []Entry) []Entry {
+	var occ [config.MaxLevels]uint64
+	t.loadPath(leaf, &occ)
 	out := dst
 	for l := t.minLevel; l < t.levels; l++ {
-		idx := t.BucketIndex(l, leaf)
-		w := t.occBase[l] + idx
-		o := t.occ[w]
+		o := occ[l]
 		if o == 0 {
 			continue
 		}
-		t.occ[w] = 0
+		w := t.record(l, leaf)
+		t.rec[w] = 0
 		t.occupied[l] -= uint64(bits.OnesCount64(o))
-		lo := t.levelBase[l] + idx*uint64(t.z[l])
-		for o != 0 {
-			s := lo + uint64(bits.TrailingZeros64(o))
-			o &= o - 1
-			out = append(out, Entry{
-				Addr: block.ID(t.slotAddr[s]),
-				Leaf: block.Leaf(t.slotLeaf[s]),
-			})
+		for ; o != 0; o &= o - 1 {
+			out = append(out, entryOf(t.rec[w+1+uint64(bits.TrailingZeros64(o))]))
 		}
 	}
 	return out
@@ -185,20 +204,18 @@ func (t *Tree) ReadPath(leaf block.Leaf, dst []Entry) []Entry {
 // emission order. It is the read-gather half of the controller's fused
 // single-walk pipeline; visit must not touch the tree.
 func (t *Tree) ReadPathEach(leaf block.Leaf, visit func(Entry, int)) {
+	var occ [config.MaxLevels]uint64
+	t.loadPath(leaf, &occ)
 	for l := t.minLevel; l < t.levels; l++ {
-		idx := t.BucketIndex(l, leaf)
-		w := t.occBase[l] + idx
-		o := t.occ[w]
+		o := occ[l]
 		if o == 0 {
 			continue
 		}
-		t.occ[w] = 0
+		w := t.record(l, leaf)
+		t.rec[w] = 0
 		t.occupied[l] -= uint64(bits.OnesCount64(o))
-		lo := t.levelBase[l] + idx*uint64(t.z[l])
-		for o != 0 {
-			s := lo + uint64(bits.TrailingZeros64(o))
-			o &= o - 1
-			visit(Entry{Addr: block.ID(t.slotAddr[s]), Leaf: block.Leaf(t.slotLeaf[s])}, l)
+		for ; o != 0; o &= o - 1 {
+			visit(entryOf(t.rec[w+1+uint64(bits.TrailingZeros64(o))]), l)
 		}
 	}
 }
@@ -215,10 +232,8 @@ func (t *Tree) FillBucket(level int, leaf block.Leaf, entries []Entry) {
 	if len(entries) > t.z[level] {
 		panic(fmt.Sprintf("tree: %d entries for Z=%d bucket", len(entries), t.z[level]))
 	}
-	idx := t.BucketIndex(level, leaf)
-	w := t.occBase[level] + idx
-	o := t.occ[w]
-	lo := t.levelBase[level] + idx*uint64(t.z[level])
+	w := t.record(level, leaf)
+	o := t.rec[w]
 	if o == 0 {
 		// Just-drained bucket (the write phase's common case): the free
 		// mask is the full slot range, so ascending-order claiming is a
@@ -228,15 +243,13 @@ func (t *Tree) FillBucket(level int, leaf block.Leaf, entries []Entry) {
 				panic(fmt.Sprintf("tree: block %v (leaf %d) misplaced at level %d of path %d",
 					e.Addr, e.Leaf, level, leaf))
 			}
-			s := lo + uint64(i)
-			t.slotAddr[s] = uint32(e.Addr)
-			t.slotLeaf[s] = uint32(e.Leaf)
+			t.rec[w+1+uint64(i)] = slotWord(e)
 		}
-		t.occ[w] = uint64(1)<<uint(len(entries)) - 1
+		t.rec[w] = uint64(1)<<uint(len(entries)) - 1
 		t.occupied[level] += uint64(len(entries))
 		return
 	}
-	free := ^o & t.zmask[level]
+	free := ^o & t.lv[level].mask
 	for _, e := range entries {
 		if !SameSubtree(leaf, e.Leaf, level, t.levels) {
 			panic(fmt.Sprintf("tree: block %v (leaf %d) misplaced at level %d of path %d",
@@ -248,81 +261,151 @@ func (t *Tree) FillBucket(level int, leaf block.Leaf, entries []Entry) {
 		b := uint64(bits.TrailingZeros64(free))
 		free &= free - 1
 		o |= uint64(1) << b
-		s := lo + b
-		t.slotAddr[s] = uint32(e.Addr)
-		t.slotLeaf[s] = uint32(e.Leaf)
+		t.rec[w+1+b] = slotWord(e)
 	}
-	t.occ[w] = o
+	t.rec[w] = o
 	t.occupied[level] += uint64(len(entries))
+}
+
+// locate finds addr on the path of leaf: the level, the bucket's record
+// offset and the slot holding it.
+func (t *Tree) locate(addr block.ID, leaf block.Leaf) (level int, w uint64, slot int, ok bool) {
+	var occ [config.MaxLevels]uint64
+	t.loadPath(leaf, &occ)
+	for l := t.minLevel; l < t.levels; l++ {
+		w := t.record(l, leaf)
+		for o := occ[l]; o != 0; o &= o - 1 {
+			b := bits.TrailingZeros64(o)
+			if block.ID(uint32(t.rec[w+1+uint64(b)])) == addr {
+				return l, w, b, true
+			}
+		}
+	}
+	return 0, 0, 0, false
 }
 
 // Find scans the path of leaf for addr without modifying the tree and
 // returns the level holding it.
 func (t *Tree) Find(addr block.ID, leaf block.Leaf) (level int, ok bool) {
-	for l := t.minLevel; l < t.levels; l++ {
-		idx := t.BucketIndex(l, leaf)
-		o := t.occ[t.occBase[l]+idx]
-		lo := t.levelBase[l] + idx*uint64(t.z[l])
-		for o != 0 {
-			s := lo + uint64(bits.TrailingZeros64(o))
-			o &= o - 1
-			if block.ID(t.slotAddr[s]) == addr {
-				return l, true
-			}
-		}
-	}
-	return 0, false
+	level, _, _, ok = t.locate(addr, leaf)
+	return level, ok
 }
 
 // Remove deletes addr from the path of leaf; it reports whether the block
 // was found.
 func (t *Tree) Remove(addr block.ID, leaf block.Leaf) bool {
+	l, w, b, ok := t.locate(addr, leaf)
+	if ok {
+		t.rec[w] &^= uint64(1) << uint(b)
+		t.occupied[l]--
+	}
+	return ok
+}
+
+// Load fills an empty tree with blocks 0..n-1, block id mapped to
+// leafOf(id), and appends the blocks that fit on no memory-resident level
+// to spill in id order. The result is, slot for slot, that of placing the
+// blocks one at a time in id order, each at the deepest level of its path
+// with a free slot (the controller's initial placement).
+//
+// Load computes it one level at a time, deepest first. A level's pass runs
+// over the blocks not yet placed, in id order; a dense per-bucket count
+// decides whether a block fits, the block goes into the next slot of its
+// bucket, and the overflow, still in id order, is the next level's input.
+// One-at-a-time placement gives a bucket the same blocks in the same slots:
+// a block reaches a level only after every deeper bucket on its path is
+// full, and a bucket takes the first Z arrivals by id. The level's
+// occupancy words are then written in one sequential pass. Load panics if
+// the tree is not empty.
+func (t *Tree) Load(n uint64, leafOf func(block.ID) block.Leaf, spill []Entry) []Entry {
+	if t.Occupied() != 0 {
+		panic("tree: Load into a non-empty tree")
+	}
+	deepest := t.levels - 1
+	cnt := make([]uint8, uint64(1)<<uint(deepest))
+	// At the controller's load (the paper's 50% rule plus the PosMap
+	// blocks) about a fifth of the blocks overflow the deepest level.
+	over := make([]Entry, 0, n/4)
+	f := t.levelFill(deepest, cnt)
+	for id := uint64(0); id < n; id++ {
+		e := Entry{Addr: block.ID(id), Leaf: leafOf(block.ID(id))}
+		if !f.put(e) {
+			over = append(over, e)
+		}
+	}
+	t.loadOccupancy(deepest, cnt)
+	for l := deepest - 1; l >= t.minLevel && len(over) > 0; l-- {
+		cnt = cnt[:uint64(1)<<uint(l)]
+		clear(cnt)
+		f := t.levelFill(l, cnt)
+		kept := over[:0]
+		for _, e := range over {
+			if !f.put(e) {
+				kept = append(kept, e)
+			}
+		}
+		over = kept
+		t.loadOccupancy(l, cnt)
+	}
+	return append(spill, over...)
+}
+
+// levelFill places blocks into the buckets of one level during Load. It
+// copies the level's geometry out of the Tree so the per-block loop reads
+// and writes nothing but the count and the records (the loop through Tree
+// fields and its occupied counter ran about twice as long on Scaled).
+type levelFill struct {
+	rec         []uint64
+	cnt         []uint8 // blocks placed so far in each bucket of the level
+	base, width uint64
+	shift       uint
+	z           uint8
+}
+
+func (t *Tree) levelFill(level int, cnt []uint8) levelFill {
+	g := t.lv[level]
+	return levelFill{rec: t.rec, cnt: cnt, base: g.base, width: g.width,
+		shift: t.leafBits - uint(level), z: uint8(t.z[level])}
+}
+
+// put stores e in the next free slot of its bucket and reports whether the
+// bucket had one.
+func (f *levelFill) put(e Entry) bool {
+	idx := uint64(e.Leaf) >> f.shift
+	c := f.cnt[idx]
+	if c >= f.z {
+		return false
+	}
+	f.rec[f.base+idx*f.width+1+uint64(c)] = slotWord(e)
+	f.cnt[idx] = c + 1
+	return true
+}
+
+// loadOccupancy writes the occupancy word of every bucket of level from
+// its fill count, in one sequential pass, and the level's block count.
+func (t *Tree) loadOccupancy(level int, cnt []uint8) {
+	g := &t.lv[level]
+	var n uint64
+	for idx, c := range cnt {
+		t.rec[g.base+uint64(idx)*g.width] = uint64(1)<<c - 1
+		n += uint64(c)
+	}
+	t.occupied[level] = n
+}
+
+// Each hands every real block of the tree to visit with its level and
+// bucket index, level by level in ascending bucket and slot order, without
+// modifying the tree. visit must not touch the tree.
+func (t *Tree) Each(visit func(e Entry, level int, bucket uint64)) {
 	for l := t.minLevel; l < t.levels; l++ {
-		idx := t.BucketIndex(l, leaf)
-		w := t.occBase[l] + idx
-		o := t.occ[w]
-		lo := t.levelBase[l] + idx*uint64(t.z[l])
-		for m := o; m != 0; m &= m - 1 {
-			b := uint64(bits.TrailingZeros64(m))
-			s := lo + b
-			if block.ID(t.slotAddr[s]) == addr {
-				t.occ[w] = o &^ (uint64(1) << b)
-				t.occupied[l]--
-				return true
+		g := &t.lv[l]
+		for idx := uint64(0); idx < uint64(1)<<uint(l); idx++ {
+			w := g.base + idx*g.width
+			for o := t.rec[w]; o != 0; o &= o - 1 {
+				visit(entryOf(t.rec[w+1+uint64(bits.TrailingZeros64(o))]), l, idx)
 			}
 		}
 	}
-	return false
-}
-
-// Place inserts e at the deepest level of its leaf's path with a free slot,
-// used for initial placement. It reports the level used; ok is false when
-// every memory-resident bucket on the path is full.
-func (t *Tree) Place(e Entry) (level int, ok bool) {
-	for l := t.levels - 1; l >= t.minLevel; l-- {
-		idx := t.BucketIndex(l, e.Leaf)
-		w := t.occBase[l] + idx
-		free := ^t.occ[w] & t.zmask[l]
-		if free == 0 {
-			continue
-		}
-		b := uint64(bits.TrailingZeros64(free))
-		s := t.levelBase[l] + idx*uint64(t.z[l]) + b
-		t.slotAddr[s] = uint32(e.Addr)
-		t.slotLeaf[s] = uint32(e.Leaf)
-		t.occ[w] |= uint64(1) << b
-		t.occupied[l]++
-		return l, true
-	}
-	return 0, false
-}
-
-// FreeAt returns the number of free slots in the bucket the path of leaf
-// crosses at level — one popcount of the bucket's free mask. The eviction
-// drain uses it to cap a level's fill without probing slots.
-func (t *Tree) FreeAt(level int, leaf block.Leaf) int {
-	o := t.occ[t.occBase[level]+t.BucketIndex(level, leaf)]
-	return bits.OnesCount64(^o & t.zmask[level])
 }
 
 // Occupied returns the total number of real blocks in the tree.
