@@ -8,14 +8,17 @@
 #   make race        full tree under the race detector (the parallel
 #                    experiment engine must stay race-clean)
 #   make docscheck   gate: exported facade/metrics identifiers must carry doc
-#                    comments, and docs/METRICS.md must match the metrics
-#                    registry's self-description both ways
+#                    comments, docs/METRICS.md must match the metrics
+#                    registry's self-description both ways, and README's
+#                    flag tables must match the declared cmd flags both ways
 #   make fmtcheck    gate: every Go file is gofmt-clean
 #   make benchmod    vet + tests of the nested benchmark/ module, which the
 #                    root ./... patterns skip but which compiles against
 #                    core.Controller/core.Stats
 #   make depcheck    gate: no production package (nor the benchmark binary)
-#                    links package testing; test-only code lives in _test.go
+#                    links package testing (test-only code lives in _test.go)
+#                    or net/http (every observability view is recorded
+#                    output; no command serves a live endpoint)
 #   make check       all of the above — the documented verification flow
 #   make bench       every go benchmark: one per paper figure plus the
 #                    hot-path microbenchmarks in their packages
@@ -51,11 +54,18 @@ benchmod:
 
 depcheck:
 	@deps=$$($(GO) list -deps ./... && cd benchmark && $(GO) list -deps .) || exit 1; \
+	status=0; \
 	if echo "$$deps" | grep -qx testing; then \
 		echo "depcheck: production code links package testing; move it into _test.go files"; \
 		$(GO) list -f '{{.ImportPath}} imports {{join .Imports " "}}' ./... | grep -w testing; \
-		exit 1; \
-	fi
+		status=1; \
+	fi; \
+	if echo "$$deps" | grep -qx net/http; then \
+		echo "depcheck: production code links package net/http; no command serves a live endpoint"; \
+		$(GO) list -f '{{.ImportPath}} imports {{join .Imports " "}}' ./... | grep -w net/http; \
+		status=1; \
+	fi; \
+	exit $$status
 
 check: build vet test race docscheck fmtcheck benchmod depcheck
 

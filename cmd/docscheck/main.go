@@ -10,10 +10,12 @@
 //     token in the document must name a registered instrument. The
 //     registry is the source of truth; the document may not invent or omit
 //     names.
-//   - a command-line flag of cmd/experiments, cmd/irsim or cmd/flightstat
-//     is missing from README.md: every flag.Xxx("name", ...) declaration
-//     must appear as a backticked `-name` token in the README's flag
-//     tables, so the user-facing surface cannot drift undocumented.
+//   - README.md and the flags of cmd/experiments, cmd/irsim and
+//     cmd/flightstat disagree: every flag.Xxx("name", ...) declaration
+//     must appear as a backticked `-name` token in the README, and every
+//     flag a README flag-table row names in its first cell must be
+//     declared by one of those commands, so the documented surface can
+//     neither omit a flag nor keep a retired one.
 //
 // Run from the repository root (as the Makefile does): paths are relative.
 package main
@@ -174,10 +176,19 @@ func auditMetricsDoc(path string) (int, error) {
 // flag surface README.md must document.
 var flagDecl = regexp.MustCompile(`flag\.(?:String|Bool|Int|Int64|Uint64|Float64|Duration)\(\s*"([a-z][a-z0-9-]*)"`)
 
-// auditFlagsDoc checks that every flag declared in the given command
-// directories appears as a backticked `-name` token in the README. The
-// reverse direction is not audited: the README may discuss flags in prose
-// beyond the declaration list, but it may not omit a declared flag.
+// flagRow matches the first cell of a README flag-table row: a table row
+// that opens with a backticked flag, such as "| `-a` / `-b` | ...".
+var flagRow = regexp.MustCompile("(?m)^\\|\\s*(`-[^|]*)\\|")
+
+// flagToken matches each backticked flag within a flagRow cell.
+var flagToken = regexp.MustCompile("`-([^`]*)`")
+
+// auditFlagsDoc checks the README against the flags declared in the given
+// command directories, both ways: every declared flag must appear as a
+// backticked `-name` token somewhere in the README, and every flag named in
+// the first cell of a flag-table row must be declared by one of the
+// commands. Prose is not audited in the reverse direction: it may mention
+// other tools' flags.
 func auditFlagsDoc(readme string, dirs ...string) (int, error) {
 	data, err := os.ReadFile(readme)
 	if err != nil {
@@ -185,6 +196,7 @@ func auditFlagsDoc(readme string, dirs ...string) (int, error) {
 	}
 	text := string(data)
 	bad := 0
+	declared := map[string]bool{}
 	for _, dir := range dirs {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -199,11 +211,21 @@ func auditFlagsDoc(readme string, dirs ...string) (int, error) {
 				return 0, err
 			}
 			for _, m := range flagDecl.FindAllStringSubmatch(string(src), -1) {
+				declared[m[1]] = true
 				if !strings.Contains(text, "`-"+m[1]+"`") {
 					fmt.Fprintf(os.Stderr, "docscheck: %s: flag -%s of %s is undocumented\n",
 						readme, m[1], dir)
 					bad++
 				}
+			}
+		}
+	}
+	for _, row := range flagRow.FindAllStringSubmatch(text, -1) {
+		for _, m := range flagToken.FindAllStringSubmatch(row[1], -1) {
+			if !declared[m[1]] {
+				fmt.Fprintf(os.Stderr, "docscheck: %s: flag table documents -%s, which no audited command declares\n",
+					readme, m[1])
+				bad++
 			}
 		}
 	}

@@ -7,7 +7,6 @@
 //	experiments -fig fig3 -requests 60000  # more trace records
 //	experiments -fig all -jobs 8           # fan cells across 8 workers
 //	experiments -fig fig10 -emit jsonl -out artifacts/   # JSONL sidecars
-//	experiments -fig all -telemetry :8080  # live JSON progress snapshots
 //
 // Tables go to stdout (and -out); progress and per-figure timing go to
 // stderr, so stdout is byte-identical for every -jobs value and safe to
@@ -20,15 +19,12 @@
 // in figure order. Both default on and change no output byte — disable
 // with -dedup=false -overlap=false to reproduce the serial, cache-less
 // runs. The per-figure stderr line reports cells=N hits=M cache accounting
-// (cached cells still count in -progress and telemetry totals).
+// (cached cells still count in the -progress totals).
 //
 // With -emit jsonl, -out names a directory instead of an append file: one
 // <figure>.jsonl sidecar per figure, one record per simulated cell with the
 // full metric dump (schema in docs/METRICS.md). Artifact bytes, like
-// stdout, are identical for every -jobs value. -telemetry serves the latest
-// progress snapshot as JSON over HTTP (plus /healthz and a Prometheus
-// text-format /metrics view), published from the serialized progress
-// callback so no simulation state is shared across goroutines.
+// stdout, are identical for every -jobs value.
 //
 // With -flight <dir>, every simulated cell carries a cycle-domain flight
 // recorder sampling one in every -flight-sample path accesses, and the run
@@ -70,11 +66,10 @@ func run() (code int) {
 		quick    = flag.Bool("quick", false, "tiny geometry smoke run")
 		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0),
 			"parallel simulation cells (1 = sequential; results are identical for every value)")
-		progress  = flag.Bool("progress", true, "report cell progress and ETA on stderr")
-		emitMode  = flag.String("emit", "", `artifact emission: "jsonl" writes per-figure sidecars under -out`)
-		telemetry = flag.String("telemetry", "", "serve live JSON progress snapshots on this HTTP address (e.g. :8080)")
-		epochs    = flag.Uint64("epochs", 0, "with -emit jsonl: record an epoch snapshot every N issued paths (0 = off)")
-		dedup     = flag.Bool("dedup", true,
+		progress = flag.Bool("progress", true, "report cell progress and ETA on stderr")
+		emitMode = flag.String("emit", "", `artifact emission: "jsonl" writes per-figure sidecars under -out`)
+		epochs   = flag.Uint64("epochs", 0, "with -emit jsonl: record an epoch snapshot every N issued paths (0 = off)")
+		dedup    = flag.Bool("dedup", true,
 			"share one cell-result cache across figures (identical cells simulate once; output bytes are unchanged)")
 		overlap = flag.Bool("overlap", true,
 			"run figure drivers concurrently on one shared worker budget (tables still print in figure order)")
@@ -198,20 +193,8 @@ func run() (code int) {
 		}
 	}
 
-	var tele *telemetryServer
-	if *telemetry != "" {
-		t, err := startTelemetry(*telemetry)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: telemetry: %v\n", err)
-			return 2
-		}
-		defer t.Close()
-		tele = t
-		fmt.Fprintf(os.Stderr, "telemetry: serving snapshots on http://%s/\n", t.Addr())
-	}
-
 	if *fig == "zsearch" {
-		opts.Progress = progressObserver("zsearch", *progress, tele)
+		opts.Progress = progressObserver("zsearch", *progress)
 		zprof, desc, err := iroram.SearchZProfile(opts)
 		clearProgress(*progress)
 		if err != nil {
@@ -233,7 +216,7 @@ func run() (code int) {
 		Dedup:   *dedup,
 		Overlap: *overlap,
 		ProgressFor: func(name string) func(iroram.Progress) {
-			return progressObserver(name, *progress, tele)
+			return progressObserver(name, *progress)
 		},
 	}
 	if err := sweep.Run(func(fr iroram.FigureRun) {
@@ -283,23 +266,17 @@ func parseBenchmarks(s string) ([]string, error) {
 	return list, nil
 }
 
-// progressObserver combines the stderr progress line with telemetry
-// publication. Both run on the runner's serialized progress-callback path,
-// so neither touches simulation state and no extra synchronization is
-// needed. It returns nil when both outputs are off.
-func progressObserver(name string, stderrLine bool, tele *telemetryServer) func(iroram.Progress) {
-	if !stderrLine && tele == nil {
+// progressObserver prints the stderr progress line on the runner's
+// serialized progress-callback path, so it touches no simulation state and
+// needs no extra synchronization. It returns nil when the line is off.
+func progressObserver(name string, enabled bool) func(iroram.Progress) {
+	if !enabled {
 		return nil
 	}
 	return func(p iroram.Progress) {
-		if stderrLine {
-			fmt.Fprintf(os.Stderr, "\r%s: %d/%d cells (elapsed %v, eta %v)   ",
-				name, p.Done, p.Total,
-				p.Elapsed.Round(time.Second), p.ETA().Round(time.Second))
-		}
-		if tele != nil {
-			tele.publishProgress(name, p)
-		}
+		fmt.Fprintf(os.Stderr, "\r%s: %d/%d cells (elapsed %v, eta %v)   ",
+			name, p.Done, p.Total,
+			p.Elapsed.Round(time.Second), p.ETA().Round(time.Second))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 )
@@ -80,6 +81,11 @@ func parseTrace(path string) ([]*procStat, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parse(data)
+}
+
+// parse decodes a trace-event document and summarizes it.
+func parse(data []byte) ([]*procStat, error) {
 	var doc traceDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("not a trace-event document: %w", err)
@@ -112,7 +118,9 @@ func summarize(events []event) ([]*procStat, error) {
 				p.meta = e.Args
 			}
 		case "X":
-			p.span(e)
+			if err := p.span(e); err != nil {
+				return nil, err
+			}
 		case "C":
 			p.counter(e)
 		default:
@@ -122,8 +130,13 @@ func summarize(events []event) ([]*procStat, error) {
 	return order, nil
 }
 
-// span folds one complete ("X") event.
-func (p *procStat) span(e event) {
+// span folds one complete ("X") event. A span whose end does not fit in
+// a uint64 cannot come from the exporter and would wrap the traced range.
+func (p *procStat) span(e event) error {
+	if e.Dur > math.MaxUint64-e.TS {
+		return fmt.Errorf("span %q at ts %d: duration %d overflows the cycle range",
+			e.Name, e.TS, e.Dur)
+	}
 	p.spanEvents++
 	if e.TS < p.minTS {
 		p.minTS = e.TS
@@ -176,6 +189,7 @@ func (p *procStat) span(e event) {
 			ch.runs = append(ch.runs, e)
 		}
 	}
+	return nil
 }
 
 // counter folds one counter ("C") sample — the stash / write-queue
@@ -265,10 +279,12 @@ func (p *procStat) printTimeline(w io.Writer, buckets int) {
 	if len(p.chans) == 0 || p.maxTS <= p.minTS {
 		return
 	}
+	// Ceiling division without the overflow of span+buckets-1: the range
+	// may reach the top of the uint64 cycle domain.
 	span := p.maxTS - p.minTS
-	width := (span + uint64(buckets) - 1) / uint64(buckets)
-	if width == 0 {
-		width = 1
+	width := span / uint64(buckets)
+	if span%uint64(buckets) != 0 {
+		width++
 	}
 	chs := make([]int, 0, len(p.chans))
 	for c := range p.chans {
@@ -281,9 +297,9 @@ func (p *procStat) printTimeline(w io.Writer, buckets int) {
 		hits := make([]uint64, buckets)
 		total := make([]uint64, buckets)
 		for _, e := range st.runs {
-			b := int((e.TS - p.minTS) / width)
-			if b >= buckets {
-				b = buckets - 1
+			b := (e.TS - p.minTS) / width
+			if b >= uint64(buckets) {
+				b = uint64(buckets) - 1
 			}
 			n := argU64(e.Args, "n")
 			total[b] += n

@@ -3,15 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
 	"iroram/internal/flight"
 )
 
-// exportEvents records a known event set and round-trips it through the
-// exporter, returning the parsed trace-event stream.
-func exportEvents(t *testing.T) []event {
+// exportTrace records a known event set and returns the exporter's
+// trace-event document.
+func exportTrace(t testing.TB) []byte {
 	t.Helper()
 	rec := flight.New(64, 1)
 	rec.SampleAccess()
@@ -29,8 +31,14 @@ func exportEvents(t *testing.T) []event {
 	if err := flight.Write(&buf, []flight.Process{{Name: "t/x", Trace: rec.Snapshot()}}); err != nil {
 		t.Fatalf("export: %v", err)
 	}
+	return buf.Bytes()
+}
+
+// exportEvents returns exportTrace's document as a parsed event stream.
+func exportEvents(t *testing.T) []event {
+	t.Helper()
 	var doc traceDoc
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(exportTrace(t), &doc); err != nil {
 		t.Fatalf("re-parse export: %v", err)
 	}
 	return doc.TraceEvents
@@ -104,4 +112,57 @@ func TestSummarizeRejectsUnknownPhase(t *testing.T) {
 	if _, err := summarize([]event{{Ph: "B", Pid: 1}}); err == nil {
 		t.Fatal("summarize accepted a begin-phase event")
 	}
+}
+
+// dramRun is a one-block DRAM run span on channel 0 of process 1.
+func dramRun(name string, ts, dur uint64) event {
+	return event{Name: name, Ph: "X", TS: ts, Dur: dur, Pid: 1, Tid: tidDramBase,
+		Args: map[string]any{"n": 1.0}}
+}
+
+// TestSummarizeRejectsOverflowingSpan: a span whose end wraps past 2^64
+// would shrink the traced range below a run's start and index the row-hit
+// timeline out of range; summarize must refuse it instead.
+func TestSummarizeRejectsOverflowingSpan(t *testing.T) {
+	procs, err := summarize([]event{dramRun("hit", 0, 10), dramRun("hit", math.MaxUint64-9, 20)})
+	if err == nil {
+		for _, p := range procs {
+			p.print(io.Discard, 10)
+		}
+		t.Fatal("summarize accepted a span whose end overflows")
+	}
+}
+
+// TestPrintTimelineFullCycleRange: spans may cover the whole uint64 cycle
+// range without overflowing, and the bucket width must not wrap to zero
+// there; the last run lands in the last bucket.
+func TestPrintTimelineFullCycleRange(t *testing.T) {
+	procs, err := summarize([]event{dramRun("hit", 0, 10), dramRun("miss", math.MaxUint64-10, 10)})
+	if err != nil {
+		t.Fatalf("summarize: %v", err)
+	}
+	var buf bytes.Buffer
+	procs[0].print(&buf, 4)
+	if want := "ch0   1.000   --    --  0.000"; !strings.Contains(buf.String(), want) {
+		t.Errorf("timeline missing %q:\n%s", want, buf.String())
+	}
+}
+
+// FuzzSummarize: no byte string may panic the analyzer. Whatever decodes
+// as a trace-event document is either rejected by summarize or prints.
+func FuzzSummarize(f *testing.F) {
+	f.Add(exportTrace(f))
+	f.Add([]byte(`{"traceEvents":[{"name":"hit","ph":"X","ts":0,"dur":10,"pid":1,"tid":16,"args":{"n":1}},` +
+		`{"name":"hit","ph":"X","ts":18446744073709551606,"dur":20,"pid":1,"tid":16,"args":{"n":1}}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		procs, err := parse(data)
+		if err != nil {
+			return
+		}
+		for _, buckets := range []int{1, 10} {
+			for _, p := range procs {
+				p.print(io.Discard, buckets)
+			}
+		}
+	})
 }

@@ -5,15 +5,11 @@
 //
 //	irsim -scheme IR-ORAM -bench mcf -requests 30000
 //	irsim -scheme Baseline -bench mix -levels 25   # Table I geometry
-//	irsim -scheme IR-ORAM -bench mcf -emit jsonl -out artifacts/
-//	irsim -bench lbm -telemetry :8080 -epochs 1000
+//	irsim -scheme IR-ORAM -bench mcf -emit jsonl -out artifacts/ -epochs 1000
 //
 // With -emit jsonl, the run additionally writes artifacts/irsim.jsonl: one
 // record carrying the full metric dump (docs/METRICS.md schema), plus the
-// epoch time series when -epochs is set. -telemetry serves the live metrics
-// snapshot as JSON over HTTP (plus /healthz and a Prometheus text-format
-// /metrics view), refreshed between simulation steps on the run's own
-// goroutine.
+// epoch time series when -epochs is set.
 //
 // With -flight <file>, the run records cycle-domain spans (one in every
 // -flight-sample path accesses) and writes them as a Chrome trace-event
@@ -31,7 +27,6 @@ import (
 	"iroram"
 	"iroram/internal/block"
 	"iroram/internal/prof"
-	"iroram/internal/telemetry"
 )
 
 // main defers to run so the pprof outputs flush on every exit path.
@@ -49,7 +44,6 @@ func run() (code int) {
 		compare      = flag.Bool("compare", false, "run every scheme on the workload and print a comparison")
 		emitMode     = flag.String("emit", "", `artifact emission: "jsonl" writes irsim.jsonl under -out`)
 		out          = flag.String("out", "", "artifact directory for -emit jsonl")
-		telemAddr    = flag.String("telemetry", "", "serve live JSON metric snapshots on this HTTP address (e.g. :8080)")
 		epochs       = flag.Uint64("epochs", 0, "record an epoch snapshot every N issued paths (0 = off)")
 		flightOut    = flag.String("flight", "", "write a Chrome trace-event file of the run to this path")
 		flightSample = flag.Uint64("flight-sample", 1,
@@ -127,36 +121,7 @@ func run() (code int) {
 		sys.AttachFlight(iroram.NewFlightRecorder(0, *flightSample))
 	}
 
-	// The telemetry callback runs between Step calls on this goroutine —
-	// the one point where a registry snapshot is consistent — and the
-	// server retains only marshalled bytes, so the System stays
-	// single-goroutine. Without -telemetry there is no callback.
-	var observe func(consumed int)
-	every := 0
-	if *telemAddr != "" {
-		tele, err := telemetry.Start(*telemAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "irsim: telemetry: %v\n", err)
-			return 2
-		}
-		defer tele.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving snapshots on http://%s/\n", tele.Addr())
-		every = *requests / 100
-		if every == 0 {
-			every = 1
-		}
-		descs := sys.Metrics().Descs()
-		observe = func(consumed int) {
-			snap := sys.Metrics().Snapshot()
-			tele.Publish(struct { //nolint:errcheck // snapshots are best-effort
-				Consumed int                     `json:"consumed"`
-				Total    int                     `json:"total"`
-				Metrics  *iroram.MetricsSnapshot `json:"metrics"`
-			}{consumed, *requests, snap})
-			tele.PublishProm(telemetry.PromText(descs, snap))
-		}
-	}
-	res := sys.RunObserved(gen, *requests, every, observe)
+	res := sys.Run(gen, *requests)
 	if code := writeFlight(*flightOut, cfg.Scheme.Name+"/"+res.Name, res.Flight); code != 0 {
 		return code
 	}
@@ -279,7 +244,7 @@ func runComparison(bench string, requests, levels int, seed uint64, emitMode, ou
 		if flightOut != "" {
 			sys.AttachFlight(iroram.NewFlightRecorder(0, flightSample))
 		}
-		res := sys.RunObserved(gen, requests, 0, nil)
+		res := sys.Run(gen, requests)
 		if emitMode == "jsonl" {
 			artifacts.Add(iroram.NewArtifactRecord("irsim", sch.Name, res.Name, "", seed, res))
 		}

@@ -47,6 +47,5 @@
 // independent of the worker count, like the tables. Instrument updates are
 // allocation-free on the simulator's access path, and epoch time series
 // (ExperimentOptions.EpochInterval, System.SetEpochInterval) are opt-in
-// because they allocate. See docs/OBSERVABILITY.md for a walkthrough,
-// including the live -telemetry HTTP endpoint.
+// because they allocate. See docs/OBSERVABILITY.md for a walkthrough.
 package iroram

@@ -136,9 +136,11 @@ func (c *Controller) rhoInstall(a block.ID) {
 			continue // already demoted
 		}
 		vleaf := block.Leaf(rawLeaf)
-		removed := r.fstash.Remove(victim) || r.tr.Remove(victim, vleaf) ||
-			(r.top != nil && r.top.Remove(victim, vleaf))
+		removed := r.fstash.Remove(victim)
 		if !removed {
+			_, removed = r.tr.Remove(victim, vleaf)
+		}
+		if !removed && (r.top == nil || !r.top.Remove(victim, vleaf)) {
 			panic(fmt.Sprintf("core: rho member %v not in small structures", victim))
 		}
 		r.member.Delete(victim)

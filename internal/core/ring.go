@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"iroram/internal/block"
-)
+import "iroram/internal/block"
 
 // ringState implements Ring ORAM (Ren et al., "Ring ORAM: Closing the Gap
 // Between Small and Large Client Storage Oblivious RAM"), which Section VII
@@ -65,10 +61,13 @@ func (r *ringState) bucket(levels, level int, leaf block.Leaf) int {
 func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 	ptype block.PathType) (found bool, foundLevel int, done uint64) {
 	r := c.ring
+	// The target moves to the stash; take it off the tree in the same walk
+	// that locates it. ServicePath below reads no tree state.
 	targetLevel := -1
 	if target.Valid() {
-		if lvl, ok := c.tr.Find(target, leaf); ok {
+		if lvl, ok := c.tr.Remove(target, leaf); ok {
 			targetLevel = lvl
+			found = true
 		}
 	}
 
@@ -103,12 +102,6 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 	reads := len(c.physBuf)
 	readDone := c.mem.ServicePath(now, c.physBuf, 0, false)
 	c.st.PhaseReadCycles += readDone - now
-	if targetLevel >= 0 {
-		if !c.tr.Remove(target, leaf) {
-			panic(fmt.Sprintf("core: ring target %v vanished from level %d", target, targetLevel))
-		}
-		found = true
-	}
 	// Reshuffle writes and nothing else; posted like Path ORAM's write
 	// phase.
 	if writes > 0 {

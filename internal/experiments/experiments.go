@@ -284,7 +284,7 @@ func (o Options) run(c cell) (sim.Result, error) {
 
 // runCell executes one cell, routing through the cross-figure cache when one
 // is configured. Counters tally the request either way: cached cells still
-// count toward progress and telemetry totals.
+// count toward the progress totals.
 func (o Options) runCell(c cell) (sim.Result, error) {
 	if o.Counters != nil {
 		o.Counters.Cells.Add(1)

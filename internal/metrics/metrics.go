@@ -14,8 +14,7 @@
 // structures they measure and updated through direct field access. The
 // Registry only binds names to those instruments — registration happens at
 // construction time, and the registry is consulted again only when a
-// Snapshot is taken (end of run, epoch boundary, or telemetry poll), never
-// per access.
+// Snapshot is taken (end of run or epoch boundary), never per access.
 //
 // # Determinism contract
 //

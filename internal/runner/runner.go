@@ -46,14 +46,6 @@ type Progress struct {
 	Elapsed time.Duration
 }
 
-// Fraction returns completion as a value in [0, 1].
-func (p Progress) Fraction() float64 {
-	if p.Total == 0 {
-		return 1
-	}
-	return float64(p.Done) / float64(p.Total)
-}
-
 // ETA estimates the remaining wall-clock time by linear extrapolation of the
 // per-cell rate observed so far; it returns 0 until the first cell lands.
 func (p Progress) ETA() time.Duration {

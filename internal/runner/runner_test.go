@@ -164,9 +164,6 @@ func TestProgressETA(t *testing.T) {
 	if eta := (Progress{Done: 5, Total: 5, Elapsed: time.Second}).ETA(); eta != 0 {
 		t.Errorf("ETA at completion = %v, want 0", eta)
 	}
-	if f := (Progress{Done: 3, Total: 4}).Fraction(); f != 0.75 {
-		t.Errorf("Fraction = %v, want 0.75", f)
-	}
 }
 
 func TestMapZeroCells(t *testing.T) {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"iroram/internal/metrics"
-	"iroram/internal/trace"
-)
+import "iroram/internal/metrics"
 
 // registerMetrics binds the system-level instruments into the registry,
 // alongside the controller's and issuer's. Like those, registration happens
@@ -83,30 +80,4 @@ func (s *System) Metrics() *metrics.Registry { return s.reg }
 // harness only turns it on when asked (-epochs).
 func (s *System) SetEpochInterval(n uint64) {
 	s.ctrl.Stats().EpochInterval = n
-}
-
-// RunObserved is Run plus a progress callback: fn(consumed) is invoked every
-// `every` consumed requests and once at the end. The callback runs on the
-// simulation goroutine between Step calls — the one point where a metrics
-// snapshot is consistent — which is how the telemetry server stays off the
-// System's single-goroutine contract. fn must not retain the System across
-// calls; every <= 0 invokes fn only at the end.
-func (s *System) RunObserved(gen trace.Generator, maxRequests, every int,
-	fn func(consumed int)) Result {
-	consumed := 0
-	for i := 0; i < maxRequests; i++ {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		s.Step(req)
-		consumed++
-		if fn != nil && every > 0 && consumed%every == 0 {
-			fn(consumed)
-		}
-	}
-	if fn != nil {
-		fn(consumed)
-	}
-	return s.Result(gen.Name())
 }

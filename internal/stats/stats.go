@@ -1,6 +1,6 @@
 // Package stats collects and reports simulator statistics: path-access
-// counters by type (Fig 2, 15), per-level histograms (Fig 6), and simple
-// text/CSV tables used by the experiment harness.
+// counters by type (Fig 2, 15), per-level histograms (Fig 6), and the
+// aligned text tables the experiment harness prints.
 //
 // The raw instruments are built on internal/metrics — LevelHist is the
 // metrics.LinearHist primitive, and every counter here is registered into a
@@ -52,15 +52,6 @@ func (c *PathCounters) Fraction(t block.PathType) float64 {
 		return 0
 	}
 	return float64(c.Paths[t]) / float64(total)
-}
-
-// Merge accumulates other into c.
-func (c *PathCounters) Merge(other PathCounters) {
-	for i, v := range other.Paths {
-		c.Paths[i] += v
-	}
-	c.BlocksRead += other.BlocksRead
-	c.BlocksWrit += other.BlocksWrit
 }
 
 // LevelHist is a histogram indexed by tree level — the metrics package's
@@ -151,49 +142,6 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "%-*s", widths[0], r)
 		for si, s := range t.Series {
 			fmt.Fprintf(&b, "  %*s", widths[si+1], formatCell(s.Values[ri]))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Markdown renders the table as a GitHub-flavored markdown table, the
-// format EXPERIMENTS.md embeds.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	b.WriteString("| benchmark |")
-	for _, s := range t.Series {
-		fmt.Fprintf(&b, " %s |", s.Name)
-	}
-	b.WriteString("\n|---|")
-	for range t.Series {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for ri, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s |", r)
-		for _, s := range t.Series {
-			fmt.Fprintf(&b, " %s |", formatCell(s.Values[ri]))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values with a header row.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString("benchmark")
-	for _, s := range t.Series {
-		b.WriteByte(',')
-		b.WriteString(s.Name)
-	}
-	b.WriteByte('\n')
-	for ri, r := range t.Rows {
-		b.WriteString(r)
-		for _, s := range t.Series {
-			fmt.Fprintf(&b, ",%g", s.Values[ri])
 		}
 		b.WriteByte('\n')
 	}

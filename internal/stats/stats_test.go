@@ -33,16 +33,6 @@ func TestPathCountersEmptyFraction(t *testing.T) {
 	}
 }
 
-func TestPathCountersMerge(t *testing.T) {
-	var a, b PathCounters
-	a.Add(block.PathData, 1, 2)
-	b.Add(block.PathDummy, 3, 4)
-	a.Merge(b)
-	if a.Total() != 2 || a.BlocksRead != 4 || a.BlocksWrit != 6 {
-		t.Errorf("merge result %+v unexpected", a)
-	}
-}
-
 func TestLevelHist(t *testing.T) {
 	h := NewLevelHist(10)
 	for l := 0; l < 10; l++ {
@@ -79,16 +69,6 @@ func TestTableAlignmentAndLookup(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tab := NewTable("t", "a", "b")
-	tab.AddSeries("s", []float64{0.5, 2})
-	csv := tab.CSV()
-	want := "benchmark,s\na,0.5\nb,2\n"
-	if csv != want {
-		t.Errorf("CSV = %q, want %q", csv, want)
 	}
 }
 
@@ -142,16 +122,5 @@ func TestGeoMeanBetweenMinMax(t *testing.T) {
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTableMarkdown(t *testing.T) {
-	tab := NewTable("Fig X", "gcc", "mcf")
-	tab.AddSeries("speedup", []float64{1.5, 0.7})
-	md := tab.Markdown()
-	for _, want := range []string{"**Fig X**", "| benchmark | speedup |", "| gcc | 1.500 |", "| mcf | 0.700 |", "|---|---|"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
 	}
 }

@@ -89,17 +89,17 @@ func (s *scanTree) find(addr block.ID, leaf block.Leaf) (int, bool) {
 	return 0, false
 }
 
-func (s *scanTree) remove(addr block.ID, leaf block.Leaf) bool {
+func (s *scanTree) remove(addr block.ID, leaf block.Leaf) (int, bool) {
 	for l := s.minLevel; l < s.levels; l++ {
 		b := s.bucket(l, leaf)
 		for i := range b.live {
 			if b.live[i] && b.ent[i].Addr == addr {
 				b.live[i] = false
-				return true
+				return l, true
 			}
 		}
 	}
-	return false
+	return 0, false
 }
 
 func (s *scanTree) place(e Entry) (int, bool) {
@@ -253,8 +253,10 @@ func TestOccupancyDifferential(t *testing.T) {
 			if gl != wl || gok != wok {
 				t.Fatalf("find %v on leaf %d: (%d,%v), oracle (%d,%v)", addr, leaf, gl, gok, wl, wok)
 			}
-			if gr, wr := tr.Remove(addr, leaf), or.remove(addr, leaf); gr != wr {
-				t.Fatalf("remove %v on leaf %d: %v, oracle %v", addr, leaf, gr, wr)
+			gl, gok = tr.Remove(addr, leaf)
+			wl, wok = or.remove(addr, leaf)
+			if gl != wl || gok != wok {
+				t.Fatalf("remove %v on leaf %d: (%d,%v), oracle (%d,%v)", addr, leaf, gl, gok, wl, wok)
 			}
 		default:
 			e := Entry{Addr: nextAddr, Leaf: leaf}

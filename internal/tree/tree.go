@@ -291,15 +291,15 @@ func (t *Tree) Find(addr block.ID, leaf block.Leaf) (level int, ok bool) {
 	return level, ok
 }
 
-// Remove deletes addr from the path of leaf; it reports whether the block
-// was found.
-func (t *Tree) Remove(addr block.ID, leaf block.Leaf) bool {
-	l, w, b, ok := t.locate(addr, leaf)
+// Remove deletes addr from the path of leaf. Like Find, it reports the
+// level the block held and whether it was found.
+func (t *Tree) Remove(addr block.ID, leaf block.Leaf) (level int, ok bool) {
+	level, w, b, ok := t.locate(addr, leaf)
 	if ok {
 		t.rec[w] &^= uint64(1) << uint(b)
-		t.occupied[l]--
+		t.occupied[level]--
 	}
-	return ok
+	return level, ok
 }
 
 // Load fills an empty tree with blocks 0..n-1, block id mapped to

@@ -126,11 +126,11 @@ func TestFillBucketPanicsOnWrongSubtree(t *testing.T) {
 func TestRemove(t *testing.T) {
 	o := tinyORAM()
 	tr := New(o, o.TopLevels)
-	tr.Place(Entry{Addr: 11, Leaf: 2})
-	if !tr.Remove(11, 2) {
-		t.Fatal("Remove failed")
+	placed, _ := tr.Place(Entry{Addr: 11, Leaf: 2})
+	if l, ok := tr.Remove(11, 2); !ok || l != placed {
+		t.Fatalf("Remove = (%d, %v), want (%d, true)", l, ok, placed)
 	}
-	if tr.Remove(11, 2) {
+	if _, ok := tr.Remove(11, 2); ok {
 		t.Fatal("double Remove should fail")
 	}
 	if tr.Occupied() != 0 {

@@ -23,8 +23,8 @@ type FigureRun struct {
 	// includes time spent waiting for the shared worker budget.
 	Elapsed time.Duration
 	// Cells counts the simulation cells the figure requested (cached cells
-	// included — they still drive progress and telemetry); Hits counts how
-	// many of those were served from the shared cell cache. Both are
+	// included — they still drive progress); Hits counts how many of
+	// those were served from the shared cell cache. Both are
 	// deterministic for every Jobs value and for Overlap on or off: an
 	// overlapped sweep replays the figures' requested cell keys in Names
 	// order after the drivers finish, so a duplicated cell's hit is always
@@ -145,8 +145,8 @@ func (s Sweep) runOverlapped(names []string, cache *cellcache.Cache, deliver fun
 		}
 		if s.ProgressFor != nil {
 			// Serialize progress observation across figures so stderr
-			// rendering and telemetry publication never race; install the
-			// wrapped observer here and keep runFigure's own hook disabled.
+			// rendering never races; install the wrapped observer here and
+			// keep runFigure's own hook disabled.
 			if obs := s.ProgressFor(name); obs != nil {
 				opts.Progress = func(p Progress) {
 					progressMu.Lock()

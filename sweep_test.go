@@ -171,7 +171,7 @@ func TestSweepStopsOnError(t *testing.T) {
 }
 
 // TestSweepSerializesProgress: overlapped figures must never invoke two
-// progress observers at once (the stderr/telemetry path is unsynchronized
+// progress observers at once (the stderr progress line is unsynchronized
 // by contract).
 func TestSweepSerializesProgress(t *testing.T) {
 	opts := QuickExperiments()
