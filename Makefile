@@ -24,12 +24,18 @@
 #                    hot-path microbenchmarks in their packages
 #   make flightcheck trace a quick fig10 run, validate it with flightstat,
 #                    and diff the trace bytes across -jobs 1 and -jobs 4
+#   make scaled      regenerate the default-scale results (-fig all at
+#                    30,000 requests, the extension figures at 20,000) and
+#                    byte-diff them against results_scaled.txt and
+#                    results_extensions.txt, as the CI scaled job does
+#                    (about 75 s on 2 CPUs; on a mismatch the outputs
+#                    stay in scaled-out/)
 #   make profile     CPU+heap profile of a quick fig10 regeneration
 #   make profile-top profile, then print the top 25 flat-cost functions
 
 GO ?= go
 
-.PHONY: build vet test race docscheck fmtcheck benchmod depcheck check bench flightcheck profile profile-top
+.PHONY: build vet test race docscheck fmtcheck benchmod depcheck check bench flightcheck scaled profile profile-top
 
 build:
 	$(GO) build ./...
@@ -80,6 +86,21 @@ flightcheck:
 	diff -r flight-j4 flight-j1
 	$(GO) run ./cmd/flightstat flight-j4/fig10.trace.json
 	rm -r flight-j4 flight-j1
+
+# The figures results_extensions.txt holds, in its order.
+EXT_FIGS = ring corun futurework ablation-sstash ablation-interval ablation-mlp ablation-plb
+
+scaled:
+	mkdir -p scaled-out
+	$(GO) build -o scaled-out/exp ./cmd/experiments
+	scaled-out/exp -fig all -requests 30000 -jobs 2 -progress=false > scaled-out/scaled.txt
+	cmp scaled-out/scaled.txt results_scaled.txt
+	: > scaled-out/extensions.txt
+	for f in $(EXT_FIGS); do \
+		scaled-out/exp -fig $$f -requests 20000 -jobs 2 -progress=false >> scaled-out/extensions.txt || exit 1; \
+	done
+	cmp scaled-out/extensions.txt results_extensions.txt
+	rm -r scaled-out
 
 profile:
 	$(GO) run ./cmd/experiments -fig fig10 -quick -progress=false \

@@ -231,15 +231,41 @@ func (p *procStat) print(w io.Writer, buckets int) {
 		fmt.Fprintln(w, "   (no span events)")
 		return
 	}
+	p.printPaths(w)
+	if p.reqs.count > 0 {
+		avg, waitPct := p.reqs.cycles/p.reqs.count, 0.0
+		if p.reqs.cycles > 0 {
+			waitPct = 100 * float64(p.reqs.wait) / float64(p.reqs.cycles)
+		}
+		fmt.Fprintf(w, "   requests: %d spans, %d cycles (avg %d), queue wait %d cycles (%.1f%%)\n",
+			p.reqs.count, p.reqs.cycles, avg, p.reqs.wait, waitPct)
+	}
+	if p.occ.samples > 0 {
+		fmt.Fprintf(w, "   occupancy: stash avg %.1f max %d; write queue avg %.1f max %d (%d samples)\n",
+			float64(p.occ.stashSum)/float64(p.occ.samples), p.occ.stashMax,
+			float64(p.occ.writeQSum)/float64(p.occ.samples), p.occ.writeQMax, p.occ.samples)
+	}
+	p.printTimeline(w, buckets)
+}
 
+// printPaths renders the per-path-type critical-path table, or one line
+// when the process holds no access or phase span (only DRAM runs, say).
+func (p *procStat) printPaths(w io.Writer) {
+	var slugs []string
+	for _, slug := range pathTypeSlugs {
+		if _, ok := p.paths[slug]; ok {
+			slugs = append(slugs, slug)
+		}
+	}
+	if len(slugs) == 0 {
+		fmt.Fprintln(w, "   (no access spans)")
+		return
+	}
 	fmt.Fprintf(w, "   %-6s %8s %12s %10s %12s %12s %12s\n",
 		"path", "count", "cycles", "avg", "read", "decrypt", "writeback")
 	var tot pathStat
-	for _, slug := range pathTypeSlugs {
-		ps, ok := p.paths[slug]
-		if !ok {
-			continue
-		}
+	for _, slug := range slugs {
+		ps := p.paths[slug]
 		avg := uint64(0)
 		if ps.count > 0 {
 			avg = ps.total / ps.count
@@ -256,20 +282,6 @@ func (p *procStat) print(w io.Writer, buckets int) {
 		fmt.Fprintf(w, "   %-6s %8d %12d %10d %12d %12d %12d\n",
 			"TOTAL", tot.count, tot.total, tot.total/tot.count, tot.read, tot.decrypt, tot.write)
 	}
-	if p.reqs.count > 0 {
-		avg, waitPct := p.reqs.cycles/p.reqs.count, 0.0
-		if p.reqs.cycles > 0 {
-			waitPct = 100 * float64(p.reqs.wait) / float64(p.reqs.cycles)
-		}
-		fmt.Fprintf(w, "   requests: %d spans, %d cycles (avg %d), queue wait %d cycles (%.1f%%)\n",
-			p.reqs.count, p.reqs.cycles, avg, p.reqs.wait, waitPct)
-	}
-	if p.occ.samples > 0 {
-		fmt.Fprintf(w, "   occupancy: stash avg %.1f max %d; write queue avg %.1f max %d (%d samples)\n",
-			float64(p.occ.stashSum)/float64(p.occ.samples), p.occ.stashMax,
-			float64(p.occ.writeQSum)/float64(p.occ.samples), p.occ.writeQMax, p.occ.samples)
-	}
-	p.printTimeline(w, buckets)
 }
 
 // printTimeline renders per-channel row-hit rates over equal time buckets.

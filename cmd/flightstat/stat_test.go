@@ -148,6 +148,44 @@ func TestPrintTimelineFullCycleRange(t *testing.T) {
 	}
 }
 
+// TestPrintWithoutAccessSpans: a process whose spans are all DRAM runs
+// prints one "(no access spans)" line in place of the per-path table and
+// still prints its row-hit timeline; one access span brings the table,
+// its row and its TOTAL back.
+func TestPrintWithoutAccessSpans(t *testing.T) {
+	runs := []event{dramRun("hit", 0, 10), dramRun("miss", 40, 10)}
+	access := event{Name: "ptd", Ph: "X", TS: 0, Dur: 50, Pid: 1, Tid: tidAccess}
+	for _, tc := range []struct {
+		name      string
+		events    []event
+		want, not []string
+	}{
+		{"runs only", runs,
+			[]string{"(no access spans)", "row-hit rate"},
+			[]string{"writeback", "TOTAL"}},
+		{"runs and an access", append(runs[:2:2], access),
+			[]string{"writeback", "ptd", "TOTAL", "row-hit rate"},
+			[]string{"(no access spans)"}},
+	} {
+		procs, err := summarize(tc.events)
+		if err != nil {
+			t.Fatalf("%s: summarize: %v", tc.name, err)
+		}
+		var buf bytes.Buffer
+		procs[0].print(&buf, 4)
+		for _, w := range tc.want {
+			if !strings.Contains(buf.String(), w) {
+				t.Errorf("%s: output missing %q:\n%s", tc.name, w, buf.String())
+			}
+		}
+		for _, w := range tc.not {
+			if strings.Contains(buf.String(), w) {
+				t.Errorf("%s: output holds %q:\n%s", tc.name, w, buf.String())
+			}
+		}
+	}
+}
+
 // FuzzSummarize: no byte string may panic the analyzer. Whatever decodes
 // as a trace-event document is either rejected by summarize or prints.
 func FuzzSummarize(f *testing.F) {

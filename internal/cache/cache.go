@@ -1,6 +1,7 @@
 // Package cache implements the set-associative write-back caches of the
-// simulated system: the LLC in front of the ORAM controller, the L1 filter
-// used when replaying raw traces, and the PLB (PosMap lookaside buffer).
+// simulated system: the LLC in front of the ORAM controller and the PLB
+// (PosMap lookaside buffer). There is no L1: the traces are L1-miss
+// streams.
 // It also provides the dirty-LRU scanner that IR-DWB's Ptr register walks
 // (Section IV-D of the paper).
 package cache
@@ -32,10 +33,6 @@ type Cache struct {
 	// setOf is a single AND on the hot path; 0 selects the modulo fallback
 	// for exotic geometries.
 	mask uint64
-	// occupied / dirtyLines are maintained incrementally by every mutator,
-	// making Occupancy and DirtyCount O(1) instead of full-line scans.
-	occupied   int
-	dirtyLines int
 	// lruSummary / dirtySummary are per-set predicate bitmaps for the
 	// IR-DWB scanner: bit si of lruSummary is set iff set si is full (has
 	// an LRU victim candidate), bit si of dirtySummary iff additionally
@@ -92,7 +89,7 @@ func (c *Cache) find(addr uint64) *way {
 
 // EnableLRUTracking allocates and fills the per-set summary bitmaps the
 // DWB scanner consumes. Scanner constructors call it; plain caches (PLB,
-// L1, non-DWB LLCs) never pay the per-mutation refresh.
+// non-DWB LLCs) never pay the per-mutation refresh.
 func (c *Cache) EnableLRUTracking() {
 	if c.lruSummary != nil {
 		return
@@ -146,9 +143,8 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	si := c.setOf(addr)
 	if w := c.findIn(si, addr); w != nil {
 		w.stamp = c.clock
-		if write && !w.dirty {
+		if write {
 			w.dirty = true
-			c.dirtyLines++
 		}
 		c.hits++
 		c.refreshSummary(si)
@@ -186,9 +182,8 @@ func (c *Cache) Insert(addr uint64, dirty bool) (victim Line) {
 	si := c.setOf(addr)
 	if w := c.findIn(si, addr); w != nil {
 		w.stamp = c.clock
-		if dirty && !w.dirty {
+		if dirty {
 			w.dirty = true
-			c.dirtyLines++
 		}
 		c.refreshSummary(si)
 		return Line{}
@@ -215,15 +210,9 @@ func (c *Cache) Insert(addr uint64, dirty bool) (victim Line) {
 		c.evictions++
 		if s[vi].dirty {
 			c.dirtyEvictions++
-			c.dirtyLines--
 		}
-	} else {
-		c.occupied++
 	}
 	s[vi] = way{addr: addr, valid: true, dirty: dirty, stamp: c.clock}
-	if dirty {
-		c.dirtyLines++
-	}
 	c.refreshSummary(si)
 	return victim
 }
@@ -234,10 +223,6 @@ func (c *Cache) Invalidate(addr uint64) (was Line) {
 	if w := c.findIn(si, addr); w != nil {
 		was = Line{Addr: w.addr, Valid: true, Dirty: w.dirty}
 		*w = way{}
-		c.occupied--
-		if was.Dirty {
-			c.dirtyLines--
-		}
 		c.refreshSummary(si)
 	}
 	return was
@@ -250,7 +235,6 @@ func (c *Cache) MarkDirty(addr uint64) bool {
 	if w := c.findIn(si, addr); w != nil {
 		if !w.dirty {
 			w.dirty = true
-			c.dirtyLines++
 			c.refreshSummary(si)
 		}
 		return true
@@ -265,7 +249,6 @@ func (c *Cache) MarkClean(addr uint64) bool {
 	if w := c.findIn(si, addr); w != nil {
 		if w.dirty {
 			w.dirty = false
-			c.dirtyLines--
 			c.refreshSummary(si)
 		}
 		return true
@@ -331,14 +314,6 @@ func (c *Cache) IsDirtyLRU(addr uint64) bool {
 	w := c.set(si)[vi]
 	return w.addr == addr && w.dirty
 }
-
-// Occupancy returns the number of valid lines. O(1): the count is
-// maintained by Insert and Invalidate.
-func (c *Cache) Occupancy() int { return c.occupied }
-
-// DirtyCount returns the number of dirty lines. O(1): the count is
-// maintained by every mutator that flips a dirty bit.
-func (c *Cache) DirtyCount() int { return c.dirtyLines }
 
 // Stats are hit/miss/eviction counters.
 type Stats struct {

@@ -68,8 +68,8 @@ func TestInsertExistingUpdates(t *testing.T) {
 	if !c.IsDirty(1) {
 		t.Error("re-insert with dirty should set dirty bit")
 	}
-	if c.Occupancy() != 1 {
-		t.Errorf("occupancy %d, want 1", c.Occupancy())
+	if valid, _ := lineCounts(c); valid != 1 {
+		t.Errorf("occupancy %d, want 1", valid)
 	}
 }
 
@@ -123,18 +123,30 @@ func TestDirtyLRU(t *testing.T) {
 	}
 }
 
+// lineCounts counts the valid and the dirty lines of c.
+func lineCounts(c *Cache) (valid, dirty int) {
+	c.EachValid(func(l Line) {
+		valid++
+		if l.Dirty {
+			dirty++
+		}
+	})
+	return valid, dirty
+}
+
 func TestOccupancyAndDirtyCount(t *testing.T) {
 	c := New(4, 2)
 	c.Insert(0, true)
 	c.Insert(1, false)
 	c.Insert(2, true)
-	if c.Occupancy() != 3 || c.DirtyCount() != 2 {
-		t.Errorf("occupancy/dirty = %d/%d, want 3/2", c.Occupancy(), c.DirtyCount())
+	if valid, dirty := lineCounts(c); valid != 3 || dirty != 2 {
+		t.Errorf("occupancy/dirty = %d/%d, want 3/2", valid, dirty)
 	}
 }
 
-// TestEachValidVisitsResidentLines checks the line walk against Contains,
-// IsDirty and Occupancy after random inserts, invalidations and evictions.
+// TestEachValidVisitsResidentLines checks the line walk against Contains
+// and IsDirty after random inserts, invalidations and evictions: it visits
+// each resident line once, and every address Contains reports.
 func TestEachValidVisitsResidentLines(t *testing.T) {
 	c := New(8, 4)
 	r := rng.New(3)
@@ -153,8 +165,14 @@ func TestEachValidVisitsResidentLines(t *testing.T) {
 		}
 		seen[l.Addr] = true
 	})
-	if len(seen) != c.Occupancy() {
-		t.Fatalf("EachValid visited %d lines, Occupancy is %d", len(seen), c.Occupancy())
+	resident := 0
+	for a := uint64(0); a < 100; a++ {
+		if c.Contains(a) {
+			resident++
+		}
+	}
+	if len(seen) != resident {
+		t.Fatalf("EachValid visited %d lines, Contains reports %d", len(seen), resident)
 	}
 }
 
@@ -169,7 +187,8 @@ func TestMissRate(t *testing.T) {
 }
 
 // TestOccupancyNeverExceedsCapacity is the basic capacity invariant under
-// random workloads.
+// random workloads: every address Contains reports holds its own line, so
+// the resident addresses never outnumber the 32 lines.
 func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -180,7 +199,14 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 				c.Insert(a, r.Bool(0.5))
 			}
 		}
-		return c.Occupancy() <= 8*4 && c.DirtyCount() <= c.Occupancy()
+		resident := 0
+		for a := uint64(0); a < 256; a++ {
+			if c.Contains(a) {
+				resident++
+			}
+		}
+		valid, _ := lineCounts(c)
+		return resident == valid && valid <= 8*4
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
@@ -213,8 +239,8 @@ func TestInclusionAfterInsert(t *testing.T) {
 			delete(resident, v.Addr)
 		}
 	}
-	if len(resident) != c.Occupancy() {
-		t.Fatalf("model %d lines vs cache %d", len(resident), c.Occupancy())
+	if valid, _ := lineCounts(c); len(resident) != valid {
+		t.Fatalf("model %d lines vs cache %d", len(resident), valid)
 	}
 }
 

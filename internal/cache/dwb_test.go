@@ -157,32 +157,6 @@ func TestSummaryBitmapsMatchPredicates(t *testing.T) {
 	}
 }
 
-// TestCountersMatchScan pins the O(1) Occupancy/DirtyCount counters against
-// a full-line recount after a random workload.
-func TestCountersMatchScan(t *testing.T) {
-	c := New(16, 4)
-	r := rng.New(9)
-	for i := 0; i < 30000; i++ {
-		applyRandomOp(c, r, 512)
-		if i%1000 != 0 {
-			continue
-		}
-		occ, dirty := 0, 0
-		for j := range c.lines {
-			if c.lines[j].valid {
-				occ++
-				if c.lines[j].dirty {
-					dirty++
-				}
-			}
-		}
-		if c.Occupancy() != occ || c.DirtyCount() != dirty {
-			t.Fatalf("step %d: counters %d/%d, scan %d/%d",
-				i, c.Occupancy(), c.DirtyCount(), occ, dirty)
-		}
-	}
-}
-
 // TestScannerRandSetValidation: an out-of-range restart set must fail
 // loudly, not index out of range later.
 func TestScannerRandSetValidation(t *testing.T) {

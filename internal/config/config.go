@@ -274,7 +274,6 @@ type System struct {
 	ORAM ORAM
 	DRAM DRAM
 	LLC  Cache
-	L1   Cache
 	CPU  CPU
 	Scheme
 	// Seed drives every random decision (leaf remaps, traces, placement).
@@ -355,10 +354,8 @@ func (s System) Validate() error {
 	if d.TRCD <= 0 || d.TCAS <= 0 || d.TRP <= 0 || d.TBurst <= 0 || d.TWR < 0 {
 		return errors.New("config: DRAM timings must be positive")
 	}
-	for _, c := range []Cache{s.LLC, s.L1} {
-		if c.CapacityBytes <= 0 || c.Ways <= 0 || c.CapacityBytes%(BlockSize*c.Ways) != 0 {
-			return fmt.Errorf("config: cache %+v geometry invalid", c)
-		}
+	if c := s.LLC; c.CapacityBytes <= 0 || c.Ways <= 0 || c.CapacityBytes%(BlockSize*c.Ways) != 0 {
+		return fmt.Errorf("config: cache %+v geometry invalid", c)
 	}
 	if s.CPU.IPC <= 0 || s.CPU.WriteQueueDepth <= 0 || s.CPU.MLP <= 0 {
 		return errors.New("config: CPU IPC, write queue depth and MLP must be positive")

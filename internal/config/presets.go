@@ -39,7 +39,6 @@ func Tiny() System {
 	s.ORAM.PLBEntries = 32
 	s.ORAM.PLBWays = 4
 	s.LLC = Cache{CapacityBytes: 64 * 1024, Ways: 8, HitLatency: 30}
-	s.L1 = Cache{CapacityBytes: 8 * 1024, Ways: 2, HitLatency: 1}
 	return s
 }
 
@@ -69,7 +68,6 @@ func withGeometry(levels int) System {
 			TWR:                   12,
 		},
 		LLC:    Cache{CapacityBytes: 2 * 1024 * 1024, Ways: 8, HitLatency: 30},
-		L1:     Cache{CapacityBytes: 256 * 1024, Ways: 2, HitLatency: 1},
 		CPU:    CPU{IPC: 4, WriteQueueDepth: 16, MLP: 4},
 		Scheme: Baseline(),
 		Seed:   1,

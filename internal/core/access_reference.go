@@ -8,10 +8,9 @@ import (
 // This file retains the pre-fusion, multi-walk shape of the path access as
 // a reference implementation: the production pipeline (pathAccess) does
 // the read-gather, stash insert, target extraction and writeback posting
-// in a single walk over the path serviced from memoized run lists; the
-// reference rebuilds the physical address list every time and services it
-// through ServicePath/PostWritePath — a fresh run build per phase, so the
-// lockstep comparison also pins the dram.PathSched memo — resolves the
+// in a single walk over the path and charges both DRAM phases from one run
+// list; the reference services the path's address list through
+// ServicePath/PostWritePath — a fresh run build per phase — resolves the
 // target's level with a separate tree.Find walk, stages the read phase
 // through readBuf before scanning it, and splits Fig 5's migration tally
 // from a membership map instead of tree.GatherFlag. DRAM timing itself has
@@ -30,7 +29,7 @@ func (c *Controller) pathAccessReference(t *pathTree, now uint64, leaf block.Lea
 		foundLevel = lvl
 	}
 
-	// Read phase from a freshly built address list, no schedule memo.
+	// Read phase from a freshly built address list.
 	c.physBuf = t.layout.PathPhys(leaf, c.physBuf[:0])
 	readDone := c.mem.ServicePath(now, c.physBuf, t.physOff, false)
 	c.st.PhaseReadCycles += readDone - now

@@ -53,8 +53,9 @@ func (c *Controller) ContextSwitch(now uint64) uint64 {
 		for j := 0; j < slots; j++ {
 			c.physBuf = append(c.physBuf, spillBase+uint64(j))
 		}
-		done = c.mem.ServicePath(done, c.physBuf, 0, true)
-		done = c.mem.ServicePath(done, c.physBuf, 0, false)
+		runs := c.physRuns(0)
+		done = c.mem.ServiceRuns(done, runs, true)
+		done = c.mem.ServiceRuns(done, runs, false)
 	}
 
 	c.st.ContextSwitches++

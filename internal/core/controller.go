@@ -85,6 +85,10 @@ type Controller struct {
 	gFound  bool
 	gLevel  int
 
+	// runBuf holds the DRAM run list of the phase being charged (built by
+	// physRuns from physBuf), reused so path accesses stay allocation-free.
+	runBuf []dram.Run
+
 	// fl, when non-nil, receives cycle-stamped span events for sampled
 	// path accesses (see AttachFlight). A nil recorder is inert, so the
 	// hot path pays one branch when tracing is off. Kept at the struct
@@ -106,11 +110,9 @@ type pathTree struct {
 	top      stash.TopStore // nil when no level is on-chip
 	fstash   *stash.FStash
 
-	// sched memoizes the tree's per-leaf DRAM run lists; nPathBlocks is its
-	// fixed per-path block count, so the hot path never needs the address
-	// list just to know its length. The tree's DRAM region starts at
-	// physOff.
-	sched       *dram.PathSched
+	// nPathBlocks is the tree's fixed per-path block count, so the hot path
+	// never needs the address list just to know its length. The tree's DRAM
+	// region starts at physOff.
 	nPathBlocks int
 	physOff     uint64
 
@@ -121,25 +123,17 @@ type pathTree struct {
 	paths uint64
 }
 
-// defaultSchedSlots caps the auto-sized schedule cache: 8192 slots of
-// scaled-geometry run lists are ~1.5 MB — enough to make repeat leaves and
-// warm benchmark loops all-hit without scaling storage with the tree.
-const defaultSchedSlots = 8192
-
 // newPathTree builds a tree of geometry o whose memory-resident levels
-// start at minLevel, laid out in DRAM from physOff, with a schedule cache
-// of min(defaultSchedSlots, leaves) slots. The caller attaches the top
-// store that holds levels [0, minLevel).
+// start at minLevel, laid out in DRAM from physOff. The caller attaches the
+// top store that holds levels [0, minLevel).
 func newPathTree(o config.ORAM, minLevel int, mem *dram.Model, physOff uint64) pathTree {
-	n := o.Z.BlocksPerPath(minLevel)
 	return pathTree{
 		o:           o,
 		minLevel:    minLevel,
 		tr:          tree.New(o, minLevel),
 		layout:      tree.NewLayout(o, minLevel, int(mem.RowBlocks())),
 		fstash:      stash.NewFStash(o.StashCapacity),
-		sched:       mem.NewPathSched(int(min(defaultSchedSlots, o.LeafCount())), n, physOff),
-		nPathBlocks: n,
+		nPathBlocks: o.Z.BlocksPerPath(minLevel),
 		physOff:     physOff,
 	}
 }
@@ -285,15 +279,11 @@ func (c *Controller) Utilization() []float64 {
 // BlocksPerPath returns the per-path DRAM block count of the main tree.
 func (c *Controller) BlocksPerPath() int { return c.nPathBlocks }
 
-// pathRuns returns the memoized DRAM run list for a path of t, building
-// and installing it on a cache miss (the only case that still generates
-// the path's physical address list).
-func (c *Controller) pathRuns(t *pathTree, leaf block.Leaf) []dram.Run {
-	if runs, ok := t.sched.Lookup(uint64(leaf)); ok {
-		return runs
-	}
-	c.physBuf = t.layout.PathPhys(leaf, c.physBuf[:0])
-	return t.sched.Install(uint64(leaf), c.physBuf)
+// physRuns groups the addresses in physBuf, each offset by off, into DRAM
+// runs and returns them (in runBuf, valid until the next call).
+func (c *Controller) physRuns(off uint64) []dram.Run {
+	c.runBuf = c.mem.AppendRuns(c.physBuf, off, c.runBuf[:0])
+	return c.runBuf
 }
 
 // pathAccess is the protocol primitive, run on either tree t: read phase
@@ -311,11 +301,11 @@ func (c *Controller) pathRuns(t *pathTree, leaf block.Leaf) []dram.Run {
 // traffic that IR-Alloc reduces.
 //
 // This is the fused single-walk pipeline: the DRAM read phase is charged
-// from the memoized per-leaf run list, one walk over the path moves every
+// from the path's run list, one walk over the path moves every
 // block straight into the stash (recording the target's level in passing,
 // where the reference shape pays a separate tree.Find walk), the eviction
 // walk refills it, and the write phase posts from the same run list. The
-// multi-walk, fresh-address-list shape is retained in access_reference.go
+// multi-walk, build-per-phase shape is retained in access_reference.go
 // and pinned against this one by TestFusedPipelineMatchesReference.
 func (c *Controller) pathAccess(t *pathTree, now uint64, leaf block.Leaf, target block.ID,
 	ptype block.PathType) (found bool, foundLevel int, done uint64) {
@@ -327,8 +317,9 @@ func (c *Controller) pathAccess(t *pathTree, now uint64, leaf block.Leaf, target
 	// disarms when it accounts the finished slot.
 	c.fl.SampleAccess()
 	// Read phase: the memory segment of the path, serviced in run-length
-	// form (no address list, no per-address decomposition on repeat leaves).
-	runs := c.pathRuns(t, leaf)
+	// form. The write phase below reuses the same run list.
+	c.physBuf = t.layout.PathPhys(leaf, c.physBuf[:0])
+	runs := c.physRuns(t.physOff)
 	readDone := c.mem.ServiceRuns(now, runs, false)
 	c.st.PhaseReadCycles += readDone - now
 

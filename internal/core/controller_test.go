@@ -143,7 +143,7 @@ func TestCheckInvariantsCatchesDuplicateWithLoss(t *testing.T) {
 func TestCheckInvariantsCatchesOnChipFaults(t *testing.T) {
 	c := warmBaseline(t)
 	var stashed tree.Entry
-	c.fstash.EachUntil(func(e tree.Entry) bool { stashed = e; return false })
+	c.fstash.Each(func(e tree.Entry) { stashed = e })
 	if c.fstash.Len() == 0 || !c.fstash.Remove(stashed.Addr) {
 		t.Fatal("warmed controller has an empty F-Stash")
 	}

@@ -62,7 +62,7 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 	ptype block.PathType) (found bool, foundLevel int, done uint64) {
 	r := c.ring
 	// The target moves to the stash; take it off the tree in the same walk
-	// that locates it. ServicePath below reads no tree state.
+	// that locates it. The DRAM read below reads no tree state.
 	targetLevel := -1
 	if target.Valid() {
 		if lvl, ok := c.tr.Remove(target, leaf); ok {
@@ -100,7 +100,7 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 		}
 	}
 	reads := len(c.physBuf)
-	readDone := c.mem.ServicePath(now, c.physBuf, 0, false)
+	readDone := c.mem.ServiceRuns(now, c.physRuns(0), false)
 	c.st.PhaseReadCycles += readDone - now
 	// Reshuffle writes and nothing else; posted like Path ORAM's write
 	// phase.
@@ -110,7 +110,7 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 		for j := 0; j < writes; j++ {
 			c.physBuf = append(c.physBuf, base+uint64(j))
 		}
-		c.mem.PostWritePath(readDone, c.physBuf, 0)
+		c.mem.PostWriteRuns(readDone, c.physRuns(0))
 	}
 	c.st.Paths.Add(ptype, reads, writes)
 	done = readDone + c.o.OnChipLatency
@@ -148,8 +148,9 @@ func (c *Controller) ringEvictPath(now uint64) uint64 {
 	for j := 0; j < extra; j++ {
 		c.physBuf = append(c.physBuf, base+uint64(j))
 	}
-	done = c.mem.ServicePath(done, c.physBuf, 0, false)
-	c.mem.PostWritePath(done, c.physBuf, 0)
+	runs := c.physRuns(0)
+	done = c.mem.ServiceRuns(done, runs, false)
+	c.mem.PostWriteRuns(done, runs)
 	// Replenish dummies along the path.
 	for l := c.minLevel; l < c.o.Levels; l++ {
 		r.dummyLeft[r.bucket(c.o.Levels, l, leaf)] = uint8(r.s)

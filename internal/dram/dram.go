@@ -8,12 +8,13 @@
 // The package has one timing implementation: run-length service. Every
 // phase — Path ORAM paths, Ring ORAM reads, reshuffles and evictions, the
 // context-switch spill — is an address list issued at one cycle in one bus
-// direction; ServicePath/PostWritePath group it into per-(channel,bank,row)
-// runs (see Run, AppendRuns) and charge one row-buffer transition plus one
-// burst accumulation per run, with PathSched memoizing the run list per
-// leaf. The original per-address servicer lives on only in oracle_test.go,
-// as the differential oracle: the randomized tests in this package require
-// bit-identical timing, statistics and state evolution from both.
+// direction; AppendRuns groups it into per-(channel,bank,row) runs (see
+// Run), and ServiceRuns/PostWriteRuns charge one row-buffer transition plus
+// one burst accumulation per run (ServicePath/PostWritePath do both steps
+// for one address list). The original per-address servicer lives on only
+// in oracle_test.go, as the differential oracle: the randomized tests in
+// this package require bit-identical timing, statistics and state
+// evolution from both.
 package dram
 
 import (
@@ -87,12 +88,10 @@ type Model struct {
 	bkShift           uint
 	chMask, bkMask    uint64
 
-	// Scratch for the run-length path service (reused, never shrunk) and
-	// the schedule caches to invalidate on Reset.
+	// Scratch for the run-length path service (reused, never shrunk).
 	lastRun    []int32  // per-channel index of the open run in AppendRuns
 	chCount    []uint64 // per-channel access counts for posted-write drains
-	runScratch []Run    // ServicePath's run list: Ring, context-switch and reference phases
-	scheds     []*PathSched
+	runScratch []Run    // the run list of ServicePath and PostWritePath
 
 	// fl, when non-nil, receives per-run service events and posted-write
 	// drain events for accesses the recorder has armed (see AttachFlight).
@@ -168,9 +167,6 @@ func (m *Model) RowBlocks() uint64 { return m.rowBlocks }
 // draining queues behind it — which is how dummy-path contention delays
 // demand requests.
 func (m *Model) ServicePath(now uint64, phys []uint64, off uint64, write bool) uint64 {
-	if len(phys) == 0 {
-		return now
-	}
 	m.runScratch = m.AppendRuns(phys, off, m.runScratch[:0])
 	return m.ServiceRuns(now, m.runScratch, write)
 }
@@ -181,21 +177,11 @@ func (m *Model) ServicePath(now uint64, phys []uint64, off uint64, write bool) u
 // rows or block later reads on bank timing — reads are prioritized over
 // buffered writes, and ORAM write phases target the rows the read phase
 // just opened. It returns the cycle the last write drains (informational;
-// callers normally don't wait on it). Posted writes only occupy channel
-// buses, so the run-length form degenerates to one per-channel access
-// count: the drain is O(channels) regardless of path length.
+// callers normally don't wait on it). The list is grouped into runs
+// (AppendRuns) and drained by PostWriteRuns.
 func (m *Model) PostWritePath(now uint64, phys []uint64, off uint64) uint64 {
-	if len(phys) == 0 {
-		return now
-	}
-	for i := range m.chCount {
-		m.chCount[i] = 0
-	}
-	nCh := uint64(m.cfg.Channels)
-	for _, a := range phys {
-		m.chCount[(a+off)%nCh]++
-	}
-	return m.drainCounts(now)
+	m.runScratch = m.AppendRuns(phys, off, m.runScratch[:0])
+	return m.PostWriteRuns(now, m.runScratch)
 }
 
 // FreeAt returns the cycle at which every channel is idle, i.e. when all
@@ -212,21 +198,6 @@ func (m *Model) FreeAt() uint64 {
 
 // Stats returns a copy of the accumulated statistics.
 func (m *Model) Stats() Stats { return m.stats }
-
-// Reset clears timing state and statistics, and invalidates every
-// PathSched created from this model.
-func (m *Model) Reset() {
-	m.stats = Stats{}
-	for i := range m.channels {
-		m.channels[i].freeAt = 0
-		for b := range m.channels[i].banks {
-			m.channels[i].banks[b] = bank{openRow: noRow}
-		}
-	}
-	for _, s := range m.scheds {
-		s.Invalidate()
-	}
-}
 
 // PathServiceBound returns an upper bound on the CPU cycles one path phase
 // of n blocks takes on an idle memory system — useful for checking that the

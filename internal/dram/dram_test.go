@@ -132,18 +132,6 @@ func TestStatsCountReadsWrites(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	m := New(testCfg())
-	m.ServiceBatch(0, reads(0, 1, 2))
-	m.Reset()
-	if m.FreeAt() != 0 {
-		t.Error("Reset should clear channel cursors")
-	}
-	if m.Stats() != (Stats{}) {
-		t.Error("Reset should clear stats")
-	}
-}
-
 func TestCompletionMonotoneInBatchSize(t *testing.T) {
 	check := func(seed uint64, n8 uint8) bool {
 		n := int(n8%32) + 1

@@ -86,9 +86,9 @@ func BenchmarkServicePath(b *testing.B) {
 	}
 }
 
-// serviceRunsRig builds the run list of one path-sized read phase once, as
-// the per-leaf schedule cache memoizes it. Its op services that list: the
-// schedule-cache hit path, which skips address decomposition entirely.
+// serviceRunsRig builds the run list of one path-sized read phase once.
+// Its op services that list: the charge half of a path phase, without the
+// address decomposition of the build.
 func serviceRunsRig() func() {
 	m := New(config.Scaled().DRAM)
 	runs := m.AppendRuns(benchAddrs(44), 0, nil)

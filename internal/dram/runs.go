@@ -1,19 +1,14 @@
 package dram
 
-import (
-	"fmt"
-
-	"iroram/internal/flight"
-)
+import "iroram/internal/flight"
 
 // This file implements run-length service, the model's only timing code.
 // The subtree data layout guarantees that a path's physical addresses
 // arrive in long same-(channel,bank,row) stretches; a per-address loop
 // would recompute that structure on every block. The run iterator below
-// pays one address decomposition per block only when a run list is built,
-// and one row-buffer state transition plus one burst accumulation per run
-// when it is serviced — with dram.PathSched memoizing the built lists per
-// leaf so repeat leaves skip the build entirely.
+// pays one address decomposition per block when a run list is built, and
+// one row-buffer state transition plus one burst accumulation per run when
+// it is serviced.
 //
 // Correctness argument: a single block transfer touches only the state of
 // the channel (bus cursor) and bank (row buffer) its address maps to, and
@@ -56,7 +51,7 @@ func (m *Model) AppendRuns(phys []uint64, off uint64, dst []Run) []Run {
 	if m.pow2 {
 		// Power-of-two geometry (every preset): map with shifts and
 		// masks — the division form below costs three 64-bit divides per
-		// address, which dominates a cold (uncached) run-list build.
+		// address, which would dominate the run-list build.
 		chShift, rowShift, bkShift := m.chShift, m.rowShift, m.bkShift
 		chMask, bkMask := m.chMask, m.bkMask
 		for _, a := range phys {
@@ -176,8 +171,9 @@ func (m *Model) ServiceRuns(now uint64, runs []Run, write bool) uint64 {
 }
 
 // PostWriteRuns drains one posted write phase given its precomputed run
-// list — PostWritePath for a memoized schedule: per-channel bus occupancy
-// only, no bank timing (see PostWritePath for the FR-FCFS rationale).
+// list: per-channel bus occupancy only, no bank timing (see PostWritePath
+// for the FR-FCFS rationale). A path's read and write phases move the same
+// blocks, so the caller can charge both from one run list.
 func (m *Model) PostWriteRuns(now uint64, runs []Run) uint64 {
 	if len(runs) == 0 {
 		return now
@@ -219,88 +215,4 @@ func (m *Model) drainCounts(now uint64) uint64 {
 		}
 	}
 	return done
-}
-
-// PathSched is a direct-mapped, per-leaf memo of path run lists for one
-// tree layout (identified by its physical base offset). The run structure
-// of a path is a pure function of (leaf, layout, model geometry), so repeat
-// leaves service straight from the table — no address generation, no
-// decomposition. Storage is preallocated flat at construction, so steady-
-// state fills are allocation-free. Model.Reset invalidates every schedule
-// created from it (the cached structure is geometry-dependent state).
-type PathSched struct {
-	m       *Model
-	off     uint64
-	mask    uint64
-	maxRuns int
-	tags    []uint64 // leaf+1; 0 marks an empty slot
-	lens    []uint32
-	runs    []Run // slot i owns runs[i*maxRuns : (i+1)*maxRuns]
-
-	// Hits and Misses count Lookup outcomes (observability + tests).
-	Hits, Misses uint64
-}
-
-// NewPathSched creates a schedule cache with at least slots direct-mapped
-// entries (rounded up to a power of two), for paths of at most maxRuns runs
-// — maxRuns = the path's block count is always a safe bound. off is the
-// layout's physical base, added to every address at build time. The cache
-// is registered with the model: Model.Reset invalidates it.
-func (m *Model) NewPathSched(slots, maxRuns int, off uint64) *PathSched {
-	if slots <= 0 || maxRuns <= 0 {
-		panic(fmt.Sprintf("dram: PathSched slots %d / maxRuns %d must be positive", slots, maxRuns))
-	}
-	n := 1
-	for n < slots {
-		n <<= 1
-	}
-	s := &PathSched{
-		m:       m,
-		off:     off,
-		mask:    uint64(n - 1),
-		maxRuns: maxRuns,
-		tags:    make([]uint64, n),
-		lens:    make([]uint32, n),
-		runs:    make([]Run, n*maxRuns),
-	}
-	m.scheds = append(m.scheds, s)
-	return s
-}
-
-// Lookup returns the memoized run list of leaf, if present.
-func (s *PathSched) Lookup(leaf uint64) ([]Run, bool) {
-	i := leaf & s.mask
-	if s.tags[i] != leaf+1 {
-		s.Misses++
-		return nil, false
-	}
-	s.Hits++
-	base := int(i) * s.maxRuns
-	return s.runs[base : base+int(s.lens[i])], true
-}
-
-// Install builds the run list for leaf from its physical address list,
-// stores it in leaf's slot (evicting whatever leaf mapped there), and
-// returns it. It panics if the path produces more than maxRuns runs, which
-// would mean the caller's bound was not the path block count.
-func (s *PathSched) Install(leaf uint64, phys []uint64) []Run {
-	i := leaf & s.mask
-	base := int(i) * s.maxRuns
-	rs := s.m.AppendRuns(phys, s.off, s.runs[base:base:base+s.maxRuns])
-	if len(rs) > s.maxRuns {
-		panic(fmt.Sprintf("dram: path of %d blocks built %d runs, bound %d",
-			len(phys), len(rs), s.maxRuns))
-	}
-	s.tags[i] = leaf + 1
-	s.lens[i] = uint32(len(rs))
-	return rs
-}
-
-// Invalidate empties the cache. Run lists depend on bank/row geometry, not
-// on mutable model state, so invalidation is only needed when the backing
-// model is reset wholesale (Model.Reset calls this).
-func (s *PathSched) Invalidate() {
-	for i := range s.tags {
-		s.tags[i] = 0
-	}
 }

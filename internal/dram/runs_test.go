@@ -304,54 +304,6 @@ func TestPathServiceBoundDominatesRunLength(t *testing.T) {
 	}
 }
 
-// TestPathSchedMemoization pins the schedule cache contract: a memoized run
-// list must service with timing identical to a fresh build, hits/misses
-// must be counted, and Model.Reset must invalidate every slot.
-func TestPathSchedMemoization(t *testing.T) {
-	cfg := config.Scaled().DRAM
-	cached := New(cfg)
-	fresh := New(cfg)
-	const off = uint64(1 << 18)
-	const maxRuns = 44
-	sched := cached.NewPathSched(64, maxRuns, off)
-
-	r := rng.New(7)
-	paths := make(map[uint64][]uint64)
-	now := uint64(0)
-	for iter := 0; iter < 500; iter++ {
-		leaf := r.Uint64n(200) // small leaf space: plenty of repeats + collisions
-		phys, ok := paths[leaf]
-		if !ok {
-			phys = make([]uint64, maxRuns)
-			for i := range phys {
-				phys[i] = r.Uint64n(1 << 20)
-			}
-			paths[leaf] = phys
-		}
-		rs, hit := sched.Lookup(leaf)
-		if !hit {
-			rs = sched.Install(leaf, phys)
-		}
-		dCached := cached.ServiceRuns(now, rs, false)
-		dFresh := fresh.ServicePath(now, phys, off, false)
-		if dCached != dFresh {
-			t.Fatalf("iter %d leaf %d (hit=%v): cached %d, fresh %d", iter, leaf, hit, dCached, dFresh)
-		}
-		now = dCached + r.Uint64n(500)
-	}
-	if cached.Stats() != fresh.Stats() {
-		t.Fatalf("stats diverge:\ncached %+v\nfresh  %+v", cached.Stats(), fresh.Stats())
-	}
-	if sched.Hits == 0 || sched.Misses == 0 {
-		t.Fatalf("expected both hits and misses, got %d hits / %d misses", sched.Hits, sched.Misses)
-	}
-
-	cached.Reset()
-	if _, hit := sched.Lookup(0); hit {
-		t.Fatal("Lookup hit after Model.Reset; schedule cache must be invalidated")
-	}
-}
-
 // TestAppendRunsPreservesChannelOrder pins the structural contract: the
 // per-address expansion of the run list is, per channel, exactly the input
 // address sequence of that channel, and run boundaries only occur at

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"iroram/internal/config"
@@ -17,6 +18,32 @@ func tinySystem(t *testing.T, sch config.Scheme) *System {
 }
 
 func universe(s *System) uint64 { return s.cfg.ORAM.DataBlocks() }
+
+// TestBuildFootprint bounds the heap one Tiny System build allocates, for
+// every Fig 10 scheme and Ring, at 2 MB. The tree, PosMap and caches take
+// about 1 MB; a per-System structure sized by the geometry rather than the
+// workload (a per-leaf memo, say) shows here first, and an experiment
+// sweep pays it once per cell.
+func TestBuildFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under -race instrumentation")
+	}
+	const limit = 2 << 20
+	for _, sch := range append(config.AllSchemes(), config.RingScheme()) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := New(config.Tiny().WithScheme(sch))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", sch.Name, err)
+		}
+		runtime.KeepAlive(s)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("%s: one Tiny build allocated %.2f MB, want under %.0f MB",
+				sch.Name, float64(got)/(1<<20), float64(limit)/(1<<20))
+		}
+	}
+}
 
 func TestRunBasic(t *testing.T) {
 	s := tinySystem(t, config.Baseline())

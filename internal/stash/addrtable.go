@@ -190,30 +190,6 @@ func (t *AddrTable) deleteAt(i uint64) {
 	t.n--
 }
 
-// Full reports whether the next insert of a new key would trigger a
-// doubling (updates of present keys never do). Callers that tolerate
-// stale entries (the lazy TopCache index) check it before Put and Sweep
-// instead, so a pre-sized table never grows — and therefore never
-// allocates — in steady state.
-func (t *AddrTable) Full() bool { return t.n >= t.grow }
-
-// Sweep deletes, in place and without allocating, every entry for which
-// keep returns false. keep must be a pure predicate of current caller
-// state: entries relocated by the back-shifts are re-examined under the
-// same predicate, so a sweep terminates with exactly the kept entries.
-func (t *AddrTable) Sweep(keep func(id block.ID, v uint32) bool) {
-	for i := uint64(0); i < uint64(len(t.keys)); {
-		k := t.keys[i]
-		if k == block.Invalid || keep(k, t.vals[i]) {
-			i++
-			continue
-		}
-		// deleteAt may back-shift a later chain entry into slot i; do not
-		// advance, so the new occupant is examined too.
-		t.deleteAt(i)
-	}
-}
-
 func (t *AddrTable) rehash(slots int) {
 	oldKeys, oldVals := t.keys, t.vals
 	t.init(slots)

@@ -107,18 +107,6 @@ func (s *FStash) Each(fn func(tree.Entry)) {
 	}
 }
 
-// EachUntil calls fn for stashed entries in storage order until fn returns
-// false. It lets scans that only need a prefix (invariant checks hunting the
-// first violation) stop early instead of visiting every entry. fn must not
-// mutate the stash.
-func (s *FStash) EachUntil(fn func(tree.Entry) bool) {
-	for _, e := range s.items {
-		if !fn(e) {
-			return
-		}
-	}
-}
-
 // TakeForBucket removes and returns up to max blocks whose leaves allow
 // placement in the bucket that the path of leaf crosses at level — the
 // per-level write-phase selection scan (retained for the core tests'

@@ -13,7 +13,6 @@ const (
 	opGetOrPut
 	opGet
 	opDelete
-	opSweep
 	numOps
 )
 
@@ -37,7 +36,7 @@ func FuzzAddrTable(f *testing.F) {
 	}
 	f.Add(slices.Concat(atBound, []byte{opPut, 0}))
 	f.Add(slices.Concat(atBound, []byte{opGetOrPut, 12}))
-	f.Add([]byte{3, opGetOrPut, 1, opGet, 1, opDelete, 1, opGet, 1, opPut, 2, opSweep, 0, opGet, 2})
+	f.Add([]byte{3, opGetOrPut, 1, opGet, 1, opDelete, 1, opGet, 1, opPut, 2, opGet, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -73,14 +72,6 @@ func FuzzAddrTable(f *testing.F) {
 					t.Fatalf("op %d: Delete(%v) = %v want %v", i, id, got, had)
 				}
 				delete(model, id)
-			case opSweep:
-				keep := func(k block.ID, v uint32) bool { return (uint64(k)+uint64(v)+uint64(id))%3 != 0 }
-				tab.Sweep(keep)
-				for k, v := range model {
-					if !keep(k, v) {
-						delete(model, k)
-					}
-				}
 			}
 			if tab.Len() != len(model) {
 				t.Fatalf("op %d: Len %d want %d", i, tab.Len(), len(model))

@@ -194,28 +194,6 @@ func TestDrainForPathMatchesTakeForPath(t *testing.T) {
 	}
 }
 
-// TestEachUntilStopsEarly verifies the early-exit contract used by the
-// controller's invariant checker.
-func TestEachUntilStopsEarly(t *testing.T) {
-	s := NewFStash(8)
-	for i := 0; i < 5; i++ {
-		s.Insert(tree.Entry{Addr: block.ID(i), Leaf: 0})
-	}
-	visited := 0
-	s.EachUntil(func(tree.Entry) bool {
-		visited++
-		return visited < 3
-	})
-	if visited != 3 {
-		t.Fatalf("visited %d entries, want 3", visited)
-	}
-	visited = 0
-	s.EachUntil(func(tree.Entry) bool { visited++; return true })
-	if visited != 5 {
-		t.Fatalf("full walk visited %d entries, want 5", visited)
-	}
-}
-
 // TestTakeForBucketAppendsToDst pins the buffered contract: selections are
 // appended behind whatever dst already holds.
 func TestTakeForBucketAppendsToDst(t *testing.T) {

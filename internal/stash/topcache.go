@@ -57,20 +57,8 @@ type AddrIndex interface {
 // [nodeLo[n], nodeLo[n]+z[l]); its live entries are the dense prefix of
 // length cnt[n], appended to by Fill and compacted by Remove's
 // swap-with-last — the exact array dynamics of the historical per-node
-// slices, so ReadPath emission order is unchanged.
-//
-// An AddrTable maps addresses to their global slot, making Find and Remove
-// O(1) instead of a scan over every node on the path. The index is lazy:
-// Fill and the Remove swap keep every RESIDENT block's mapping current,
-// but eviction walks and removals leave the departing key's entry behind
-// as garbage rather than paying a backward-shift delete per block on the
-// hot path. Lookups verify a mapping against the store (the slot's live
-// prefix and its recorded address) before trusting it, which is sound
-// because a resident block always has an up-to-date mapping — a stale
-// entry can only belong to an absent block or point at a reused slot, and
-// both fail verification. When garbage would force the table to grow, Fill
-// sweeps the dead entries out in place instead, so the index never
-// allocates after construction.
+// slices, so ReadPath emission order is unchanged. Find and Remove scan the
+// live prefixes of the path's at most topLevels buckets.
 type TopCache struct {
 	topLevels int
 	levels    int
@@ -79,11 +67,8 @@ type TopCache struct {
 
 	slotAddr []uint32
 	slotLeaf []uint32
-	nodeLo   []uint32   // heap node -> first slot of its range
-	cnt      []uint16   // heap node -> live-prefix length
-	slotNode []uint32   // slot -> owning heap node (static)
-	slotLvl  []uint8    // slot -> level (static)
-	index    *AddrTable // addr -> global slot; lazy, verify before trusting
+	nodeLo   []uint32 // heap node -> first slot of its range
+	cnt      []uint16 // heap node -> live-prefix length
 }
 
 // NewTopCache allocates an empty cache for levels [0, topLevels) of a tree
@@ -110,31 +95,7 @@ func NewTopCache(levels, topLevels int, z []int) *TopCache {
 	}
 	t.slotAddr = make([]uint32, slots)
 	t.slotLeaf = make([]uint32, slots)
-	t.slotNode = make([]uint32, slots)
-	t.slotLvl = make([]uint8, slots)
-	for l := 0; l < topLevels; l++ {
-		for i := 0; i < 1<<uint(l); i++ {
-			n := (1 << uint(l)) + i
-			lo := t.nodeLo[n]
-			for s := lo; s < lo+uint32(z[l]); s++ {
-				t.slotNode[s] = uint32(n)
-				t.slotLvl[s] = uint8(l)
-			}
-		}
-	}
-	// Doubly oversized (4x the live-entry bound) so lazy garbage forces an
-	// in-place sweep only once per couple hundred fills. Not larger: the
-	// table competes with the slot arrays for L1, and a bigger, colder
-	// index costs more per Put than the rarer sweeps save.
-	t.index = NewAddrTable(2 * int(slots))
 	return t
-}
-
-// liveAt reports whether the index mapping id -> s is current: s must sit
-// in its node's live prefix and still hold id.
-func (t *TopCache) liveAt(id block.ID, s uint32) bool {
-	n := t.slotNode[s]
-	return s-t.nodeLo[n] < uint32(t.cnt[n]) && t.slotAddr[s] == uint32(id)
 }
 
 func (t *TopCache) node(level int, leaf block.Leaf) int {
@@ -186,50 +147,39 @@ func (t *TopCache) Fill(level int, leaf block.Leaf, e tree.Entry) bool {
 	t.slotLeaf[s] = uint32(e.Leaf)
 	t.cnt[n]++
 	t.occupied[level]++
-	if t.index.Full() {
-		t.index.Sweep(t.liveAt)
-	}
-	t.index.Put(e.Addr, s)
 	return true
 }
 
-// Find implements TopStore: one verified index probe instead of a scan
-// over every node on the path. The node check rejects blocks resident in
-// the cache but not on this leaf's path.
-func (t *TopCache) Find(addr block.ID, leaf block.Leaf) (int, bool) {
-	s, ok := t.index.Get(addr)
-	if !ok || !t.liveAt(addr, s) {
-		return 0, false
+// locate returns the level, heap node and slot that hold addr on the path
+// of leaf, scanning each level's live prefix from the root down.
+func (t *TopCache) locate(addr block.ID, leaf block.Leaf) (level, n int, s uint32, ok bool) {
+	for l := 0; l < t.topLevels; l++ {
+		n := t.node(l, leaf)
+		for s := t.nodeLo[n]; s < t.nodeLo[n]+uint32(t.cnt[n]); s++ {
+			if block.ID(t.slotAddr[s]) == addr {
+				return l, n, s, true
+			}
+		}
 	}
-	l := int(t.slotLvl[s])
-	if int(t.slotNode[s]) != t.node(l, leaf) {
-		return 0, false
-	}
-	return l, true
+	return 0, 0, 0, false
 }
 
-// Remove implements TopStore: verified index lookup, then swap-with-last
-// compaction of the owning node's live prefix (the historical slice
-// dynamics). The removed key's index entry is left to lazy reclamation.
+// Find implements TopStore.
+func (t *TopCache) Find(addr block.ID, leaf block.Leaf) (int, bool) {
+	l, _, _, ok := t.locate(addr, leaf)
+	return l, ok
+}
+
+// Remove implements TopStore: swap-with-last compaction of the owning
+// node's live prefix (the historical slice dynamics).
 func (t *TopCache) Remove(addr block.ID, leaf block.Leaf) bool {
-	s, ok := t.index.Get(addr)
-	if !ok || !t.liveAt(addr, s) {
-		return false
-	}
-	l := int(t.slotLvl[s])
-	n := int(t.slotNode[s])
-	if n != t.node(l, leaf) {
+	l, n, s, ok := t.locate(addr, leaf)
+	if !ok {
 		return false
 	}
 	last := t.nodeLo[n] + uint32(t.cnt[n]) - 1
-	if s != last {
-		moved := t.slotAddr[last]
-		t.slotAddr[s] = moved
-		t.slotLeaf[s] = t.slotLeaf[last]
-		// moved is resident, so its key is present: this Put updates in
-		// place, and AddrTable grows only on an insert of a new key.
-		t.index.Put(block.ID(moved), s)
-	}
+	t.slotAddr[s] = t.slotAddr[last]
+	t.slotLeaf[s] = t.slotLeaf[last]
 	t.cnt[n]--
 	t.occupied[l]--
 	return true

@@ -10,11 +10,10 @@ import (
 )
 
 // shadowTop is the historical per-node-slice tree-top cache retained as the
-// differential oracle for the SoA + lazy-index TopCache: dense per-node
-// slices, appended by fills and compacted by swap-with-last removals, with
-// Find and Remove scanning the path's nodes linearly. Its emission and
-// compaction dynamics are the contract the indexed implementation must
-// reproduce exactly.
+// differential oracle for the slot-array TopCache: dense per-node slices,
+// appended by fills and compacted by swap-with-last removals, with Find and
+// Remove scanning the path's nodes linearly. Its emission and compaction
+// dynamics are the contract the slot arrays must reproduce exactly.
 type shadowTop struct {
 	topLevels, levels int
 	z                 []int
@@ -87,13 +86,12 @@ func (s *shadowTop) lenAt(level int) uint64 {
 	return n
 }
 
-// TestTopCacheDifferential churns the indexed TopCache and the linear-scan
+// TestTopCacheDifferential churns the TopCache and the per-node-slice
 // shadow through a randomized schedule of fills, path drains, probes and
 // removals, asserting identical refusals, hits, emission order and
 // occupancy after every step. The schedule is long relative to the tiny
-// top's slot count, so the lazy address index accumulates garbage past its
-// growth bound and must sweep (in place) several times inside the run —
-// the reclamation path a short unit test never reaches.
+// top's slot count, so every slot is filled, compacted and reused many
+// times inside the run.
 func TestTopCacheDifferential(t *testing.T) {
 	o := config.Tiny().ORAM
 	tc := NewTopCache(o.Levels, o.TopLevels, o.Z)
@@ -159,42 +157,6 @@ func TestTopCacheDifferential(t *testing.T) {
 	}
 	if g := tc.Len(); g != total {
 		t.Fatalf("Len = %d, shadow %d", g, total)
-	}
-}
-
-// TestTopCacheRemoveKeepsIndexSize: a Remove that lands while the lazy
-// index sits at its growth bound re-puts the block its swap-with-last
-// moves. That key is present, so the Put is an update and must leave the
-// index at its size; the next Fill sweeps the dead keys out instead.
-func TestTopCacheRemoveKeepsIndexSize(t *testing.T) {
-	o := config.Tiny().ORAM
-	tc := NewTopCache(o.Levels, o.TopLevels, o.Z)
-	pairs, fresh := loadTopStore(tc, o)
-	// Churn fresh addresses through one slot: every Remove leaves a dead
-	// key behind, until the index reaches its bound.
-	p := pairs[0]
-	for !tc.index.Full() {
-		if !tc.Remove(p.addr, p.leaf) {
-			t.Fatal("resident block not removed")
-		}
-		p.addr, fresh = fresh, fresh+1
-		if !tc.Fill(p.level, p.leaf, tree.Entry{Addr: p.addr, Leaf: p.leaf}) {
-			t.Fatal("fill of the freed slot refused")
-		}
-	}
-	// Remove the first of the root bucket's blocks, so the swap-with-last
-	// moves another resident into its slot.
-	const root = 1 // heap index of the level-0 bucket
-	if tc.cnt[root] < 2 {
-		t.Fatalf("root bucket holds %d blocks, want at least 2", tc.cnt[root])
-	}
-	s := tc.nodeLo[root]
-	slots := len(tc.index.keys)
-	if !tc.Remove(block.ID(tc.slotAddr[s]), block.Leaf(tc.slotLeaf[s])) {
-		t.Fatal("root block not removed")
-	}
-	if got := len(tc.index.keys); got != slots {
-		t.Fatalf("Remove at the index bound grew the index from %d to %d slots", slots, got)
 	}
 }
 
