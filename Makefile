@@ -9,8 +9,11 @@
 #                    experiment engine must stay race-clean)
 #   make docscheck   gate: exported facade/metrics identifiers must carry doc
 #                    comments, docs/METRICS.md must match the metrics
-#                    registry's self-description both ways, and README's
-#                    flag tables must match the declared cmd flags both ways
+#                    registry's self-description both ways, README's
+#                    flag tables must match the declared cmd flags both
+#                    ways, and the cmd/, examples/ and internal/ layout
+#                    lists of README.md and DESIGN.md must match the
+#                    directories both ways
 #   make fmtcheck    gate: every Go file is gofmt-clean
 #   make benchmod    vet + tests of the nested benchmark/ module, which the
 #                    root ./... patterns skip but which compiles against

@@ -15,7 +15,12 @@
 //     must appear as a backticked `-name` token in the README, and every
 //     flag a README flag-table row names in its first cell must be
 //     declared by one of those commands, so the documented surface can
-//     neither omit a flag nor keep a retired one.
+//     neither omit a flag nor keep a retired one;
+//   - a `cmd/{…}`, `examples/{…}` or `internal/{…}` layout list in
+//     README.md or DESIGN.md disagrees with the directories under cmd/,
+//     examples/ or internal/: every listed name must be a directory, and
+//     every directory must be listed, so the layout can neither keep a
+//     deleted program nor omit a new one.
 //
 // Run from the repository root (as the Makefile does): paths are relative.
 package main
@@ -28,6 +33,7 @@ import (
 	"go/token"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 
 	"iroram"
@@ -59,11 +65,17 @@ func run() int {
 		return 2
 	}
 	bad += n
+	n, err = auditLayout([]string{"README.md", "DESIGN.md"}, "cmd", "examples", "internal")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		return 2
+	}
+	bad += n
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problems\n", bad)
 		return 1
 	}
-	fmt.Println("docscheck: godoc coverage, docs/METRICS.md and README flags in sync ok")
+	fmt.Println("docscheck: godoc coverage, docs/METRICS.md, README flags and layout lists in sync ok")
 	return 0
 }
 
@@ -226,6 +238,61 @@ func auditFlagsDoc(readme string, dirs ...string) (int, error) {
 				fmt.Fprintf(os.Stderr, "docscheck: %s: flag table documents -%s, which no audited command declares\n",
 					readme, m[1])
 				bad++
+			}
+		}
+	}
+	return bad, nil
+}
+
+// layoutList matches a brace list of a layout block, such as
+// "cmd/{irsim,experiments}"; a list may wrap across lines.
+var layoutList = regexp.MustCompile(`(?m)^([a-z]+)/\{([^}]*)\}`)
+
+// auditLayout checks the layout lists of each document against the
+// subdirectories of each top-level dir, both ways: every name a dir's
+// lists give must be a subdirectory, and every subdirectory must be
+// listed. A document with no list for a dir fails too.
+func auditLayout(docs []string, dirs ...string) (int, error) {
+	bad := 0
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			return 0, err
+		}
+		lists := map[string][]string{}
+		for _, m := range layoutList.FindAllStringSubmatch(string(data), -1) {
+			for _, name := range strings.Split(m[2], ",") {
+				lists[m[1]] = append(lists[m[1]], strings.TrimSpace(name))
+			}
+		}
+		for _, dir := range dirs {
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				return 0, err
+			}
+			names, ok := lists[dir]
+			if !ok {
+				fmt.Fprintf(os.Stderr, "docscheck: %s: no %s/{…} layout list\n", doc, dir)
+				bad++
+				continue
+			}
+			exists := map[string]bool{}
+			for _, e := range entries {
+				if !e.IsDir() {
+					continue
+				}
+				exists[e.Name()] = true
+				if !slices.Contains(names, e.Name()) {
+					fmt.Fprintf(os.Stderr, "docscheck: %s: layout list omits %s/%s\n", doc, dir, e.Name())
+					bad++
+				}
+			}
+			for _, name := range names {
+				if !exists[name] {
+					fmt.Fprintf(os.Stderr, "docscheck: %s: layout list names %s/%s, which does not exist\n",
+						doc, dir, name)
+					bad++
+				}
 			}
 		}
 	}

@@ -7,23 +7,10 @@ import (
 	"math"
 	"os"
 	"sort"
-)
 
-// The thread-id vocabulary of the exporter (internal/flight/export.go):
-// one trace process per simulated cell, with fixed thread roles.
-const (
-	tidRequest   = 1
-	tidAccess    = 2
-	tidRead      = 3
-	tidDecrypt   = 4
-	tidWrite     = 5
-	tidOccupancy = 6
-	tidDramBase  = 16
+	"iroram/internal/block"
+	"iroram/internal/flight"
 )
-
-// pathTypeSlugs is the exporter's span-name vocabulary on the access and
-// phase threads, in block.PathType order.
-var pathTypeSlugs = []string{"ptd", "ptp1", "ptp2", "ptm", "evict", "dwb"}
 
 // event is one Chrome trace-event JSON object, restricted to the fields the
 // simulator emits.
@@ -153,32 +140,32 @@ func (p *procStat) span(e event) error {
 		return ps
 	}
 	switch e.Tid {
-	case tidRequest:
+	case flight.TidRequest:
 		p.reqs.count++
 		p.reqs.cycles += e.Dur
 		p.reqs.wait += argU64(e.Args, "wait")
-	case tidAccess:
+	case flight.TidAccess:
 		ps := pathOf()
 		ps.count++
 		ps.total += e.Dur
-	case tidRead:
+	case flight.TidRead:
 		ps := pathOf()
 		ps.read += e.Dur
 		ps.readN++
-	case tidDecrypt:
+	case flight.TidDecrypt:
 		ps := pathOf()
 		ps.decrypt += e.Dur
 		ps.decryptN++
-	case tidWrite:
+	case flight.TidWrite:
 		ps := pathOf()
 		ps.write += e.Dur
 		ps.writeN++
 	default:
-		if e.Tid >= tidDramBase && e.Name != "drain" {
-			ch, ok := p.chans[e.Tid-tidDramBase]
+		if e.Tid >= flight.TidDramBase && e.Name != "drain" {
+			ch, ok := p.chans[e.Tid-flight.TidDramBase]
 			if !ok {
 				ch = &chanStat{}
-				p.chans[e.Tid-tidDramBase] = ch
+				p.chans[e.Tid-flight.TidDramBase] = ch
 			}
 			n := argU64(e.Args, "n")
 			if e.Name == "hit" {
@@ -195,7 +182,7 @@ func (p *procStat) span(e event) error {
 // counter folds one counter ("C") sample — the stash / write-queue
 // occupancy series.
 func (p *procStat) counter(e event) {
-	if e.Tid != tidOccupancy {
+	if e.Tid != flight.TidOccupancy {
 		return
 	}
 	stash, writeQ := argU64(e.Args, "stash"), argU64(e.Args, "writeq")
@@ -252,8 +239,8 @@ func (p *procStat) print(w io.Writer, buckets int) {
 // when the process holds no access or phase span (only DRAM runs, say).
 func (p *procStat) printPaths(w io.Writer) {
 	var slugs []string
-	for _, slug := range pathTypeSlugs {
-		if _, ok := p.paths[slug]; ok {
+	for t := 0; t < block.NumPathTypes; t++ {
+		if slug := block.PathType(t).Slug(); p.paths[slug] != nil {
 			slugs = append(slugs, slug)
 		}
 	}

@@ -116,7 +116,7 @@ func TestSummarizeRejectsUnknownPhase(t *testing.T) {
 
 // dramRun is a one-block DRAM run span on channel 0 of process 1.
 func dramRun(name string, ts, dur uint64) event {
-	return event{Name: name, Ph: "X", TS: ts, Dur: dur, Pid: 1, Tid: tidDramBase,
+	return event{Name: name, Ph: "X", TS: ts, Dur: dur, Pid: 1, Tid: flight.TidDramBase,
 		Args: map[string]any{"n": 1.0}}
 }
 
@@ -154,7 +154,7 @@ func TestPrintTimelineFullCycleRange(t *testing.T) {
 // its row and its TOTAL back.
 func TestPrintWithoutAccessSpans(t *testing.T) {
 	runs := []event{dramRun("hit", 0, 10), dramRun("miss", 40, 10)}
-	access := event{Name: "ptd", Ph: "X", TS: 0, Dur: 50, Pid: 1, Tid: tidAccess}
+	access := event{Name: "ptd", Ph: "X", TS: 0, Dur: 50, Pid: 1, Tid: flight.TidAccess}
 	for _, tc := range []struct {
 		name      string
 		events    []event

@@ -77,19 +77,22 @@ func (t PathType) String() string {
 	return fmt.Sprintf("PathType(%d)", uint8(t))
 }
 
-// Op is the kind of a user memory request.
-type Op uint8
+var pathTypeSlugs = [...]string{
+	PathData:  "ptd",
+	PathPos1:  "ptp1",
+	PathPos2:  "ptp2",
+	PathDummy: "ptm",
+	PathEvict: "evict",
+	PathDWB:   "dwb",
+}
 
-const (
-	// Read is a load miss from the LLC.
-	Read Op = iota
-	// Write is a store / dirty write-back toward memory.
-	Write
-)
-
-func (o Op) String() string {
-	if o == Read {
-		return "read"
+// Slug returns the path type's stable lower-case name: the component of its
+// metric names (oram_paths_<slug>, docs/METRICS.md) and the name of its
+// flight-trace access and phase spans. Both are recorded schemas, so a
+// type's slug never changes. An unknown type reads "pt<n>".
+func (t PathType) Slug() string {
+	if int(t) < len(pathTypeSlugs) {
+		return pathTypeSlugs[t]
 	}
-	return "write"
+	return fmt.Sprintf("pt%d", uint8(t))
 }

@@ -54,8 +54,17 @@ func TestPathTypeNames(t *testing.T) {
 	}
 }
 
-func TestOpString(t *testing.T) {
-	if Read.String() != "read" || Write.String() != "write" {
-		t.Error("Op names wrong")
+func TestPathTypeSlugs(t *testing.T) {
+	want := []string{"ptd", "ptp1", "ptp2", "ptm", "evict", "dwb"}
+	if len(want) != NumPathTypes {
+		t.Fatalf("%d slugs for %d path types", len(want), NumPathTypes)
+	}
+	for pt, slug := range want {
+		if got := PathType(pt).Slug(); got != slug {
+			t.Errorf("%v: slug %q, want %q", PathType(pt), got, slug)
+		}
+	}
+	if got := PathType(99).Slug(); got != "pt99" {
+		t.Errorf("unknown path type slug %q, want pt99", got)
 	}
 }

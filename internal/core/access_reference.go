@@ -9,11 +9,11 @@ import (
 // a reference implementation: the production pipeline (pathAccess) does
 // the read-gather, stash insert, target extraction and writeback posting
 // in a single walk over the path and charges both DRAM phases from one run
-// list; the reference services the path's address list through
-// ServicePath/PostWritePath — a fresh run build per phase — resolves the
-// target's level with a separate tree.Find walk, stages the read phase
-// through readBuf before scanning it, and splits Fig 5's migration tally
-// from a membership map instead of tree.GatherFlag. DRAM timing itself has
+// list; the reference builds the path's run list afresh for each phase
+// (physRuns, then ServiceRuns or PostWriteRuns), resolves the target's
+// level with a separate tree.Find walk, stages the read phase through
+// readBuf before scanning it, and splits Fig 5's migration tally from a
+// membership map instead of tree.GatherFlag. DRAM timing itself has
 // one implementation (internal/dram's run-length service); its per-address
 // oracle lives in that package's oracle_test.go. Both pipelines must
 // produce identical timing, statistics, stash order and tree state for
@@ -31,7 +31,7 @@ func (c *Controller) pathAccessReference(t *pathTree, now uint64, leaf block.Lea
 
 	// Read phase from a freshly built address list.
 	c.physBuf = t.layout.PathPhys(leaf, c.physBuf[:0])
-	readDone := c.mem.ServicePath(now, c.physBuf, t.physOff, false)
+	readDone := c.mem.ServiceRuns(now, c.physRuns(t.physOff), false)
 	c.st.PhaseReadCycles += readDone - now
 
 	c.readBuf = t.tr.ReadPath(leaf, c.readBuf[:0])
@@ -57,7 +57,7 @@ func (c *Controller) pathAccessReference(t *pathTree, now uint64, leaf block.Lea
 		func(e tree.Entry, level int, _ bool) { t.mig.add(level, fetched[e.Addr]) }, nil)
 	t.mig.flush(c.st)
 
-	writeDone := c.mem.PostWritePath(readDone, c.physBuf, t.physOff)
+	writeDone := c.mem.PostWriteRuns(readDone, c.physRuns(t.physOff))
 	c.st.PhaseWriteBackCycles += writeDone - readDone
 
 	c.st.Paths.Add(ptype, len(c.physBuf), len(c.physBuf))

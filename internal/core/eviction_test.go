@@ -12,6 +12,14 @@ import (
 	"iroram/internal/tree"
 )
 
+// postWriteMainPath drains the write phase of leaf's main-tree path the
+// way the fused pipeline does: a fresh run list, posted to the write
+// buffer.
+func postWriteMainPath(c *Controller, now uint64, leaf block.Leaf) {
+	c.physBuf = c.layout.PathPhys(leaf, c.physBuf[:0])
+	c.mem.PostWriteRuns(now, c.physRuns(0))
+}
+
 // TestEvictionDifferential replays every write phase of a long randomized
 // workload through both eviction implementations and checks that they agree
 // on the one property the experiments depend on: how MANY blocks land at
@@ -105,7 +113,7 @@ func TestEvictionDifferential(t *testing.T) {
 				if got, want := c.fstash.Len(), shadow.Len(); got != want {
 					t.Fatalf("access %d: stash residue diverges: single-pass %d, reference %d", i, got, want)
 				}
-				c.mem.PostWritePath(now, c.layout.PathPhys(leaf, c.physBuf[:0]), 0)
+				postWriteMainPath(c, now, leaf)
 
 				if i%500 == 0 {
 					if err := c.CheckInvariants(); err != nil {
@@ -261,7 +269,7 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 						t.Fatalf("access %d: flag leaked into stash residue on %v", i, e.Addr)
 					}
 				})
-				c.mem.PostWritePath(now, c.layout.PathPhys(leaf, c.physBuf[:0]), 0)
+				postWriteMainPath(c, now, leaf)
 
 				if i%500 == 0 {
 					if err := c.CheckInvariants(); err != nil {

@@ -5,18 +5,6 @@ import (
 	"iroram/internal/metrics"
 )
 
-// pathTypeSlugs are the stable metric-name components for each path type —
-// part of the JSONL schema (docs/METRICS.md), so they must never change for
-// an existing type.
-var pathTypeSlugs = [block.NumPathTypes]string{
-	block.PathData:  "ptd",
-	block.PathPos1:  "ptp1",
-	block.PathPos2:  "ptp2",
-	block.PathDummy: "ptm",
-	block.PathEvict: "evict",
-	block.PathDWB:   "dwb",
-}
-
 // RegisterMetrics binds every controller statistic into r under the
 // "oram_" namespace. Registration happens once at System construction; the
 // hot path keeps updating the Stats fields directly, so this adds no work
@@ -27,7 +15,7 @@ func (c *Controller) RegisterMetrics(r *metrics.Registry) {
 	st := c.st
 
 	for t := 0; t < block.NumPathTypes; t++ {
-		slug := pathTypeSlugs[t]
+		slug := block.PathType(t).Slug()
 		r.Counter("oram_paths_"+slug, "paths",
 			"path accesses of type "+block.PathType(t).String(), &st.Paths.Paths[t])
 		r.Histogram("oram_path_latency_"+slug, "cycles",

@@ -9,12 +9,12 @@
 // phase — Path ORAM paths, Ring ORAM reads, reshuffles and evictions, the
 // context-switch spill — is an address list issued at one cycle in one bus
 // direction; AppendRuns groups it into per-(channel,bank,row) runs (see
-// Run), and ServiceRuns/PostWriteRuns charge one row-buffer transition plus
-// one burst accumulation per run (ServicePath/PostWritePath do both steps
-// for one address list). The original per-address servicer lives on only
-// in oracle_test.go, as the differential oracle: the randomized tests in
-// this package require bit-identical timing, statistics and state
-// evolution from both.
+// Run), and the caller charges them with ServiceRuns (a read or write
+// phase on bank timing) or PostWriteRuns (a posted write drain): one
+// row-buffer transition plus one burst accumulation per run. The original
+// per-address servicer lives on only in oracle_test.go, as the
+// differential oracle: the randomized tests in this package require
+// bit-identical timing, statistics and state evolution from both.
 package dram
 
 import (
@@ -89,9 +89,8 @@ type Model struct {
 	chMask, bkMask    uint64
 
 	// Scratch for the run-length path service (reused, never shrunk).
-	lastRun    []int32  // per-channel index of the open run in AppendRuns
-	chCount    []uint64 // per-channel access counts for posted-write drains
-	runScratch []Run    // the run list of ServicePath and PostWritePath
+	lastRun []int32  // per-channel index of the open run in AppendRuns
+	chCount []uint64 // per-channel access counts for posted-write drains
 
 	// fl, when non-nil, receives per-run service events and posted-write
 	// drain events for accesses the recorder has armed (see AttachFlight).
@@ -137,7 +136,6 @@ func New(cfg config.DRAM) *Model {
 	}
 	m.lastRun = make([]int32, cfg.Channels)
 	m.chCount = make([]uint64, cfg.Channels)
-	m.runScratch = make([]Run, 0, 64)
 	nCh, nBk := uint64(cfg.Channels), uint64(cfg.BanksPerChannel)
 	if nCh&(nCh-1) == 0 && nBk&(nBk-1) == 0 && m.rowBlocks&(m.rowBlocks-1) == 0 {
 		m.pow2 = true
@@ -152,37 +150,6 @@ func New(cfg config.DRAM) *Model {
 
 // RowBlocks returns the number of 64 B blocks per DRAM row.
 func (m *Model) RowBlocks() uint64 { return m.rowBlocks }
-
-// ServicePath services one phase of block transfers starting no earlier
-// than now and returns the cycle at which the last transfer finishes. Every
-// address in phys is offset by off (the tree's physical base; 0 for the
-// main tree) and serviced in the given direction; the list is grouped into
-// runs (AppendRuns) and charged by ServiceRuns.
-//
-// The model pipelines banks behind a shared per-channel data bus, the way
-// DDR controllers do: a row miss charges precharge (+ write recovery) and
-// activate on the *bank*, which overlaps with other banks' data transfers;
-// only the tBURST data beats serialize on the channel bus. Channel cursors
-// persist across phases, so a phase issued while an earlier one is
-// draining queues behind it — which is how dummy-path contention delays
-// demand requests.
-func (m *Model) ServicePath(now uint64, phys []uint64, off uint64, write bool) uint64 {
-	m.runScratch = m.AppendRuns(phys, off, m.runScratch[:0])
-	return m.ServiceRuns(now, m.runScratch, write)
-}
-
-// PostWritePath queues one write phase (addresses offset by off) the way an
-// FR-FCFS controller's write buffer drains it: the transfers occupy the
-// channel data buses (delaying everything issued later) but do not close
-// rows or block later reads on bank timing — reads are prioritized over
-// buffered writes, and ORAM write phases target the rows the read phase
-// just opened. It returns the cycle the last write drains (informational;
-// callers normally don't wait on it). The list is grouped into runs
-// (AppendRuns) and drained by PostWriteRuns.
-func (m *Model) PostWritePath(now uint64, phys []uint64, off uint64) uint64 {
-	m.runScratch = m.AppendRuns(phys, off, m.runScratch[:0])
-	return m.PostWriteRuns(now, m.runScratch)
-}
 
 // FreeAt returns the cycle at which every channel is idle, i.e. when all
 // previously issued traffic has drained.

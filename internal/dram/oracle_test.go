@@ -4,7 +4,7 @@ package dram
 // one-transfer-at-a-time timing loop that the run-length service in
 // runs.go replaced. Production code no longer runs it; it stays here as
 // the differential oracle that runs_test.go, path_test.go, dram_test.go and
-// dram_more_test.go compare ServicePath/PostWritePath/ServiceRuns against.
+// dram_more_test.go compare ServiceRuns/PostWriteRuns against.
 // Both must produce bit-identical timing, statistics and state evolution
 // for the same access sequence.
 

@@ -7,12 +7,25 @@ import (
 	"iroram/internal/rng"
 )
 
+// servicePath groups phys (each address offset by off) into runs and
+// services them in one direction: the two steps of every production read
+// or write phase.
+func servicePath(m *Model, now uint64, phys []uint64, off uint64, write bool) uint64 {
+	return m.ServiceRuns(now, m.AppendRuns(phys, off, nil), write)
+}
+
+// postWritePath groups phys into runs and drains them as one posted write
+// phase.
+func postWritePath(m *Model, now uint64, phys []uint64, off uint64) uint64 {
+	return m.PostWriteRuns(now, m.AppendRuns(phys, off, nil))
+}
+
 // TestServicePathMatchesServiceBatch drives two models through the same
-// randomized phase sequence — one via the []Access API, one via the
-// zero-copy []uint64 API — and requires identical completion times,
-// statistics and channel state. ServicePath/PostWritePath are the hot-path
-// twins of ServiceBatch/PostWrites; any timing divergence would silently
-// change every experiment table.
+// randomized phase sequence — one via the per-address []Access oracle, one
+// via run lists built from the zero-copy []uint64 address list — and
+// requires identical completion times, statistics and channel state. The
+// run-length service is the hot-path twin of ServiceBatch/PostWrites; any
+// timing divergence would silently change every experiment table.
 func TestServicePathMatchesServiceBatch(t *testing.T) {
 	cfg := config.Scaled().DRAM
 	batch := New(cfg)
@@ -31,12 +44,12 @@ func TestServicePathMatchesServiceBatch(t *testing.T) {
 			accs[i] = Access{Addr: phys[i] + off, Write: write}
 		}
 		dBatch := batch.ServiceBatch(now, accs)
-		dPath := path.ServicePath(now, phys, off, write)
+		dPath := servicePath(path, now, phys, off, write)
 		if dBatch != dPath {
 			t.Fatalf("iter %d: service time diverges: batch %d, path %d", iter, dBatch, dPath)
 		}
 		pBatch := batch.PostWrites(dBatch, accs)
-		pPath := path.PostWritePath(dPath, phys, off)
+		pPath := postWritePath(path, dPath, phys, off)
 		if pBatch != pPath {
 			t.Fatalf("iter %d: post-write drain diverges: batch %d, path %d", iter, pBatch, pPath)
 		}
@@ -54,11 +67,11 @@ func TestServicePathMatchesServiceBatch(t *testing.T) {
 // TestServicePathEmpty pins the no-op contract shared with ServiceBatch.
 func TestServicePathEmpty(t *testing.T) {
 	m := New(config.Scaled().DRAM)
-	if got := m.ServicePath(42, nil, 0, false); got != 42 {
-		t.Fatalf("empty ServicePath = %d, want 42", got)
+	if got := servicePath(m, 42, nil, 0, false); got != 42 {
+		t.Fatalf("empty read phase = %d, want 42", got)
 	}
-	if got := m.PostWritePath(42, nil, 0); got != 42 {
-		t.Fatalf("empty PostWritePath = %d, want 42", got)
+	if got := postWritePath(m, 42, nil, 0); got != 42 {
+		t.Fatalf("empty posted write phase = %d, want 42", got)
 	}
 	if m.Stats() != (Stats{}) {
 		t.Fatalf("empty phases touched stats: %+v", m.Stats())
@@ -73,16 +86,19 @@ func benchAddrs(n int) []uint64 {
 	return phys
 }
 
-// BenchmarkServicePath measures one path-sized read phase via the
-// zero-copy physical address list.
+// BenchmarkServicePath measures one path-sized read phase from its
+// physical address list: the run-list build into a reused buffer plus its
+// service.
 func BenchmarkServicePath(b *testing.B) {
 	m := New(config.Scaled().DRAM)
 	phys := benchAddrs(44)
+	var runs []Run
 	b.ReportAllocs()
 	b.ResetTimer()
 	var now uint64
 	for i := 0; i < b.N; i++ {
-		now = m.ServicePath(now, phys, 0, false)
+		runs = m.AppendRuns(phys, 0, runs[:0])
+		now = m.ServiceRuns(now, runs, false)
 	}
 }
 

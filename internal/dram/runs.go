@@ -92,11 +92,18 @@ func (m *Model) AppendRuns(phys []uint64, off uint64, dst []Run) []Run {
 }
 
 // ServiceRuns services one read or write path phase given its precomputed
-// run list, starting no earlier than now (see ServicePath for the bank and
-// bus model). Timing, statistics and channel/bank state evolution are
-// identical to servicing the per-address expansion of the runs one
-// transfer at a time; the returned cycle is when the last transfer
-// finishes on its channel bus.
+// run list (AppendRuns), starting no earlier than now, and returns the
+// cycle at which the last transfer finishes on its channel bus. Timing,
+// statistics and channel/bank state evolution are identical to servicing
+// the per-address expansion of the runs one transfer at a time.
+//
+// The model pipelines banks behind a shared per-channel data bus, the way
+// DDR controllers do: a row miss charges precharge (+ write recovery) and
+// activate on the *bank*, which overlaps with other banks' data transfers;
+// only the tBURST data beats serialize on the channel bus. Channel cursors
+// persist across phases, so a phase issued while an earlier one is
+// draining queues behind it — which is how dummy-path contention delays
+// demand requests.
 func (m *Model) ServiceRuns(now uint64, runs []Run, write bool) uint64 {
 	done := now
 	var total, hits, misses uint64
@@ -170,10 +177,15 @@ func (m *Model) ServiceRuns(now uint64, runs []Run, write bool) uint64 {
 	return done
 }
 
-// PostWriteRuns drains one posted write phase given its precomputed run
-// list: per-channel bus occupancy only, no bank timing (see PostWritePath
-// for the FR-FCFS rationale). A path's read and write phases move the same
-// blocks, so the caller can charge both from one run list.
+// PostWriteRuns queues one write phase given its precomputed run list
+// (AppendRuns) the way an FR-FCFS controller's write buffer drains it: the
+// transfers occupy the channel data buses (delaying everything issued
+// later) but do not close rows or block later reads on bank timing — reads
+// are prioritized over buffered writes, and ORAM write phases target the
+// rows the read phase just opened. It returns the cycle the last write
+// drains (informational; callers normally don't wait on it). A path's read
+// and write phases move the same blocks, so the caller can charge both
+// from one run list.
 func (m *Model) PostWriteRuns(now uint64, runs []Run) uint64 {
 	if len(runs) == 0 {
 		return now

@@ -46,13 +46,13 @@ func expand(phys []uint64, off uint64, write bool) []Access {
 // the other — and fails on any divergence in completion time.
 func diffStep(t *testing.T, iter int, runs, oracle *Model, now uint64, phys []uint64, off uint64, write bool) uint64 {
 	t.Helper()
-	dRuns := runs.ServicePath(now, phys, off, write)
+	dRuns := servicePath(runs, now, phys, off, write)
 	dOracle := oracle.ServiceBatch(now, expand(phys, off, write))
 	if dRuns != dOracle {
 		t.Fatalf("iter %d: service time diverges: run-length %d, per-address %d",
 			iter, dRuns, dOracle)
 	}
-	pRuns := runs.PostWritePath(dRuns, phys, off)
+	pRuns := postWritePath(runs, dRuns, phys, off)
 	pOracle := oracle.PostWrites(dOracle, expand(phys, off, false))
 	if pRuns != pOracle {
 		t.Fatalf("iter %d: post-write drain diverges: run-length %d, per-address %d",
@@ -296,7 +296,7 @@ func TestPathServiceBoundDominatesRunLength(t *testing.T) {
 		m := New(sys.DRAM) // idle, cold rows — the bound's premise
 		leaf := block.Leaf(r.Uint64n(sys.ORAM.LeafCount()))
 		phys = layout.PathPhys(leaf, phys[:0])
-		took := m.ServicePath(0, phys, 0, iter%2 == 0)
+		took := servicePath(m, 0, phys, 0, iter%2 == 0)
 		if bound := m.PathServiceBound(len(phys)); took > bound {
 			t.Fatalf("iter %d leaf %d: run-length service of %d blocks took %d cycles, bound %d",
 				iter, leaf, len(phys), took, bound)

@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"sort"
+
+	"iroram/internal/block"
 )
 
 // Process pairs a trace with the display name of the cell that produced
@@ -17,28 +19,20 @@ type Process struct {
 	Trace *Trace
 }
 
-// Thread IDs inside each exported process. DRAM channels start at
-// tidDramBase so controller rows sort above the per-channel rows.
+// Thread IDs inside each exported process: one thread per controller
+// role, and one per DRAM channel c at TidDramBase + c, so controller rows
+// sort above the per-channel rows. Access and phase spans are named by
+// their path type's block.PathType.Slug. cmd/flightstat reads traces by
+// the same IDs.
 const (
-	tidRequest   = 1
-	tidAccess    = 2
-	tidRead      = 3
-	tidDecrypt   = 4
-	tidWrite     = 5
-	tidOccupancy = 6
-	tidDramBase  = 16
+	TidRequest   = 1  // demand requests through the issuer
+	TidAccess    = 2  // whole path accesses
+	TidRead      = 3  // read phases
+	TidDecrypt   = 4  // on-chip decrypt/evict phases
+	TidWrite     = 5  // posted writeback phases
+	TidOccupancy = 6  // stash and write-queue occupancy samples
+	TidDramBase  = 16 // DRAM channel 0
 )
-
-// pathTypeSlugs names access/phase spans by path type, mirroring the
-// block.PathType order and the metric-name slugs of docs/METRICS.md.
-var pathTypeSlugs = [...]string{"ptd", "ptp1", "ptp2", "ptm", "evict", "dwb"}
-
-func slugOf(sub uint8) string {
-	if int(sub) < len(pathTypeSlugs) {
-		return pathTypeSlugs[sub]
-	}
-	return fmt.Sprintf("pt%d", sub)
-}
 
 // jsonEvent is one Chrome trace-event object. Field order is fixed by
 // the struct, and args maps marshal with sorted keys, so the exported
@@ -63,24 +57,24 @@ func render(e Event, pid int) jsonEvent {
 	switch e.Kind {
 	case KindAccess:
 		ts, dur := span(e.Start, e.End)
-		return jsonEvent{Name: slugOf(e.Sub), Ph: "X", TS: ts, Dur: dur,
-			Pid: pid, Tid: tidAccess, Args: map[string]any{"leaf": e.Arg}}
+		return jsonEvent{Name: block.PathType(e.Sub).Slug(), Ph: "X", TS: ts, Dur: dur,
+			Pid: pid, Tid: TidAccess, Args: map[string]any{"leaf": e.Arg}}
 	case KindPhaseRead:
 		ts, dur := span(e.Start, e.End)
-		return jsonEvent{Name: slugOf(e.Sub), Ph: "X", TS: ts, Dur: dur,
-			Pid: pid, Tid: tidRead}
+		return jsonEvent{Name: block.PathType(e.Sub).Slug(), Ph: "X", TS: ts, Dur: dur,
+			Pid: pid, Tid: TidRead}
 	case KindPhaseDecrypt:
 		ts, dur := span(e.Start, e.End)
-		return jsonEvent{Name: slugOf(e.Sub), Ph: "X", TS: ts, Dur: dur,
-			Pid: pid, Tid: tidDecrypt}
+		return jsonEvent{Name: block.PathType(e.Sub).Slug(), Ph: "X", TS: ts, Dur: dur,
+			Pid: pid, Tid: TidDecrypt}
 	case KindPhaseWrite:
 		ts, dur := span(e.Start, e.End)
-		return jsonEvent{Name: slugOf(e.Sub), Ph: "X", TS: ts, Dur: dur,
-			Pid: pid, Tid: tidWrite}
+		return jsonEvent{Name: block.PathType(e.Sub).Slug(), Ph: "X", TS: ts, Dur: dur,
+			Pid: pid, Tid: TidWrite}
 	case KindRequest:
 		ts, dur := span(e.Start, e.End)
 		return jsonEvent{Name: "miss", Ph: "X", TS: ts, Dur: dur,
-			Pid: pid, Tid: tidRequest,
+			Pid: pid, Tid: TidRequest,
 			Args: map[string]any{"addr": e.Arg, "wait": e.Aux}}
 	case KindDramRun:
 		name := "miss"
@@ -89,40 +83,40 @@ func render(e Event, pid int) jsonEvent {
 		}
 		ts, dur := span(e.Start, e.End)
 		return jsonEvent{Name: name, Ph: "X", TS: ts, Dur: dur,
-			Pid: pid, Tid: tidDramBase + int(e.Ch),
+			Pid: pid, Tid: TidDramBase + int(e.Ch),
 			Args: map[string]any{"bank": e.Bank, "row": e.Arg, "n": e.Aux}}
 	case KindDramDrain:
 		ts, dur := span(e.Start, e.End)
 		return jsonEvent{Name: "drain", Ph: "X", TS: ts, Dur: dur,
-			Pid: pid, Tid: tidDramBase + int(e.Ch),
+			Pid: pid, Tid: TidDramBase + int(e.Ch),
 			Args: map[string]any{"n": e.Aux}}
 	case KindOccupancy:
 		return jsonEvent{Name: "occupancy", Ph: "C", TS: e.Start,
-			Pid: pid, Tid: tidOccupancy,
+			Pid: pid, Tid: TidOccupancy,
 			Args: map[string]any{"stash": e.Arg, "writeq": e.Aux}}
 	default:
 		ts, dur := span(e.Start, e.End)
 		return jsonEvent{Name: e.Kind.String(), Ph: "X", TS: ts, Dur: dur,
-			Pid: pid, Tid: tidOccupancy}
+			Pid: pid, Tid: TidOccupancy}
 	}
 }
 
 func threadName(tid int) string {
 	switch tid {
-	case tidRequest:
+	case TidRequest:
 		return "requests"
-	case tidAccess:
+	case TidAccess:
 		return "access"
-	case tidRead:
+	case TidRead:
 		return "phase:read"
-	case tidDecrypt:
+	case TidDecrypt:
 		return "phase:decrypt"
-	case tidWrite:
+	case TidWrite:
 		return "phase:writeback"
-	case tidOccupancy:
+	case TidOccupancy:
 		return "occupancy"
 	default:
-		return fmt.Sprintf("dram ch%d", tid-tidDramBase)
+		return fmt.Sprintf("dram ch%d", tid-TidDramBase)
 	}
 }
 

@@ -78,9 +78,6 @@ func (h *Hist) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// Bucket returns the raw count of bucket i (see BucketBounds).
-func (h *Hist) Bucket(i int) uint64 { return h.counts[i] }
-
 // BucketIndex returns the bucket a value falls into: its bit length.
 func BucketIndex(v uint64) int { return bits.Len64(v) }
 

@@ -35,47 +35,6 @@ type Generator interface {
 	Next() (req Request, ok bool)
 }
 
-// Collect drains up to n requests from g.
-func Collect(g Generator, n int) []Request {
-	out := make([]Request, 0, n)
-	for len(out) < n {
-		req, ok := g.Next()
-		if !ok {
-			break
-		}
-		out = append(out, req)
-	}
-	return out
-}
-
-// Slice replays a fixed request slice as a Generator.
-type Slice struct {
-	name string
-	reqs []Request
-	pos  int
-}
-
-// NewSlice wraps reqs as a finite trace.
-func NewSlice(name string, reqs []Request) *Slice {
-	return &Slice{name: name, reqs: reqs}
-}
-
-// Name implements Generator.
-func (s *Slice) Name() string { return s.name }
-
-// Next implements Generator.
-func (s *Slice) Next() (Request, bool) {
-	if s.pos >= len(s.reqs) {
-		return Request{}, false
-	}
-	r := s.reqs[s.pos]
-	s.pos++
-	return r, true
-}
-
-// Reset rewinds the trace to the beginning.
-func (s *Slice) Reset() { s.pos = 0 }
-
 // PatternKind selects the address pattern of the cold (LLC-missing) region.
 type PatternKind uint8
 

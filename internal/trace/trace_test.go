@@ -1,13 +1,38 @@
 package trace
 
-import (
-	"bytes"
-	"errors"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 const testUniverse = 1 << 23
+
+// fixed replays a request slice as a finite Generator.
+type fixed struct {
+	name string
+	reqs []Request
+}
+
+func (f *fixed) Name() string { return f.name }
+
+func (f *fixed) Next() (Request, bool) {
+	if len(f.reqs) == 0 {
+		return Request{}, false
+	}
+	r := f.reqs[0]
+	f.reqs = f.reqs[1:]
+	return r, true
+}
+
+// collect drains up to n requests from g.
+func collect(g Generator, n int) []Request {
+	var out []Request
+	for len(out) < n {
+		req, ok := g.Next()
+		if !ok {
+			break
+		}
+		out = append(out, req)
+	}
+	return out
+}
 
 func TestSynthDeterminism(t *testing.T) {
 	a := MustBenchmark("mcf", testUniverse, 7)
@@ -120,27 +145,11 @@ func TestRandomCoversUniverse(t *testing.T) {
 	}
 }
 
-func TestSliceGenerator(t *testing.T) {
-	reqs := []Request{{Addr: 1}, {Addr: 2, Write: true}, {Addr: 3}}
-	s := NewSlice("fixed", reqs)
-	got := Collect(s, 10)
-	if len(got) != 3 {
-		t.Fatalf("collected %d, want 3", len(got))
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("exhausted slice should report ok=false")
-	}
-	s.Reset()
-	if r, ok := s.Next(); !ok || r.Addr != 1 {
-		t.Error("Reset did not rewind")
-	}
-}
-
 func TestMixRoundRobin(t *testing.T) {
-	a := NewSlice("a", []Request{{Addr: 1}, {Addr: 2}})
-	b := NewSlice("b", []Request{{Addr: 10}})
+	a := &fixed{"a", []Request{{Addr: 1}, {Addr: 2}}}
+	b := &fixed{"b", []Request{{Addr: 10}}}
 	m := NewMix("m", a, b)
-	got := Collect(m, 10)
+	got := collect(m, 10)
 	want := []uint64{1, 10, 2}
 	if len(got) != len(want) {
 		t.Fatalf("collected %d, want %d", len(got), len(want))
@@ -153,10 +162,10 @@ func TestMixRoundRobin(t *testing.T) {
 }
 
 func TestConcatOrderAndLimits(t *testing.T) {
-	a := NewSlice("a", []Request{{Addr: 1}, {Addr: 2}, {Addr: 3}})
-	b := NewSlice("b", []Request{{Addr: 10}, {Addr: 11}})
+	a := &fixed{"a", []Request{{Addr: 1}, {Addr: 2}, {Addr: 3}}}
+	b := &fixed{"b", []Request{{Addr: 10}, {Addr: 11}}}
 	c := NewConcat("c", []Generator{a, b}, []int{2, 0})
-	got := Collect(c, 10)
+	got := collect(c, 10)
 	want := []uint64{1, 2, 10, 11}
 	if len(got) != len(want) {
 		t.Fatalf("collected %d, want %d", len(got), len(want))
@@ -170,87 +179,8 @@ func TestConcatOrderAndLimits(t *testing.T) {
 
 func TestUtilizationTraceProportions(t *testing.T) {
 	g := UtilizationTrace(testUniverse, 4000, 1)
-	reqs := Collect(g, 5000)
+	reqs := collect(g, 5000)
 	if len(reqs) != 4000 {
 		t.Fatalf("collected %d, want 4000", len(reqs))
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	reqs := Collect(MustBenchmark("xz", testUniverse, 11), 500)
-	var buf bytes.Buffer
-	if err := Write(&buf, "xz", reqs); err != nil {
-		t.Fatal(err)
-	}
-	name, got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "xz" {
-		t.Errorf("name %q, want xz", name)
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("got %d records, want %d", len(got), len(reqs))
-	}
-	for i := range got {
-		if got[i] != reqs[i] {
-			t.Fatalf("record %d: %+v != %+v", i, got[i], reqs[i])
-		}
-	}
-}
-
-func TestFileRoundTripProperty(t *testing.T) {
-	check := func(addrs []uint32, seed uint64) bool {
-		reqs := make([]Request, len(addrs))
-		for i, a := range addrs {
-			reqs[i] = Request{Addr: uint64(a), Write: a%3 == 0, GapInstr: a % 1000}
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, "prop", reqs); err != nil {
-			return false
-		}
-		name, got, err := Read(&buf)
-		if err != nil || name != "prop" || len(got) != len(reqs) {
-			return false
-		}
-		for i := range got {
-			if got[i] != reqs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// garbageTraces are binary trace files Read must reject with ErrBadFormat.
-var garbageTraces = [][]byte{
-	nil,
-	[]byte("nope"),
-	[]byte("IRTR\x02"),               // bad version
-	append([]byte("IRTR\x01"), 0xff), // truncated varint
-	// 2^32 records claimed, none present: must not preallocate them.
-	[]byte("IRTR\x01\x00\x80\x80\x80\x80\x10"),
-	[]byte("IRTR\x01\x00\x01\x05\x00\x02"), // flag byte other than 0 and 1
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	for i, c := range garbageTraces {
-		if _, _, err := Read(bytes.NewReader(c)); !errors.Is(err, ErrBadFormat) {
-			t.Errorf("case %d: err = %v, want ErrBadFormat", i, err)
-		}
-	}
-}
-
-func TestReadRejectsTruncatedRecords(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, "t", []Request{{Addr: 5}, {Addr: 6}}); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	if _, _, err := Read(bytes.NewReader(full[:len(full)-1])); err == nil {
-		t.Error("expected error for truncated file")
 	}
 }

@@ -4,8 +4,9 @@
 // physical layout of Ren et al. that gives path accesses DRAM row-buffer
 // locality.
 //
-// The tree stores only the memory-resident levels [MinLevel, Levels); the
-// on-chip top levels live in internal/stash (dedicated TopCache or S-Stash).
+// The tree stores only the memory-resident levels, from the minLevel given
+// to New down to the leaves; the on-chip top levels live in internal/stash
+// (dedicated TopCache or S-Stash).
 //
 // # Bucket records
 //
@@ -122,9 +123,6 @@ func entryOf(s uint64) Entry {
 
 // Levels returns L.
 func (t *Tree) Levels() int { return t.levels }
-
-// MinLevel returns the shallowest memory-resident level.
-func (t *Tree) MinLevel() int { return t.minLevel }
 
 // Z returns the bucket size of a level.
 func (t *Tree) Z(level int) int { return t.z[level] }
