@@ -29,12 +29,41 @@ func TestPaperClaims(t *testing.T) {
 		}
 		return tab
 	}
+	fig3 := get("Fig 3: space utilization per tree level (Baseline, mix + random tail)")
+	fig5 := get("Fig 5: write-phase placement level by block origin")
+	fig6 := get("Fig 6: level at which requested blocks are found")
 	fig10 := get("Fig 10: speedup over Baseline")
 	fig11 := get("Fig 11: IR-Stash+IR-Alloc over an LLC-D baseline")
 	fig12 := get("Fig 12: IR-Alloc configurations (normalized time; bg-eviction share)")
+	fig13 := get("Fig 13: space utilization per tree level under IR-Alloc")
 	fig14 := get("Fig 14: PosMap accesses of IR-Stash normalized to Baseline")
 	fig15 := get("Fig 15: access type distribution under IR-DWB")
+	fig16 := get("Fig 16: IR-Alloc scalability on random traces")
 	prot := get("Ablation: IR-Alloc speedup with and without timing protection")
+
+	t.Run("Fig5/pre-existing_halves_L00_to_L02", func(t *testing.T) {
+		for _, r := range [][2]string{{"L00", "L01"}, {"L01", "L02"}} {
+			hi, lo := fig5.cell(t, r[0], "pre-existing"), fig5.cell(t, r[1], "pre-existing")
+			if q := lo / hi; q < 0.45 || q > 0.55 {
+				t.Errorf("pre-existing %s %.3f is %.2f of %s %.3f, not half", r[1], lo, q, r[0], hi)
+			}
+		}
+	})
+	t.Run("Fig5/fetched_share_at_L18-L20_is_0.325", func(t *testing.T) {
+		sum := 0.0
+		for _, r := range []string{"L18", "L19", "L20"} {
+			sum += fig5.cell(t, r, "fetched")
+		}
+		if math.Abs(sum-0.325) > 0.0005 {
+			t.Errorf("fetched share at L18-L20 is %.3f", sum)
+		}
+	})
+
+	t.Run("Fig6/L09_cumulative_below_0.1", func(t *testing.T) {
+		if v := fig6.cell(t, "L09", "cumulative"); v >= 0.1 {
+			t.Errorf("cumulative share through L09 %.3f", v)
+		}
+	})
 
 	t.Run("Fig10/gmean_order", func(t *testing.T) {
 		// IR-ORAM > IR-Alloc > Rho > IR-Stash > IR-DWB > Baseline (1).
@@ -143,6 +172,16 @@ func TestPaperClaims(t *testing.T) {
 		}
 	})
 
+	t.Run("Fig13/L10-L12_above_Fig3_at_25-100%", func(t *testing.T) {
+		for _, r := range []string{"L10", "L11", "L12"} {
+			for _, c := range []string{"25%", "50%", "75%", "100%"} {
+				if alloc, base := fig13.cell(t, r, c), fig3.cell(t, r, c); alloc <= base {
+					t.Errorf("%s at %s: %.3f under IR-Alloc, %.3f in Fig 3", r, c, alloc, base)
+				}
+			}
+		}
+	})
+
 	t.Run("Fig14/mean_below_1", func(t *testing.T) {
 		if v := fig14.cell(t, "mean", "normalized PosMap accesses"); v >= 1 {
 			t.Errorf("mean normalized PosMap accesses %.3f", v)
@@ -160,6 +199,14 @@ func TestPaperClaims(t *testing.T) {
 			base, dwb := fig15.cell(t, r, "dummy (Baseline)"), fig15.cell(t, r, "dummy (IR-DWB)")
 			if dwb > base {
 				t.Errorf("%s: dummy share rises from %.3f to %.3f under IR-DWB", r, base, dwb)
+			}
+		}
+	})
+
+	t.Run("Fig16/every_speedup_above_1_stddev_at_most_0.003", func(t *testing.T) {
+		for _, r := range fig16.rows {
+			if v, sd := fig16.cell(t, r, "speedup"), fig16.cell(t, r, "stddev"); v <= 1 || sd > 0.003 {
+				t.Errorf("%s: speedup %.3f, stddev %.3f", r, v, sd)
 			}
 		}
 	})

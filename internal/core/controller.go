@@ -124,15 +124,16 @@ type pathTree struct {
 }
 
 // newPathTree builds a tree of geometry o whose memory-resident levels
-// start at minLevel, laid out in DRAM from physOff. The caller attaches the
-// top store that holds levels [0, minLevel).
-func newPathTree(o config.ORAM, minLevel int, mem *dram.Model, physOff uint64) pathTree {
+// start at minLevel, laid out in DRAM from physOff, with an F-Stash that
+// can hold any of the unified space's blocks. The caller attaches the top
+// store that holds levels [0, minLevel).
+func newPathTree(o config.ORAM, minLevel int, mem *dram.Model, physOff, blocks uint64) pathTree {
 	return pathTree{
 		o:           o,
 		minLevel:    minLevel,
 		tr:          tree.New(o, minLevel),
 		layout:      tree.NewLayout(o, minLevel, int(mem.RowBlocks())),
-		fstash:      stash.NewFStash(o.StashCapacity),
+		fstash:      stash.NewFStash(o.StashCapacity, blocks),
 		nPathBlocks: o.Z.BlocksPerPath(minLevel),
 		physOff:     physOff,
 	}
@@ -175,10 +176,11 @@ func NewController(cfg config.System, mem *dram.Model, r *rng.Source) (*Controll
 	if cfg.Scheme.Top != config.TopNone {
 		minLevel = o.TopLevels
 	}
+	pm := posmap.New(o, r.Fork())
 	c := &Controller{
 		cfg:       cfg,
-		pm:        posmap.New(o, r.Fork()),
-		pathTree:  newPathTree(o, minLevel, mem, 0),
+		pm:        pm,
+		pathTree:  newPathTree(o, minLevel, mem, 0, pm.Total()),
 		plb:       cache.New(o.PLBEntries/o.PLBWays, o.PLBWays),
 		mem:       mem,
 		rng:       r,
@@ -188,15 +190,15 @@ func NewController(cfg config.System, mem *dram.Model, r *rng.Source) (*Controll
 	c.mig = newPlaceCounts(o.Levels)
 	// The gather closure stages path blocks in c.gathered instead of
 	// inserting them into the stash: the eviction drain that runs one walk
-	// later would take them right back out, and the index round-trip (a
-	// hash insert plus a swap-maintaining removal per block) is the single
-	// largest per-path cost the fused pipeline eliminates. DrainForPath
-	// folds the staged blocks in with the exact ordering the insert/remove
-	// sequence would have produced. Staged entries carry tree.GatherFlag —
-	// the this-path provenance bit the write phase strips into onPlace's
-	// fetched argument — so no membership set is consulted per placement.
-	// The extracted target never reaches the write phase flagged: it is
-	// remapped and re-Inserted (or parked in the LLC) by the caller.
+	// later would take them right back out, so the round-trip (an append
+	// and a membership bit set, then cleared, per block) would be pure
+	// overhead. DrainForPath folds the staged blocks in with the exact
+	// ordering the insert/remove sequence would have produced. Staged
+	// entries carry tree.GatherFlag — the this-path provenance bit the
+	// write phase strips into onPlace's fetched argument — so no membership
+	// set is consulted per placement. The extracted target never reaches
+	// the write phase flagged: it is remapped and re-Inserted (or parked in
+	// the LLC) by the caller.
 	c.gather = func(e tree.Entry, level int) {
 		if e.Addr == c.gTarget {
 			c.gFound, c.gLevel = true, level

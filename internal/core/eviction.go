@@ -139,8 +139,8 @@ func fillMemoryLevels(fs *stash.FStash, tr *tree.Tree,
 		lists[l] = lists[l][:0]
 	}
 	// gathered holds the blocks the fused read walk just pulled off the
-	// path, kept out of the stash index because this drain would remove
-	// them again immediately; DrainForPath classifies them and the resident
+	// path, kept out of the stash because this drain would remove them
+	// again immediately; DrainForPath classifies them and the resident
 	// entries in the exact order inserting them first would have produced.
 	// Callers that pre-inserted (the reference pipelines and the eviction
 	// tests) pass gathered == nil.
@@ -215,18 +215,22 @@ func fillMemoryLevels(fs *stash.FStash, tr *tree.Tree,
 // fillTopLevels is the second half of evictOntoPath: it offers the pool in
 // buf, joined by lists[l] at each on-chip level l, to top, and returns the
 // blocks that fit nowhere in pool order. buf[:refused] holds the blocks a
-// set conflict has refused. Each level offers the rest in order until its
-// bucket is full; a refusal joins the prefix, and the unoffered tail keeps
-// its order behind it.
+// set conflict has refused, buf[refused:r] is dead (placed blocks, or
+// refusals already moved down into the prefix), and buf[r:] is the
+// unoffered tail in pool order. The read cursor r carries over from level
+// to level: each level appends its list behind the tail and offers the
+// tail in order until its bucket is full, and a refusal joins the prefix.
+// Closing the dead gap once, after the last level, leaves the order that
+// closing it after every level would.
 func fillTopLevels(top stash.TopStore, z config.ZProfile, minLevel int, leaf block.Leaf,
 	lists [][]tree.Entry, buf []tree.Entry,
 	onPlace func(e tree.Entry, level int, fetched bool),
 	counts *placeCounts) []tree.Entry {
 
-	refused := 0
+	refused, r := 0, 0
 	for l := minLevel - 1; l >= 0; l-- {
 		buf = append(buf, lists[l]...)
-		placed, r := 0, refused
+		placed := 0
 		for ; r < len(buf) && placed < z[l]; r++ {
 			e := buf[r]
 			fetched := e.Leaf&tree.GatherFlag != 0
@@ -242,7 +246,6 @@ func fillTopLevels(top stash.TopStore, z config.ZProfile, minLevel int, leaf blo
 			buf[refused] = buf[r] // keeps the flag for the stash strip
 			refused++
 		}
-		buf = buf[:refused+copy(buf[refused:], buf[r:])]
 	}
-	return buf
+	return buf[:refused+copy(buf[refused:], buf[r:])]
 }

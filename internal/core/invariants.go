@@ -20,7 +20,8 @@ import (
 // PosMap entry unmapped. Each tree and top-store block must sit in a bucket
 // on its leaf's path, each on-chip block (F-Stash, top store) must carry
 // its current leaf (the PosMap's, or ρ's membership record in the small
-// tree), and each structure must hold as many blocks as it counts.
+// tree), each structure must hold as many blocks as it counts, and each
+// F-Stash's membership bitmap must mark exactly its stashed blocks.
 func (c *Controller) CheckInvariants() error {
 	ck := residency{seen: make([]uint64, (c.pm.Total()+63)/64), total: c.pm.Total()}
 	ck.pathTree(&c.pathTree, "main", c.pm.Leaf)
@@ -75,10 +76,11 @@ func (r *residency) mark(id block.ID, where string) {
 
 // pathTree marks every block of t's F-Stash, tree and top store. It checks
 // the leaf of each on-chip block against leafOf and the bucket of each tree
-// and top-store block against its leaf's path, and each walk against the
-// structure's count. Tree blocks are not looked up in leafOf: in bucket
-// order those lookups miss the cache and would cost more than the rest of
-// the check on Scaled.
+// and top-store block against its leaf's path, each walk against the
+// structure's count, and the F-Stash's membership bitmap against its
+// items. Tree blocks are not looked up in leafOf: in bucket order those
+// lookups miss the cache and would cost more than the rest of the check on
+// Scaled.
 func (r *residency) pathTree(t *pathTree, name string, leafOf func(block.ID) block.Leaf) {
 	where := [...]string{name + " F-Stash", name + " tree", name + " top store"}
 	onChip := func(e tree.Entry, where string) {
@@ -88,6 +90,9 @@ func (r *residency) pathTree(t *pathTree, name string, leafOf func(block.ID) blo
 		}
 	}
 	t.fstash.Each(func(e tree.Entry) { onChip(e, where[0]) })
+	if err := t.fstash.CheckMembership(); err != nil {
+		r.failf("%s: %v", where[0], err)
+	}
 	var n uint64
 	onPath := func(e tree.Entry, level int, bucket uint64, where string) {
 		if t.tr.BucketIndex(level, e.Leaf) != bucket {

@@ -34,9 +34,9 @@ type rhoState struct {
 	pathTree
 	// member records which blocks live in the small tree and under which
 	// leaf — the simulation bookkeeping of the position-map residency bit.
-	// It is consulted on every request (inSmallTree), so it uses the same
-	// open-addressed table as the stash index; it is never iterated, so the
-	// swap cannot perturb ordering. Values are the leaves, stored as the
+	// It is consulted on every request (inSmallTree), so it is an
+	// open-addressed table rather than a Go map; it is never iterated, so
+	// it cannot perturb ordering. Values are the leaves, stored as the
 	// table's uint32 payload.
 	member  *stash.AddrTable
 	order   []block.ID // FIFO for demotion
@@ -65,7 +65,7 @@ func (c *Controller) initRho() error {
 	slots := small.Z.Slots()
 	c.rho = &rhoState{
 		// The small tree shares the DRAM with the main tree, laid out after it.
-		pathTree: newPathTree(small, small.TopLevels, c.mem, c.physEnd()),
+		pathTree: newPathTree(small, small.TopLevels, c.mem, c.physEnd(), c.pm.Total()),
 		member:   stash.NewAddrTable(int(slots / 2)),
 		limit:    int(slots / 2),
 	}

@@ -8,15 +8,13 @@ import (
 
 // AddrTable maps block.ID -> uint32 with open addressing: a power-of-two
 // slot array, linear probing, and backward-shift deletion (no tombstones).
-// It replaces Go maps on the simulator's hottest lookup paths (the F-Stash
-// index, the ρ membership table): probe sequences are short contiguous
-// array walks, lookups never hash more than once, and — unlike a Go map —
-// a pre-sized table performs no steady-state allocation.
+// It is ρ's membership table (block -> small-tree leaf), consulted on every
+// request: probe sequences are short contiguous array walks, lookups never
+// hash more than once, and — unlike a Go map — a pre-sized table performs
+// no steady-state allocation.
 //
-// The table stores no iteration order and exposes no iteration: callers
-// that need deterministic traversal keep their own dense slice (the
-// F-Stash items array), so swapping the map for this table cannot perturb
-// recorded experiment output.
+// The table stores no iteration order and exposes no iteration, so it
+// cannot perturb recorded experiment output.
 //
 // block.Invalid is reserved as the empty-slot sentinel and must not be
 // used as a key; Put panics on it.
@@ -88,36 +86,9 @@ func (t *AddrTable) Get(id block.ID) (uint32, bool) {
 	}
 }
 
-// GetOrPut returns the value stored for id when present (ok true). When
-// absent it inserts id -> v in the same probe sequence and returns (v,
-// false) — the insert-or-update primitive of the F-Stash, which would
-// otherwise pay a Get probe followed by a full Put re-probe on the hot
-// path's every gather insert.
-func (t *AddrTable) GetOrPut(id block.ID, v uint32) (uint32, bool) {
-	if id == block.Invalid {
-		panic("stash: AddrTable key must not be block.Invalid")
-	}
-	for i := t.slot(id); ; i = (i + 1) & t.mask {
-		k := t.keys[i]
-		if k == id {
-			return t.vals[i], true
-		}
-		if k == block.Invalid {
-			if t.n >= t.grow {
-				t.rehash(len(t.keys) * 2)
-				return t.GetOrPut(id, v)
-			}
-			t.keys[i] = id
-			t.vals[i] = v
-			t.n++
-			return v, false
-		}
-	}
-}
-
-// Put inserts or updates id -> v. Like GetOrPut, it checks the load bound
-// only on reaching an empty slot, so an update of a present key never
-// grows the table; an insert at the bound doubles it and re-probes.
+// Put inserts or updates id -> v. It checks the load bound only on
+// reaching an empty slot, so an update of a present key never grows the
+// table; an insert at the bound doubles it and re-probes.
 func (t *AddrTable) Put(id block.ID, v uint32) {
 	if id == block.Invalid {
 		panic("stash: AddrTable key must not be block.Invalid")

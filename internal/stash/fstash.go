@@ -1,11 +1,14 @@
 // Package stash implements the on-chip block holding structures of the ORAM
-// controller: the classic fully-associative F-Stash, the baseline's
-// dedicated tree-top cache, and the IR-Stash design (a double-indexed
-// set-associative S-Stash plus the TT pointer table) of Section IV-C.
+// controller: the classic fully-associative F-Stash (a dense entry list
+// whose membership is one bit per block of the unified space), the
+// baseline's dedicated tree-top cache, and the IR-Stash design (a
+// double-indexed set-associative S-Stash plus the TT pointer table) of
+// Section IV-C. ρ's membership table, AddrTable, lives here too.
 package stash
 
 import (
 	"fmt"
+	"math/bits"
 
 	"iroram/internal/block"
 	"iroram/internal/tree"
@@ -15,22 +18,27 @@ import (
 // Path ORAM lets the stash grow transiently and relies on background
 // eviction to drain it (Ren et al.) — but Capacity records the provisioned
 // size so the controller can detect pressure.
+//
+// The items slice is the only storage and the only order. Membership is a
+// bitmap with one bit per block of the unified space, set exactly while
+// the block is stashed: a lookup of an absent block — nearly every lookup
+// — reads one bit, and a lookup of a present one scans the items. The
+// write phase drains the whole stash into the path and re-inserts what did
+// not fit, so each stashed block costs one bit clear and one bit set per
+// write phase.
 type FStash struct {
 	capacity int
 	items    []tree.Entry
-	index    *AddrTable
+	held     []uint64 // bit a%64 of word a/64 is set while block a is stashed
 	// HighWater tracks the maximum occupancy ever reached.
 	HighWater int
 }
 
-// NewFStash returns an empty stash provisioned for capacity blocks. The
-// index is an open-addressed AddrTable pre-sized for that capacity, so
-// steady-state inserts never grow it (Path ORAM lets occupancy exceed
-// capacity transiently; the table doubles then, and only then). All
-// iteration happens over the items slice, so the index never influences
-// ordering — determinism is untouched by the table swap.
-func NewFStash(capacity int) *FStash {
-	return &FStash{capacity: capacity, index: NewAddrTable(capacity)}
+// NewFStash returns an empty stash provisioned for capacity blocks whose
+// membership bitmap covers block IDs [0, blocks). The bitmap is allocated
+// here and never grows; stashing an ID outside it panics.
+func NewFStash(capacity int, blocks uint64) *FStash {
+	return &FStash{capacity: capacity, held: make([]uint64, (blocks+63)/64)}
 }
 
 // Capacity returns the provisioned size.
@@ -42,13 +50,37 @@ func (s *FStash) Len() int { return len(s.items) }
 // Overfull reports whether occupancy exceeds the given threshold.
 func (s *FStash) Overfull(threshold int) bool { return len(s.items) > threshold }
 
+// setHeld sets or clears addr's membership bit.
+func (s *FStash) setHeld(addr block.ID, on bool) {
+	if on {
+		s.held[addr/64] |= 1 << (addr % 64)
+	} else {
+		s.held[addr/64] &^= 1 << (addr % 64)
+	}
+}
+
+// slot returns addr's storage slot, or -1 when addr is not stashed. Only a
+// set membership bit pays the scan over items.
+func (s *FStash) slot(addr block.ID) int {
+	if s.held[addr/64]&(1<<(addr%64)) == 0 {
+		return -1
+	}
+	for i := range s.items {
+		if s.items[i].Addr == addr {
+			return i
+		}
+	}
+	return -1
+}
+
 // Insert adds or updates a block. Duplicate inserts update the leaf in
 // place (the block was remapped while stashed).
 func (s *FStash) Insert(e tree.Entry) {
-	if i, ok := s.index.GetOrPut(e.Addr, uint32(len(s.items))); ok {
+	if i := s.slot(e.Addr); i >= 0 {
 		s.items[i] = e
 		return
 	}
+	s.setHeld(e.Addr, true)
 	s.items = append(s.items, e)
 	if len(s.items) > s.HighWater {
 		s.HighWater = len(s.items)
@@ -57,46 +89,31 @@ func (s *FStash) Insert(e tree.Entry) {
 
 // Lookup returns the leaf of addr if stashed.
 func (s *FStash) Lookup(addr block.ID) (block.Leaf, bool) {
-	if i, ok := s.index.Get(addr); ok {
+	if i := s.slot(addr); i >= 0 {
 		return s.items[i].Leaf, true
 	}
 	return block.NoLeaf, false
 }
 
-// Remove deletes addr, reporting whether it was present. Removal is O(1)
-// via swap-with-last, keeping iteration deterministic for a given op
-// sequence.
+// Remove deletes addr, reporting whether it was present. Removal is by
+// swap-with-last, keeping iteration deterministic for a given op sequence.
 func (s *FStash) Remove(addr block.ID) bool {
-	i, ok := s.index.Get(addr)
-	if !ok {
+	i := s.slot(addr)
+	if i < 0 {
 		return false
 	}
-	s.removeAt(int(i))
+	s.removeAt(i)
 	return true
 }
 
 // removeAt deletes the entry in storage slot i by swap-with-last. Callers
 // that already hold the slot (the scan loops below) use it directly instead
-// of paying a second index lookup through Remove.
+// of finding it again through Remove.
 func (s *FStash) removeAt(i int) {
-	addr := s.items[i].Addr
+	s.setHeld(s.items[i].Addr, false)
 	last := len(s.items) - 1
-	if i != last {
-		s.items[i] = s.items[last]
-		s.index.Put(s.items[i].Addr, uint32(i))
-	}
+	s.items[i] = s.items[last]
 	s.items = s.items[:last]
-	s.index.Delete(addr)
-}
-
-// SetLeaf updates the leaf of a stashed block (remap while stashed); it
-// reports whether the block was found.
-func (s *FStash) SetLeaf(addr block.ID, leaf block.Leaf) bool {
-	if i, ok := s.index.Get(addr); ok {
-		s.items[i].Leaf = leaf
-		return true
-	}
-	return false
 }
 
 // Each calls fn for every stashed entry in storage order. fn must not
@@ -105,6 +122,25 @@ func (s *FStash) Each(fn func(tree.Entry)) {
 	for _, e := range s.items {
 		fn(e)
 	}
+}
+
+// CheckMembership verifies the membership bitmap against the items: every
+// stashed block's bit is set, and no other bit is. It returns the first
+// mismatch found.
+func (s *FStash) CheckMembership() error {
+	for _, e := range s.items {
+		if s.held[e.Addr/64]&(1<<(e.Addr%64)) == 0 {
+			return fmt.Errorf("stash: stashed block %v has no membership bit", e.Addr)
+		}
+	}
+	set := 0
+	for _, w := range s.held {
+		set += bits.OnesCount64(w)
+	}
+	if set != len(s.items) {
+		return fmt.Errorf("stash: %d membership bits set for %d stashed blocks", set, len(s.items))
+	}
+	return nil
 }
 
 // TakeForBucket removes and returns up to max blocks whose leaves allow
@@ -145,12 +181,12 @@ func (s *FStash) TakeForBucket(leaf block.Leaf, level, levels, max int,
 // Entries are visited in exactly the order a removal scan over the stash
 // would visit them had extra first been Inserted — storage slot 0, then
 // the combined tail in reverse (the swap-with-last dynamics of a scan that
-// never advances past slot 0) — without paying the per-entry index
-// maintenance of Insert followed by removeAt. That order keeps repeated
-// runs byte-identical; the scan itself (TakeForPath) survives in
-// takeforpath_test.go as the oracle TestDrainForPathMatchesTakeForPath
-// compares against. extra entries must not already be stashed (the
-// controller's a-block-lives-in-exactly-one-place invariant). HighWater
+// never advances past slot 0) — without inserting extra at all. That order
+// keeps repeated runs byte-identical; the scan itself (TakeForPath)
+// survives in takeforpath_test.go as the oracle
+// TestDrainForPathMatchesTakeForPath compares against. extra entries must
+// not already be stashed (the controller's a-block-lives-in-exactly-one-
+// place invariant); their membership bits are never touched. HighWater
 // advances as if the extra entries had been inserted first. perLevel must
 // have at least levels slices; slices are appended to, so the caller resets
 // and reuses them across paths to stay allocation-free.
@@ -173,7 +209,7 @@ func (s *FStash) DrainForPath(leaf block.Leaf, levels int, perLevel [][]tree.Ent
 		drainVisit(leaf, levels, perLevel, s.items[i])
 	}
 	for _, e := range s.items {
-		s.index.Delete(e.Addr)
+		s.setHeld(e.Addr, false)
 	}
 	s.items = s.items[:0]
 }

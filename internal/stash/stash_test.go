@@ -1,6 +1,7 @@
 package stash
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestFStashInsertLookupRemove(t *testing.T) {
-	s := NewFStash(8)
+	s := NewFStash(8, 16)
 	s.Insert(tree.Entry{Addr: 1, Leaf: 10})
 	s.Insert(tree.Entry{Addr: 2, Leaf: 20})
 	if l, ok := s.Lookup(1); !ok || l != 10 {
@@ -28,7 +29,7 @@ func TestFStashInsertLookupRemove(t *testing.T) {
 }
 
 func TestFStashDuplicateInsertUpdatesLeaf(t *testing.T) {
-	s := NewFStash(8)
+	s := NewFStash(8, 16)
 	s.Insert(tree.Entry{Addr: 1, Leaf: 10})
 	s.Insert(tree.Entry{Addr: 1, Leaf: 11})
 	if s.Len() != 1 {
@@ -39,22 +40,30 @@ func TestFStashDuplicateInsertUpdatesLeaf(t *testing.T) {
 	}
 }
 
-func TestFStashSetLeaf(t *testing.T) {
-	s := NewFStash(8)
-	s.Insert(tree.Entry{Addr: 1, Leaf: 10})
-	if !s.SetLeaf(1, 99) {
-		t.Fatal("SetLeaf failed")
+// TestFStashCheckMembershipCatchesBitFaults: a stashed block whose
+// membership bit is clear, and a set bit for a block that is not stashed,
+// each fail the self-check CheckInvariants relies on.
+func TestFStashCheckMembershipCatchesBitFaults(t *testing.T) {
+	s := NewFStash(8, 128)
+	for _, a := range []block.ID{3, 64, 127} {
+		s.Insert(tree.Entry{Addr: a, Leaf: 0})
 	}
-	if l, _ := s.Lookup(1); l != 99 {
-		t.Errorf("leaf = %d", l)
+	if err := s.CheckMembership(); err != nil {
+		t.Fatal(err)
 	}
-	if s.SetLeaf(2, 1) {
-		t.Error("SetLeaf on absent block should fail")
+	s.held[1] &^= 1 // block 64: bit 0 of word 1
+	if err := s.CheckMembership(); err == nil || !strings.Contains(err.Error(), "no membership bit") {
+		t.Fatalf("with block 64's bit clear: CheckMembership = %v", err)
+	}
+	s.held[1] |= 1
+	s.held[0] |= 1 << 5
+	if err := s.CheckMembership(); err == nil || !strings.Contains(err.Error(), "4 membership bits set for 3") {
+		t.Fatalf("with a stale bit for block 5: CheckMembership = %v", err)
 	}
 }
 
 func TestFStashHighWaterAndOverfull(t *testing.T) {
-	s := NewFStash(4)
+	s := NewFStash(4, 16)
 	for i := 0; i < 6; i++ {
 		s.Insert(tree.Entry{Addr: block.ID(i), Leaf: 0})
 	}
@@ -68,7 +77,7 @@ func TestFStashHighWaterAndOverfull(t *testing.T) {
 
 func TestFStashTakeForBucket(t *testing.T) {
 	const levels = 5 // leaves 0..15
-	s := NewFStash(16)
+	s := NewFStash(16, 16)
 	s.Insert(tree.Entry{Addr: 1, Leaf: 0}) // left half
 	s.Insert(tree.Entry{Addr: 2, Leaf: 1})
 	s.Insert(tree.Entry{Addr: 3, Leaf: 15}) // right half
@@ -87,7 +96,7 @@ func TestFStashTakeForBucket(t *testing.T) {
 
 func TestFStashTakeForBucketRespectsMaxAndVeto(t *testing.T) {
 	const levels = 5
-	s := NewFStash(16)
+	s := NewFStash(16, 16)
 	for i := 0; i < 6; i++ {
 		s.Insert(tree.Entry{Addr: block.ID(i), Leaf: 0})
 	}
@@ -105,7 +114,7 @@ func TestFStashTakeForBucketRespectsMaxAndVeto(t *testing.T) {
 
 func TestFStashEachDeterministic(t *testing.T) {
 	build := func() []block.ID {
-		s := NewFStash(8)
+		s := NewFStash(8, 16)
 		for i := 0; i < 8; i++ {
 			s.Insert(tree.Entry{Addr: block.ID(i), Leaf: 0})
 		}

@@ -36,7 +36,7 @@ func TestTakeForPathClassifies(t *testing.T) {
 	leaves := uint64(1) << (levels - 1)
 	r := rng.New(9)
 	for trial := 0; trial < 200; trial++ {
-		s := NewFStash(64)
+		s := NewFStash(64, 64)
 		n := int(r.Uint64n(40))
 		entries := make([]tree.Entry, 0, n)
 		for i := 0; i < n; i++ {
@@ -85,7 +85,7 @@ func TestTakeForPathClassifies(t *testing.T) {
 // must see only this call's entries.
 func TestTakeForPathReusesLists(t *testing.T) {
 	const levels = 4
-	s := NewFStash(8)
+	s := NewFStash(8, 16)
 	s.Insert(tree.Entry{Addr: 1, Leaf: 7})
 	perLevel := make([][]tree.Entry, levels)
 	perLevel[levels-1] = append(perLevel[levels-1], tree.Entry{Addr: 99, Leaf: 0})
@@ -102,15 +102,15 @@ func TestTakeForPathReusesLists(t *testing.T) {
 // must file exactly the entries, in exactly the per-level order, that
 // inserting extra and then running the TakeForPath removal scan from level
 // 0 files — with GatherFlag riding along on the flagged extras only. It
-// must advance HighWater the same way and leave no drained address in the
-// index, which the next round (re-inserting overlapping addresses into the
-// same stashes) also exercises.
+// must advance HighWater the same way and leave no drained address's
+// membership bit set, which the next round (re-inserting overlapping
+// addresses into the same stashes) also exercises.
 func TestDrainForPathMatchesTakeForPath(t *testing.T) {
 	const levels = 7
 	leaves := uint64(1) << (levels - 1)
 	r := rng.New(17)
 	for trial := 0; trial < 100; trial++ {
-		drain, oracle := NewFStash(32), NewFStash(32)
+		drain, oracle := NewFStash(32, 256), NewFStash(32, 256)
 		for round := 0; round < 4; round++ {
 			// Resident entries, identical history on both stashes.
 			resident := map[block.ID]bool{}
@@ -180,11 +180,14 @@ func TestDrainForPathMatchesTakeForPath(t *testing.T) {
 				t.Fatalf("trial %d round %d: %d / %d entries left after a level-0 drain",
 					trial, round, drain.Len(), oracle.Len())
 			}
-			if n := drain.index.Len(); n != 0 {
-				t.Fatalf("trial %d round %d: %d drained addresses left in the index", trial, round, n)
+			if err := drain.CheckMembership(); err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
 			}
 			for _, list := range got {
 				for _, e := range list {
+					if drain.held[e.Addr/64]&(1<<(e.Addr%64)) != 0 {
+						t.Fatalf("trial %d round %d: drained %v keeps its membership bit", trial, round, e.Addr)
+					}
 					if _, ok := drain.Lookup(e.Addr); ok {
 						t.Fatalf("trial %d round %d: drained %v still found by Lookup", trial, round, e.Addr)
 					}
@@ -198,7 +201,7 @@ func TestDrainForPathMatchesTakeForPath(t *testing.T) {
 // appended behind whatever dst already holds.
 func TestTakeForBucketAppendsToDst(t *testing.T) {
 	const levels = 4
-	s := NewFStash(8)
+	s := NewFStash(8, 16)
 	s.Insert(tree.Entry{Addr: 1, Leaf: 5})
 	dst := []tree.Entry{{Addr: 42, Leaf: 1}}
 	out := s.TakeForBucket(5, levels-1, levels, 4, nil, dst)
