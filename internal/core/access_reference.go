@@ -51,11 +51,9 @@ func (c *Controller) pathAccessReference(t *pathTree, now uint64, leaf block.Lea
 		foundLevel = -1
 	}
 
-	t.mig.reset()
 	c.evictBuf = evictOntoPath(t.fstash, t.tr, t.top, t.o.Z, t.minLevel,
 		t.o.Levels, leaf, nil, c.evictList, c.evictBuf,
 		func(e tree.Entry, level int, _ bool) { t.mig.add(level, fetched[e.Addr]) }, nil)
-	t.mig.flush(c.st)
 
 	writeDone := c.mem.PostWriteRuns(readDone, c.physRuns(t.physOff))
 	c.st.PhaseWriteBackCycles += writeDone - readDone

@@ -116,9 +116,9 @@ type pathTree struct {
 	nPathBlocks int
 	physOff     uint64
 
-	// mig tallies each write phase's placements for Fig 5's migration
-	// split; nil on ρ's small tree, which Fig 5 does not chart.
-	mig *placeCounts
+	// mig tallies each write phase's placements into Fig 5's migration
+	// histograms; nil on ρ's small tree, which Fig 5 does not chart.
+	mig *migTally
 	// paths counts the path accesses run on this tree.
 	paths uint64
 }
@@ -187,7 +187,7 @@ func NewController(cfg config.System, mem *dram.Model, r *rng.Source) (*Controll
 		st:        newStats(o.Levels),
 		evictList: make([][]tree.Entry, o.Levels),
 	}
-	c.mig = newPlaceCounts(o.Levels)
+	c.mig = newMigTally(c.st)
 	// The gather closure stages path blocks in c.gathered instead of
 	// inserting them into the stash: the eviction drain that runs one walk
 	// later would take them right back out, so the round-trip (an append
@@ -341,10 +341,8 @@ func (c *Controller) pathAccess(t *pathTree, now uint64, leaf block.Leaf, target
 	// Walk 2: single-pass deepest-first eviction, memory levels bulk
 	// filled and the on-chip segment honoring S-Stash conflict refusals
 	// ("skip picking this block for this round"). See eviction.go.
-	t.mig.reset()
 	c.evictBuf = evictOntoPath(t.fstash, t.tr, t.top, t.o.Z, t.minLevel,
 		t.o.Levels, leaf, c.gathered, c.evictList, c.evictBuf, nil, t.mig)
-	t.mig.flush(c.st)
 
 	// Write phase DRAM traffic: the same physical blocks, written. The
 	// batch is posted (its completion time is not waited on); it occupies

@@ -52,52 +52,34 @@ import (
 // placeable at some level of the path, so the whole stash drains into the
 // per-level candidate lists (FStash.DrainForPath).
 //
-// placeCounts receives the aggregate placement tally of one write phase:
-// placed[l] blocks landed at level l, fetched[l] of which were gathered by
-// the current access (carried tree.GatherFlag). It is the bulk alternative
-// to the per-entry onPlace callback for callers — the demand pipeline —
-// that only chart the migration split: tallying two ints per FILL beats an
-// indirect call per BLOCK on the hottest loop in the simulator. Slices must
-// hold `levels` elements; evictOntoPath adds to them without clearing.
-type placeCounts struct {
-	placed  []int
-	fetched []int
+// migTally is Fig 5's migration split, added to as a write phase places
+// blocks: fetched[l] counts the blocks placed at level l that the current
+// access gathered (they carry tree.GatherFlag), preexisting[l] the others.
+// The two slices are the Counts of Stats.MigrationFetched and
+// Stats.MigrationPreexisting, so every placement lands in the histograms
+// directly. It is the bulk alternative to the per-entry onPlace callback
+// for callers — the demand pipeline — that only chart the migration split:
+// two adds per FILL beat an indirect call per BLOCK on the hottest loop in
+// the simulator.
+type migTally struct {
+	fetched     []uint64
+	preexisting []uint64
 }
 
-func newPlaceCounts(levels int) *placeCounts {
-	return &placeCounts{placed: make([]int, levels), fetched: make([]int, levels)}
+func newMigTally(st *Stats) *migTally {
+	return &migTally{fetched: st.MigrationFetched.Counts, preexisting: st.MigrationPreexisting.Counts}
 }
 
-// reset, add and flush do nothing on a nil tally (ρ's small tree).
-func (p *placeCounts) reset() {
-	if p != nil {
-		clear(p.placed)
-		clear(p.fetched)
-	}
-}
-
-// add tallies one placement at level.
-func (p *placeCounts) add(level int, fetched bool) {
-	if p == nil {
+// add tallies one placement at level. It does nothing on a nil tally (ρ's
+// small tree).
+func (m *migTally) add(level int, fetched bool) {
+	if m == nil {
 		return
 	}
-	p.placed[level]++
 	if fetched {
-		p.fetched[level]++
-	}
-}
-
-// flush adds the tally to Fig 5's migration histograms in st.
-func (p *placeCounts) flush(st *Stats) {
-	if p == nil {
-		return
-	}
-	for l, n := range p.placed {
-		if n > 0 {
-			f := p.fetched[l]
-			st.MigrationFetched.AddN(l, uint64(f))
-			st.MigrationPreexisting.AddN(l, uint64(n-f))
-		}
+		m.fetched[level]++
+	} else {
+		m.preexisting[level]++
 	}
 }
 
@@ -106,14 +88,14 @@ func (p *placeCounts) flush(st *Stats) {
 // whether the placed block was gathered by the current path access
 // (carried by tree.GatherFlag on gathered entries' leaves and stripped
 // here before any entry reaches storage). counts, when non-nil, receives
-// the aggregate per-level tally instead; passing both is allowed but the
-// demand pipeline passes exactly one. The returned slice is buf's
+// the migration tally instead; passing both is allowed but the demand
+// pipeline passes exactly one. The returned slice is buf's
 // (possibly grown) backing for the caller to keep.
 func evictOntoPath(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 	z config.ZProfile, minLevel, levels int, leaf block.Leaf,
 	gathered []tree.Entry, lists [][]tree.Entry, buf []tree.Entry,
 	onPlace func(e tree.Entry, level int, fetched bool),
-	counts *placeCounts) []tree.Entry {
+	counts *migTally) []tree.Entry {
 
 	buf = fillMemoryLevels(fs, tr, z, minLevel, levels, leaf, gathered, lists, buf, onPlace, counts)
 	if top != nil {
@@ -133,7 +115,7 @@ func fillMemoryLevels(fs *stash.FStash, tr *tree.Tree,
 	z config.ZProfile, minLevel, levels int, leaf block.Leaf,
 	gathered []tree.Entry, lists [][]tree.Entry, buf []tree.Entry,
 	onPlace func(e tree.Entry, level int, fetched bool),
-	counts *placeCounts) []tree.Entry {
+	counts *migTally) []tree.Entry {
 
 	for l := 0; l < levels; l++ {
 		lists[l] = lists[l][:0]
@@ -190,8 +172,8 @@ func fillMemoryLevels(fs *stash.FStash, tr *tree.Tree,
 					}
 					take[i].Leaf &^= tree.GatherFlag
 				}
-				counts.placed[l] += len(take)
-				counts.fetched[l] += f
+				counts.fetched[l] += uint64(f)
+				counts.preexisting[l] += uint64(len(take) - f)
 			default:
 				for i := range take {
 					take[i].Leaf &^= tree.GatherFlag
@@ -225,7 +207,7 @@ func fillMemoryLevels(fs *stash.FStash, tr *tree.Tree,
 func fillTopLevels(top stash.TopStore, z config.ZProfile, minLevel int, leaf block.Leaf,
 	lists [][]tree.Entry, buf []tree.Entry,
 	onPlace func(e tree.Entry, level int, fetched bool),
-	counts *placeCounts) []tree.Entry {
+	counts *migTally) []tree.Entry {
 
 	refused, r := 0, 0
 	for l := minLevel - 1; l >= 0; l-- {

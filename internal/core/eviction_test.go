@@ -139,8 +139,8 @@ func TestEvictionDifferential(t *testing.T) {
 // residue (a leaked bit would corrupt the next access's leaf arithmetic).
 // A third run per access replays the same inputs through the counts-only
 // calling convention — the demand pipeline's bulk-tally branch, which has
-// no per-entry callback — and checks its per-level placed/fetched tallies
-// against the closure-derived ones.
+// no per-entry callback — and checks its per-level tallies (pre-existing
+// plus fetched, and fetched) against the closure-derived ones.
 func TestEvictionGatherFlagDifferential(t *testing.T) {
 	schemes := []config.Scheme{
 		config.Baseline(),
@@ -165,7 +165,7 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 			refused := newEpochSet(int(c.pm.Total()))
 			takeBuf := make([]tree.Entry, 0, 64)
 			gatheredSet := make(map[block.ID]bool)
-			bulk := newPlaceCounts(c.o.Levels)
+			bulk := &migTally{fetched: make([]uint64, c.o.Levels), preexisting: make([]uint64, c.o.Levels)}
 			var gathered2, bulkBuf []tree.Entry
 			now := uint64(0)
 
@@ -238,14 +238,16 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 				// (no per-entry callback — the demand pipeline's shape). Block
 				// selection is deterministic in the inputs, so the tallies must
 				// equal the closure-derived ones exactly.
-				bulk.reset()
+				clear(bulk.fetched)
+				clear(bulk.preexisting)
 				bulkBuf = evictOntoPath(shadow2, shadowTr2, shadowTop2, c.o.Z,
 					c.minLevel, c.o.Levels, leaf, gathered2, c.evictList, bulkBuf,
 					nil, bulk)
 				for l := 0; l < c.o.Levels; l++ {
-					if bulk.placed[l] != liveCounts[l] || bulk.fetched[l] != liveFetched[l] {
+					placed := bulk.preexisting[l] + bulk.fetched[l]
+					if placed != uint64(liveCounts[l]) || bulk.fetched[l] != uint64(liveFetched[l]) {
 						t.Fatalf("access %d level %d: bulk tally (placed %d, fetched %d), closure (placed %d, fetched %d)",
-							i, l, bulk.placed[l], bulk.fetched[l], liveCounts[l], liveFetched[l])
+							i, l, placed, bulk.fetched[l], liveCounts[l], liveFetched[l])
 					}
 				}
 				if got, want := shadow2.Len(), c.fstash.Len(); got != want {

@@ -194,3 +194,17 @@ func TestDeterministicAcrossConstruction(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNew times building the map at Scaled: one bounded leaf draw per
+// block of the unified space (4,472,830), the PosMap's share of building a
+// System.
+func BenchmarkNew(b *testing.B) {
+	o := config.Scaled().ORAM
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchMap = New(o, rng.New(1))
+	}
+}
+
+// benchMap keeps BenchmarkNew's result live.
+var benchMap *Map

@@ -9,6 +9,8 @@
 // needs only uniform, reproducible leaves.
 package rng
 
+import "math/bits"
+
 // Source is a deterministic xoshiro256** generator.
 type Source struct {
 	s [4]uint64
@@ -56,24 +58,11 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	}
 	// Lemire's nearly-divisionless bounded generation with rejection.
 	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(r.Uint64(), n)
 		if lo >= n || lo >= uint64(-int64(n))%n {
 			return hi
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.

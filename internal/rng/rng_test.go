@@ -45,6 +45,60 @@ func TestUint64nBounds(t *testing.T) {
 	}
 }
 
+// mul64 is the 128-bit product Uint64n computed by hand, from four 32-bit
+// partial products, before it used bits.Mul64; it is the oracle of
+// TestUint64nMatchesMul64Oracle.
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	a0, a1 := a&mask, a>>32
+	b0, b1 := b&mask, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+// uint64nOracle is Uint64n on mul64. It also returns how many draws it
+// rejected.
+func uint64nOracle(r *Source, n uint64) (v uint64, rejected int) {
+	for {
+		hi, lo := mul64(r.Uint64(), n)
+		if lo >= n || lo >= uint64(-int64(n))%n {
+			return hi, rejected
+		}
+		rejected++
+	}
+}
+
+// TestUint64nMatchesMul64Oracle draws 2^20 values from two equally seeded
+// streams, one through Uint64n and one through the mul64 oracle, over mixed
+// bounds: powers of two, the Scaled leaf count and unified space, and large
+// bounds that are not powers of two, which reject about half their draws.
+// Every value and the streams' states must agree, and the rejection branch
+// must run.
+func TestUint64nMatchesMul64Oracle(t *testing.T) {
+	bounds := []uint64{1, 2, 3, 10, 1 << 20, 4_472_830, 1<<32 + 15,
+		1<<63 - 25, 1 << 63, 1<<63 + 1, 3<<62 + 7, ^uint64(0)}
+	got, want := New(11), New(11)
+	rejected := 0
+	for i := 0; i < 1<<20; i++ {
+		n := bounds[i%len(bounds)]
+		g := got.Uint64n(n)
+		w, rej := uint64nOracle(want, n)
+		if g != w {
+			t.Fatalf("draw %d: Uint64n(%d) = %d, oracle %d", i, n, g, w)
+		}
+		rejected += rej
+	}
+	if got.s != want.s {
+		t.Fatal("streams diverged: Uint64n and the oracle consumed different draws")
+	}
+	if rejected == 0 {
+		t.Fatal("no draw took the rejection branch")
+	}
+}
+
 func TestUint64nPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {

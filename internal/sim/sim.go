@@ -11,7 +11,9 @@
 // be shared across goroutines. Parallel sweeps get their speedup one level
 // up — internal/runner fans independent cells across workers, and each
 // worker builds its own System via New inside the cell. Constructing
-// Systems concurrently is safe (New touches only its own allocations).
+// Systems concurrently is safe (New touches only its own allocations). New
+// itself loads a large tree on several goroutines (tree.Load) and joins
+// them before it returns.
 //
 // # Determinism
 //

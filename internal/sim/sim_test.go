@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"iroram/internal/config"
+	"iroram/internal/posmap"
+	"iroram/internal/rng"
 	"iroram/internal/trace"
 )
 
@@ -42,6 +44,39 @@ func TestBuildFootprint(t *testing.T) {
 			t.Errorf("%s: one Tiny build allocated %.2f MB, want under %.0f MB",
 				sch.Name, float64(got)/(1<<20), float64(limit)/(1<<20))
 		}
+	}
+}
+
+// TestScaledBuildTransient bounds the heap one Scaled System build
+// allocates and drops: at most the tree load's scratch, its scatter buffer
+// (one 8-byte slot word per block of the unified space, 35.8 MB) and fill
+// counts (one byte per bucket of the tree, 2.1 MB), plus 1 MB of slack
+// beyond what the System keeps (about 102.6 MB). About 0.01 MB of other
+// scratch comes and goes today; a transient structure that grows with the
+// geometry shows here first, and a default-scale sweep pays it once per
+// cell.
+func TestScaledBuildTransient(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("builds a Scaled System; allocation sizes differ under -race instrumentation")
+	}
+	cfg := config.Scaled()
+	scratch := 8*posmap.New(cfg.ORAM, rng.New(1)).Total() + uint64(1)<<cfg.ORAM.Levels
+	const slack = 1 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	total := after.TotalAlloc - before.TotalAlloc
+	kept := after.HeapAlloc - before.HeapAlloc
+	if total > kept+scratch+slack {
+		t.Errorf("one Scaled build allocated %.2f MB and kept %.2f MB; want at most the load's %.2f MB of scratch and %.0f MB more dropped",
+			float64(total)/1e6, float64(kept)/1e6, float64(scratch)/1e6, float64(slack)/1e6)
 	}
 }
 

@@ -3,6 +3,7 @@ package tree
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -54,12 +55,11 @@ type loadCase struct {
 	n        uint64
 }
 
-// loadCases covers every preset Z profile (Uniform, Alloc1–4) and ρ's
-// small-tree Z=2 on Tiny, with minLevel 0 and the on-chip split, at the
+// loadCases covers every preset Z profile (Uniform, Alloc1–4, IR-ORAM) and
+// ρ's small-tree Z=2 on geometry o, at each of minLevels, at the
 // controller's load (the PosMap's unified space) and forced 10% past the
 // memory levels' capacity so blocks spill.
-func loadCases(sys config.System) []loadCase {
-	o := sys.ORAM
+func loadCases(o config.ORAM, minLevels ...int) []loadCase {
 	profiles := []struct {
 		name string
 		z    config.ZProfile
@@ -69,13 +69,14 @@ func loadCases(sys config.System) []loadCase {
 		{"Alloc2", config.Alloc2Profile(o.Levels, o.TopLevels)},
 		{"Alloc3", config.Alloc3Profile(o.Levels, o.TopLevels)},
 		{"Alloc4", config.Alloc4Profile(o.Levels, o.TopLevels)},
+		{"IR-ORAM", config.IROramProfile(o.Levels, o.TopLevels)},
 		{"RhoZ2", config.Uniform(o.Levels, 2)},
 	}
 	var cases []loadCase
 	for _, p := range profiles {
 		po := o
 		po.Z = p.z
-		for _, minLevel := range []int{0, o.TopLevels} {
+		for _, minLevel := range minLevels {
 			total := posmap.New(po, rng.New(1)).Total()
 			full := po.Z.MemorySlots(minLevel) * 11 / 10
 			for _, n := range []uint64{total, full} {
@@ -89,10 +90,11 @@ func loadCases(sys config.System) []loadCase {
 	return cases
 }
 
-// checkLoad loads one tree with Load and another with the Place oracle
-// from the same leaves and requires identical records, per-level
-// occupancy and spill order.
-func checkLoad(t *testing.T, c loadCase, seed uint64) {
+// checkLoad loads one tree with the Place oracle and, from the same leaves,
+// one tree per worker count with load, and requires identical records,
+// per-level occupancy and spill order. It reports whether the case spilled
+// blocks from more than one partition, so the id-order merge ran.
+func checkLoad(t *testing.T, c loadCase, seed uint64, workers ...int) (merged bool) {
 	t.Helper()
 	r := rng.New(seed)
 	leaves := make([]block.Leaf, c.n)
@@ -100,34 +102,47 @@ func checkLoad(t *testing.T, c loadCase, seed uint64) {
 		leaves[i] = block.Leaf(r.Uint64n(c.o.LeafCount()))
 	}
 	leafOf := func(id block.ID) block.Leaf { return leaves[id] }
-	got := New(c.o, c.minLevel)
-	gotSpill := got.Load(c.n, leafOf, nil)
 	want := New(c.o, c.minLevel)
 	wantSpill := placeAll(want, c.n, leafOf)
-	if !slices.Equal(gotSpill, wantSpill) {
-		t.Fatalf("%s: Load spilled %d blocks, Place %d (or in another order)",
-			c.name, len(gotSpill), len(wantSpill))
-	}
-	for l := 0; l < c.o.Levels; l++ {
-		if g, w := got.OccupiedAt(l), want.OccupiedAt(l); g != w {
-			t.Fatalf("%s: level %d holds %d blocks after Load, %d after Place", c.name, l, g, w)
+	for _, k := range workers {
+		got := New(c.o, c.minLevel)
+		gotSpill := got.load(c.n, leafOf, nil, k)
+		if !slices.Equal(gotSpill, wantSpill) {
+			t.Fatalf("%s, %d workers: load spilled %d blocks, Place %d (or in another order)",
+				c.name, k, len(gotSpill), len(wantSpill))
+		}
+		for l := 0; l < c.o.Levels; l++ {
+			if g, w := got.OccupiedAt(l), want.OccupiedAt(l); g != w {
+				t.Fatalf("%s, %d workers: level %d holds %d blocks after load, %d after Place",
+					c.name, k, l, g, w)
+			}
+		}
+		for w := range got.rec {
+			if got.rec[w] != want.rec[w] {
+				t.Fatalf("%s, %d workers: record word %d is %#x after load, %#x after Place",
+					c.name, k, w, got.rec[w], want.rec[w])
+			}
 		}
 	}
-	for w := range got.rec {
-		if got.rec[w] != want.rec[w] {
-			t.Fatalf("%s: record word %d is %#x after Load, %#x after Place",
-				c.name, w, got.rec[w], want.rec[w])
-		}
+	p := want.partitionBits()
+	parts := make(map[uint64]bool)
+	for _, e := range wantSpill {
+		parts[uint64(e.Leaf)>>(uint(c.o.Levels-1)-p)] = true
 	}
+	return len(parts) > 1
 }
 
-// TestLoadMatchesPlace is the bulk loader's differential oracle on Tiny:
-// every preset profile, both minLevel splits, the controller's load and a
-// load past capacity.
+// TestLoadMatchesPlace is the bulk loader's differential oracle on Tiny,
+// which Load fills in one pass: every preset profile, both minLevel splits,
+// the controller's load and a load past capacity.
 func TestLoadMatchesPlace(t *testing.T) {
+	o := config.Tiny().ORAM
+	if p := New(o, o.TopLevels).partitionBits(); p != 0 {
+		t.Fatalf("Tiny tree loads in %d partitions, want one pass", 1<<p)
+	}
 	sawSpill := false
-	for i, c := range loadCases(config.Tiny()) {
-		checkLoad(t, c, uint64(100+i))
+	for i, c := range loadCases(o, 0, o.TopLevels) {
+		checkLoad(t, c, uint64(100+i), runtime.GOMAXPROCS(0))
 		sawSpill = sawSpill || c.n > c.o.Z.MemorySlots(c.minLevel)
 	}
 	if !sawSpill {
@@ -135,10 +150,37 @@ func TestLoadMatchesPlace(t *testing.T) {
 	}
 }
 
+// TestLoadPartitionsMatchPlace runs the oracle where Load partitions: on a
+// mid-size geometry (L=17, whose leaf level Load cuts into 8 partitions),
+// every preset profile, at 1, 2, 3 and 7 workers. minLevel is the on-chip
+// split, 2 (below the 3 partition bits Load would take, so it takes 2) and 0
+// (one pass). The cases 10% past capacity spill from several partitions, so
+// the leftovers' merge back into id order runs.
+func TestLoadPartitionsMatchPlace(t *testing.T) {
+	o := config.Tiny().ORAM
+	o.Levels, o.TopLevels, o.Z = 17, 5, config.Uniform(17, 4)
+	if p := New(o, o.TopLevels).partitionBits(); p != 3 {
+		t.Fatalf("L=17 tree loads in %d partitions, want 8", 1<<p)
+	}
+	cases := loadCases(o, o.TopLevels, 2, 0)
+	if raceEnabled {
+		cases = cases[:6] // Uniform at each split: the race detector's share
+	}
+	sawMerge := false
+	for i, c := range cases {
+		if checkLoad(t, c, uint64(300+i), 1, 2, 3, 7) && c.minLevel > 0 {
+			sawMerge = true
+		}
+	}
+	if !sawMerge {
+		t.Fatal("no partitioned case spilled from more than one partition")
+	}
+}
+
 // TestLoadMatchesPlaceScaled runs the oracle on the Scaled geometry (L=21,
-// 84 MB of records per Uniform tree), where the leaf level alone spills
-// about a quarter of the blocks, for the Uniform and IR-ORAM profiles at
-// the controller's load and split.
+// 84 MB of records per Uniform tree, 128 partitions), where the leaf level
+// alone spills about a quarter of the blocks, for the Uniform and IR-ORAM
+// profiles at the controller's load and split.
 func TestLoadMatchesPlaceScaled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads two Scaled trees per profile")
@@ -154,7 +196,7 @@ func TestLoadMatchesPlaceScaled(t *testing.T) {
 			name: fmt.Sprintf("Scaled/%d", i),
 			o:    po, minLevel: po.TopLevels,
 			n: posmap.New(po, rng.New(1)).Total(),
-		}, uint64(200+i))
+		}, uint64(200+i), runtime.GOMAXPROCS(0))
 	}
 }
 

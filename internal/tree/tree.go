@@ -30,11 +30,46 @@
 // claim the lowest clear bit of ^occ&mask — both identical in visit and
 // placement order to a per-slot scan (pinned by the differential tests in
 // occupancy_test.go) — and empty buckets skip in O(1) on one word.
+//
+// # Initial placement
+//
+// Load places every block of the unified space on its path, deepest free
+// slot first, in id order (Stefanov et al.'s initial state), one level at a
+// time. On a large tree one pass per level would scatter random writes over
+// the whole level: Scaled's leaf level is 40 MB. Load therefore cuts the
+// tree into 2^p partitions along the top p leaf bits. Partition q owns
+// buckets [q<<(l-p), (q+1)<<(l-p)) at every level l, one contiguous run of
+// records, and a block's whole path below level p lies inside the partition
+// of its leaf. p is the fewest bits that leave each partition at most
+// 2^loadSliceBits leaf buckets (Scaled: p = 7, 128 partitions of 320 KB at
+// the leaves), capped at minLevel so that every level Load fills is split
+// the same way.
+//
+// A count pass and a stable scatter put the blocks in (partition, id) order
+// in a buffer of one slot word per block. Each partition then runs the
+// deepest-first level passes over its own records with its own fill counts,
+// which stay in a core's cache. The passes are split over
+// min(GOMAXPROCS, 2^p) goroutines: the count and scatter passes by id range,
+// with one histogram per worker so every partition stays in id order, and
+// the fill passes by partition. Since a bucket still takes the first Z
+// arrivals by id, the records are those of the one-pass load. The blocks
+// that fit nowhere are merged back into id order for the caller, who
+// spills them to the on-chip levels and the stash.
+//
+// A tree whose leaf level fits in one slice (Tiny's, 2^13 buckets) has
+// p = 0 and loads in one pass with no buffer and no goroutine: there the
+// whole level already stays in cache, and the scatter would only add work to
+// the hundreds of Tiny Systems a quick sweep builds.
 package tree
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"iroram/internal/block"
 	"iroram/internal/config"
@@ -304,7 +339,8 @@ func (t *Tree) Remove(addr block.ID, leaf block.Leaf) (level int, ok bool) {
 // leafOf(id), and appends the blocks that fit on no memory-resident level
 // to spill in id order. The result is, slot for slot, that of placing the
 // blocks one at a time in id order, each at the deepest level of its path
-// with a free slot (the controller's initial placement).
+// with a free slot (the controller's initial placement). leafOf may be
+// called from several goroutines at once.
 //
 // Load computes it one level at a time, deepest first. A level's pass runs
 // over the blocks not yet placed, in id order; a dense per-bucket count
@@ -313,82 +349,230 @@ func (t *Tree) Remove(addr block.ID, leaf block.Leaf) (level int, ok bool) {
 // One-at-a-time placement gives a bucket the same blocks in the same slots:
 // a block reaches a level only after every deeper bucket on its path is
 // full, and a bucket takes the first Z arrivals by id. The level's
-// occupancy words are then written in one sequential pass. Load panics if
-// the tree is not empty.
+// occupancy words are then written in one sequential pass.
+//
+// A tree whose leaf level is larger than 2^loadSliceBits buckets runs these
+// passes one partition at a time, on up to GOMAXPROCS goroutines, and
+// merges the partitions' leftovers back into id order (see the package
+// doc). A smaller one, Tiny's included, runs them once over the whole tree,
+// with no scatter buffer and no goroutine. The result does not depend on
+// the worker count. Load panics if the tree is not empty.
 func (t *Tree) Load(n uint64, leafOf func(block.ID) block.Leaf, spill []Entry) []Entry {
+	return t.load(n, leafOf, spill, runtime.GOMAXPROCS(0))
+}
+
+// loadSliceBits bounds one Load partition to 2^loadSliceBits leaf buckets:
+// 320 KB of records at Z=4, and as much again over the partition's buckets
+// at every shallower level, which stays in a core's L2 cache while the
+// partition's blocks are placed.
+const loadSliceBits = 13
+
+// partitionBits returns p, the number of top leaf bits Load partitions on:
+// the fewest that cut the leaf level into slices of at most
+// 2^loadSliceBits buckets, capped at minLevel so that every level Load fills
+// splits along the same lines.
+func (t *Tree) partitionBits() uint {
+	return uint(min(max(t.levels-1-loadSliceBits, 0), t.minLevel))
+}
+
+// load is Load on at most workers goroutines; the result does not depend on
+// workers. Both passes carry blocks as slot words (slotWord), so a placement
+// copies one word into its slot.
+func (t *Tree) load(n uint64, leafOf func(block.ID) block.Leaf, spill []Entry, workers int) []Entry {
 	if t.Occupied() != 0 {
 		panic("tree: Load into a non-empty tree")
 	}
+	var left []uint64
+	if p := t.partitionBits(); p == 0 {
+		left = t.loadWhole(n, leafOf)
+	} else {
+		left = t.loadPartitioned(n, leafOf, p, workers)
+	}
+	for _, s := range left {
+		spill = append(spill, entryOf(s))
+	}
+	return spill
+}
+
+// loadWhole is Load's single pass over the whole tree. It returns the
+// blocks that fit nowhere, in id order.
+func (t *Tree) loadWhole(n uint64, leafOf func(block.ID) block.Leaf) []uint64 {
 	deepest := t.levels - 1
-	cnt := make([]uint8, uint64(1)<<uint(deepest))
+	cnt := t.loadCounts()
 	// At the controller's load (the paper's 50% rule plus the PosMap
 	// blocks) about a fifth of the blocks overflow the deepest level.
-	over := make([]Entry, 0, n/4)
+	over := make([]uint64, 0, n/4)
 	f := t.levelFill(deepest, cnt)
 	for id := uint64(0); id < n; id++ {
-		e := Entry{Addr: block.ID(id), Leaf: leafOf(block.ID(id))}
-		if !f.put(e) {
-			over = append(over, e)
+		s := slotWord(Entry{Addr: block.ID(id), Leaf: leafOf(block.ID(id))})
+		if !f.put(s) {
+			over = append(over, s)
 		}
 	}
-	t.loadOccupancy(deepest, cnt)
-	for l := deepest - 1; l >= t.minLevel && len(over) > 0; l-- {
-		cnt = cnt[:uint64(1)<<uint(l)]
-		clear(cnt)
+	t.occupied[deepest] = t.loadOccupancy(deepest, 0, f.cnt)
+	return t.fillLevels(0, 0, deepest-1, over, cnt, t.occupied)
+}
+
+// loadPartitioned is Load over 2^p partitions on at most workers
+// goroutines. It returns the blocks that fit nowhere, in id order.
+func (t *Tree) loadPartitioned(n uint64, leafOf func(block.ID) block.Leaf, p uint, workers int) []uint64 {
+	parts := 1 << p
+	workers = min(workers, parts)
+	shift := t.leafBits - p // a leaf's partition is leaf >> shift
+	ids := func(w int) (lo, hi uint64) {
+		return n * uint64(w) / uint64(workers), n * uint64(w+1) / uint64(workers)
+	}
+	// Count each worker's id range per partition, then turn the counts into
+	// scatter cursors: partition q starts at start[q], and within it worker
+	// w's blocks follow those of every worker below w, so the scatter keeps
+	// every partition in id order.
+	next := make([]uint64, workers*parts)
+	forEachWorker(workers, func(w int) {
+		h := next[w*parts : (w+1)*parts]
+		lo, hi := ids(w)
+		for id := lo; id < hi; id++ {
+			h[uint64(leafOf(block.ID(id)))>>shift]++
+		}
+	})
+	start := make([]uint64, parts+1)
+	var pos uint64
+	for q := 0; q < parts; q++ {
+		start[q] = pos
+		for w := 0; w < workers; w++ {
+			c := next[w*parts+q]
+			next[w*parts+q] = pos
+			pos += c
+		}
+	}
+	start[parts] = pos
+	buf := make([]uint64, n)
+	forEachWorker(workers, func(w int) {
+		cur := next[w*parts : (w+1)*parts]
+		lo, hi := ids(w)
+		for id := lo; id < hi; id++ {
+			leaf := leafOf(block.ID(id))
+			q := uint64(leaf) >> shift
+			buf[cur[q]] = slotWord(Entry{Addr: block.ID(id), Leaf: leaf})
+			cur[q]++
+		}
+	})
+
+	// Fill the partitions, each worker taking the next unfilled one. A
+	// partition's leftovers stay at the front of its run of buf, and each
+	// worker sums its own per-level occupancy.
+	cnt := t.loadCounts()
+	left := make([]int, parts)
+	occupied := make([]uint64, workers*t.levels)
+	var claimed atomic.Int64
+	forEachWorker(workers, func(w int) {
+		occ := occupied[w*t.levels : (w+1)*t.levels]
+		for q := int(claimed.Add(1) - 1); q < parts; q = int(claimed.Add(1) - 1) {
+			left[q] = len(t.fillLevels(uint64(q), p, t.levels-1, buf[start[q]:start[q+1]], cnt, occ))
+		}
+	})
+	for i, c := range occupied {
+		t.occupied[i%t.levels] += c
+	}
+	// Each partition's leftovers are in id order; sorting their union by
+	// address puts them in the id order of the single pass.
+	var over []uint64
+	for q := 0; q < parts; q++ {
+		over = append(over, buf[start[q]:start[q]+uint64(left[q])]...)
+	}
+	slices.SortFunc(over, func(a, b uint64) int { return cmp.Compare(uint32(a), uint32(b)) })
+	return over
+}
+
+// forEachWorker runs f(0), ..., f(workers-1), each on its own goroutine
+// when there is more than one, and returns when all have.
+func forEachWorker(workers int, f func(w int)) {
+	if workers == 1 {
+		f(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			f(w)
+		}()
+	}
+	wg.Wait()
+}
+
+// loadCounts returns zeroed fill counts for every level, in heap order:
+// the 2^l buckets of level l count in cnt[1<<l : 2<<l]. A level's pass
+// indexes its counts by bucket index, and two partitions, at the same level
+// or at different ones, never share a count.
+func (t *Tree) loadCounts() []uint8 { return make([]uint8, uint64(2)<<t.leafBits) }
+
+// fillLevels runs Load's level passes over partition q of p partition bits
+// (the whole tree when p is 0) from level from up to minLevel, with the
+// fill counts of loadCounts. blocks are the partition's unplaced blocks in
+// id order; the ones that fit nowhere are returned compacted, in id order,
+// at the front of blocks. occupied[l] gains the blocks placed at level l.
+func (t *Tree) fillLevels(q uint64, p uint, from int, blocks []uint64, cnt []uint8, occupied []uint64) []uint64 {
+	for l := from; l >= t.minLevel && len(blocks) > 0; l-- {
 		f := t.levelFill(l, cnt)
-		kept := over[:0]
-		for _, e := range over {
-			if !f.put(e) {
-				kept = append(kept, e)
+		kept := blocks[:0]
+		for _, s := range blocks {
+			if !f.put(s) {
+				kept = append(kept, s)
 			}
 		}
-		over = kept
-		t.loadOccupancy(l, cnt)
+		blocks = kept
+		lo, hi := q<<(uint(l)-p), (q+1)<<(uint(l)-p)
+		occupied[l] += t.loadOccupancy(l, lo, f.cnt[lo:hi])
 	}
-	return append(spill, over...)
+	return blocks
 }
 
 // levelFill places blocks into the buckets of one level during Load. It
 // copies the level's geometry out of the Tree so the per-block loop reads
 // and writes nothing but the count and the records (the loop through Tree
-// fields and its occupied counter ran about twice as long on Scaled).
+// fields and its occupied counter ran about twice as long on Scaled; an
+// offset into the counts, loaded per block, cost Tiny's one-pass load 10%).
 type levelFill struct {
 	rec         []uint64
 	cnt         []uint8 // blocks placed so far in each bucket of the level
 	base, width uint64
-	shift       uint
+	shift       uint // a slot word's bucket in the level is s >> shift
 	z           uint8
 }
 
+// levelFill returns the filler of level, counting in its part of the
+// loadCounts array cnt.
 func (t *Tree) levelFill(level int, cnt []uint8) levelFill {
 	g := t.lv[level]
-	return levelFill{rec: t.rec, cnt: cnt, base: g.base, width: g.width,
-		shift: t.leafBits - uint(level), z: uint8(t.z[level])}
+	return levelFill{rec: t.rec, cnt: cnt[1<<level : 2<<level], base: g.base, width: g.width,
+		shift: 32 + t.leafBits - uint(level), z: uint8(t.z[level])}
 }
 
-// put stores e in the next free slot of its bucket and reports whether the
-// bucket had one.
-func (f *levelFill) put(e Entry) bool {
-	idx := uint64(e.Leaf) >> f.shift
+// put stores the block of slot word s in the next free slot of its bucket
+// and reports whether the bucket had one.
+func (f *levelFill) put(s uint64) bool {
+	idx := s >> f.shift
 	c := f.cnt[idx]
 	if c >= f.z {
 		return false
 	}
-	f.rec[f.base+idx*f.width+1+uint64(c)] = slotWord(e)
+	f.rec[f.base+idx*f.width+1+uint64(c)] = s
 	f.cnt[idx] = c + 1
 	return true
 }
 
 // loadOccupancy writes the occupancy word of every bucket of level from
-// its fill count, in one sequential pass, and the level's block count.
-func (t *Tree) loadOccupancy(level int, cnt []uint8) {
+// lo on from its fill count in cnt, in one sequential pass, and returns the
+// number of blocks they hold.
+func (t *Tree) loadOccupancy(level int, lo uint64, cnt []uint8) uint64 {
 	g := &t.lv[level]
 	var n uint64
-	for idx, c := range cnt {
-		t.rec[g.base+uint64(idx)*g.width] = uint64(1)<<c - 1
+	for i, c := range cnt {
+		t.rec[g.base+(lo+uint64(i))*g.width] = uint64(1)<<c - 1
 		n += uint64(c)
 	}
-	t.occupied[level] = n
+	return n
 }
 
 // Each hands every real block of the tree to visit with its level and
