@@ -11,9 +11,12 @@
 #                    comments, docs/METRICS.md must match the metrics
 #                    registry's self-description both ways, README's
 #                    flag tables must match the declared cmd flags both
-#                    ways, and the cmd/, examples/ and internal/ layout
+#                    ways, the cmd/, examples/ and internal/ layout
 #                    lists of README.md and DESIGN.md must match the
-#                    directories both ways
+#                    directories both ways, and every func or method
+#                    outside the facade must be named in some non-test
+#                    file besides its declaration (code only tests run
+#                    belongs in _test.go files)
 #   make fmtcheck    gate: every Go file is gofmt-clean
 #   make benchmod    vet + tests of the nested benchmark/ module, which the
 #                    root ./... patterns skip but which compiles against

@@ -20,7 +20,14 @@
 //     README.md or DESIGN.md disagrees with the directories under cmd/,
 //     examples/ or internal/: every listed name must be a directory, and
 //     every directory must be listed, so the layout can neither keep a
-//     deleted program nor omit a new one.
+//     deleted program nor omit a new one;
+//   - a func or method outside the facade package has no non-test caller:
+//     its name appears in no non-test .go file under the root (benchmark/
+//     included; testdata/ and dot-directories skipped) except at a func
+//     declaration, so only tests could run it. The match is by name: a
+//     function whose name another identifier shares passes, so the rule
+//     misses such dead code. allowUnused lists the exceptions, each with
+//     its reason.
 //
 // Run from the repository root (as the Makefile does): paths are relative.
 package main
@@ -31,7 +38,9 @@ import (
 	"go/doc"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -71,11 +80,21 @@ func run() int {
 		return 2
 	}
 	bad += n
+	unused, err := unusedFuncs(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		return 2
+	}
+	for _, u := range unused {
+		fmt.Fprintf(os.Stderr, "docscheck: %s: %s has no non-test caller (delete it, or move it into a _test.go file)\n",
+			u.pos, u.name)
+	}
+	bad += len(unused)
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "docscheck: %d problems\n", bad)
 		return 1
 	}
-	fmt.Println("docscheck: godoc coverage, docs/METRICS.md, README flags and layout lists in sync ok")
+	fmt.Println("docscheck: godoc coverage, docs/METRICS.md, README flags, layout lists and non-test callers ok")
 	return 0
 }
 
@@ -297,4 +316,96 @@ func auditLayout(docs []string, dirs ...string) (int, error) {
 		}
 	}
 	return bad, nil
+}
+
+// allowUnused lists the funcs and methods, as Recv.Name or Name, that
+// unusedFuncs accepts without a non-test caller.
+var allowUnused = map[string]bool{
+	// The paper's §IV-C context-switch protocol. No figure or command runs
+	// it; tests do, and it stays for the planned audit of every scheme's
+	// bus view, whose context-switch leg needs it.
+	"Controller.ContextSwitch": true,
+}
+
+// unusedFunc is one func or method unusedFuncs reports: where it is
+// declared, and its name as Recv.Name or Name.
+type unusedFunc struct {
+	pos  token.Position
+	name string
+}
+
+// unusedFuncs parses every non-test .go file under root, skipping
+// testdata/ and dot-directories, and returns each func or method declared
+// outside root's own package (the facade) whose name those files mention
+// nowhere but at func declarations. main, init and the allowUnused names
+// are exempt.
+func unusedFuncs(root string) ([]unusedFunc, error) {
+	root = filepath.Clean(root)
+	fset := token.NewFileSet()
+	var decls []unusedFunc
+	mentioned := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declared := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			declared[fd.Name] = true
+			name := fd.Name.Name
+			if fd.Recv != nil {
+				name = recvName(fd.Recv.List[0].Type) + "." + name
+			} else if name == "main" || name == "init" {
+				continue
+			}
+			if filepath.Dir(path) != root && !allowUnused[name] {
+				decls = append(decls, unusedFunc{fset.Position(fd.Pos()), name})
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				mentioned[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []unusedFunc
+	for _, d := range decls {
+		if !mentioned[d.name[strings.LastIndex(d.name, ".")+1:]] {
+			out = append(out, d)
+		}
+	}
+	return out, nil
+}
+
+// recvName returns T for a method receiver of type T or *T. No generic
+// type here has methods, so a T[K] receiver yields "".
+func recvName(e ast.Expr) string {
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }

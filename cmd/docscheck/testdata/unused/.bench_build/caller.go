@@ -1,0 +1,5 @@
+package build
+
+import "fixture/core"
+
+func call() { new(core.Controller).OnlyTested() }

@@ -90,6 +90,12 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "experiments: -emit jsonl requires -out <dir>")
 		return 2
 	}
+	// Epoch snapshots appear only in the JSONL sidecars, so without them
+	// -epochs would be silently ignored.
+	if *epochs > 0 && *emitMode != "jsonl" {
+		fmt.Fprintln(os.Stderr, "experiments: -epochs requires -emit jsonl (epochs are written only to the JSONL sidecars)")
+		return 2
+	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {

@@ -33,7 +33,6 @@ type traceDoc struct {
 type pathStat struct {
 	count                       uint64
 	total, read, decrypt, write uint64
-	readN, decryptN, writeN     uint64
 }
 
 // chanStat accumulates one DRAM channel's run service, bucketed over the
@@ -151,15 +150,12 @@ func (p *procStat) span(e event) error {
 	case flight.TidRead:
 		ps := pathOf()
 		ps.read += e.Dur
-		ps.readN++
 	case flight.TidDecrypt:
 		ps := pathOf()
 		ps.decrypt += e.Dur
-		ps.decryptN++
 	case flight.TidWrite:
 		ps := pathOf()
 		ps.write += e.Dur
-		ps.writeN++
 	default:
 		if e.Tid >= flight.TidDramBase && e.Name != "drain" {
 			ch, ok := p.chans[e.Tid-flight.TidDramBase]

@@ -44,7 +44,7 @@ func run() (code int) {
 		compare      = flag.Bool("compare", false, "run every scheme on the workload and print a comparison")
 		emitMode     = flag.String("emit", "", `artifact emission: "jsonl" writes irsim.jsonl under -out`)
 		out          = flag.String("out", "", "artifact directory for -emit jsonl")
-		epochs       = flag.Uint64("epochs", 0, "record an epoch snapshot every N issued paths (0 = off)")
+		epochs       = flag.Uint64("epochs", 0, "with -emit jsonl: record an epoch snapshot every N issued paths (0 = off)")
 		flightOut    = flag.String("flight", "", "write a Chrome trace-event file of the run to this path")
 		flightSample = flag.Uint64("flight-sample", 1,
 			"with -flight: trace one in every N path accesses (1 = every access)")
@@ -64,6 +64,12 @@ func run() (code int) {
 	}
 	if *emitMode == "jsonl" && *out == "" {
 		fmt.Fprintln(os.Stderr, "irsim: -emit jsonl requires -out <dir>")
+		return 2
+	}
+	// Epoch snapshots appear only in the JSONL record, so without it they
+	// would be collected and never shown.
+	if *epochs > 0 && *emitMode != "jsonl" {
+		fmt.Fprintln(os.Stderr, "irsim: -epochs requires -emit jsonl (epochs are written only to the JSONL record)")
 		return 2
 	}
 

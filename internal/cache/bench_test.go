@@ -21,8 +21,8 @@ func llcAccessRig() func() {
 	const addrSpace = 1024 * 8 * 4
 	op := func() {
 		a := r.Uint64n(addrSpace)
-		if !c.Access(a, r.Bool(0.3)) {
-			c.Insert(a, r.Bool(0.3))
+		if !c.Access(a, r.Float64() < 0.3) {
+			c.Insert(a, r.Float64() < 0.3)
 		}
 	}
 	for i := 0; i < 50000; i++ {

@@ -62,9 +62,6 @@ func New(sets, ways int) *Cache {
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 func (c *Cache) setOf(addr uint64) int {
 	if c.mask != 0 {
 		return int(addr & c.mask)
@@ -167,13 +164,6 @@ func (c *Cache) EachValid(fn func(Line)) {
 	}
 }
 
-// IsDirty reports whether the line is present and dirty, without side
-// effects.
-func (c *Cache) IsDirty(addr uint64) bool {
-	w := c.find(addr)
-	return w != nil && w.dirty
-}
-
 // Insert fills addr (allocating on a miss path). It returns the victim line
 // if a valid line had to be evicted. Inserting an already-present address
 // just updates its state.
@@ -215,17 +205,6 @@ func (c *Cache) Insert(addr uint64, dirty bool) (victim Line) {
 	s[vi] = way{addr: addr, valid: true, dirty: dirty, stamp: c.clock}
 	c.refreshSummary(si)
 	return victim
-}
-
-// Invalidate drops addr if present and returns its previous state.
-func (c *Cache) Invalidate(addr uint64) (was Line) {
-	si := c.setOf(addr)
-	if w := c.findIn(si, addr); w != nil {
-		was = Line{Addr: w.addr, Valid: true, Dirty: w.dirty}
-		*w = way{}
-		c.refreshSummary(si)
-	}
-	return was
 }
 
 // MarkDirty sets the dirty bit of a present line; it reports whether the

@@ -26,7 +26,7 @@ func TestWriteHitSetsDirty(t *testing.T) {
 	c := New(4, 2)
 	c.Insert(42, false)
 	c.Access(42, true)
-	if !c.IsDirty(42) {
+	if !isDirty(c, 42) {
 		t.Error("write hit should dirty the line")
 	}
 }
@@ -65,7 +65,7 @@ func TestInsertExistingUpdates(t *testing.T) {
 	if v.Valid {
 		t.Error("re-insert should not evict")
 	}
-	if !c.IsDirty(1) {
+	if !isDirty(c, 1) {
 		t.Error("re-insert with dirty should set dirty bit")
 	}
 	if valid, _ := lineCounts(c); valid != 1 {
@@ -73,28 +73,13 @@ func TestInsertExistingUpdates(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(2, 2)
-	c.Insert(5, true)
-	was := c.Invalidate(5)
-	if !was.Valid || !was.Dirty {
-		t.Errorf("Invalidate returned %+v", was)
-	}
-	if c.Contains(5) {
-		t.Error("line still present after invalidate")
-	}
-	if c.Invalidate(5).Valid {
-		t.Error("double invalidate should report absent")
-	}
-}
-
 func TestMarkCleanDirty(t *testing.T) {
 	c := New(2, 2)
 	c.Insert(7, true)
-	if !c.MarkClean(7) || c.IsDirty(7) {
+	if !c.MarkClean(7) || isDirty(c, 7) {
 		t.Error("MarkClean failed")
 	}
-	if !c.MarkDirty(7) || !c.IsDirty(7) {
+	if !c.MarkDirty(7) || !isDirty(c, 7) {
 		t.Error("MarkDirty failed")
 	}
 	if c.MarkClean(999) || c.MarkDirty(999) {
@@ -123,6 +108,13 @@ func TestDirtyLRU(t *testing.T) {
 	}
 }
 
+// isDirty reports whether addr is resident and dirty, reading the line
+// without touching recency or stats.
+func isDirty(c *Cache, addr uint64) bool {
+	w := c.find(addr)
+	return w != nil && w.dirty
+}
+
 // lineCounts counts the valid and the dirty lines of c.
 func lineCounts(c *Cache) (valid, dirty int) {
 	c.EachValid(func(l Line) {
@@ -145,22 +137,17 @@ func TestOccupancyAndDirtyCount(t *testing.T) {
 }
 
 // TestEachValidVisitsResidentLines checks the line walk against Contains
-// and IsDirty after random inserts, invalidations and evictions: it visits
+// and each line's dirty bit after random inserts and evictions: it visits
 // each resident line once, and every address Contains reports.
 func TestEachValidVisitsResidentLines(t *testing.T) {
 	c := New(8, 4)
 	r := rng.New(3)
 	for i := 0; i < 500; i++ {
-		a := r.Uint64n(100)
-		if r.Bool(0.2) {
-			c.Invalidate(a)
-		} else {
-			c.Insert(a, r.Bool(0.5))
-		}
+		c.Insert(r.Uint64n(100), r.Float64() < 0.5)
 	}
 	seen := map[uint64]bool{}
 	c.EachValid(func(l Line) {
-		if !l.Valid || seen[l.Addr] || !c.Contains(l.Addr) || c.IsDirty(l.Addr) != l.Dirty {
+		if !l.Valid || seen[l.Addr] || !c.Contains(l.Addr) || isDirty(c, l.Addr) != l.Dirty {
 			t.Fatalf("EachValid gave %+v (seen before: %v)", l, seen[l.Addr])
 		}
 		seen[l.Addr] = true
@@ -195,8 +182,8 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 		c := New(8, 4)
 		for i := 0; i < 500; i++ {
 			a := r.Uint64n(256)
-			if !c.Access(a, r.Bool(0.5)) {
-				c.Insert(a, r.Bool(0.5))
+			if !c.Access(a, r.Float64() < 0.5) {
+				c.Insert(a, r.Float64() < 0.5)
 			}
 		}
 		resident := 0

@@ -59,7 +59,6 @@ func (c *Controller) pathAccessReference(t *pathTree, now uint64, leaf block.Lea
 	c.st.PhaseWriteBackCycles += writeDone - readDone
 
 	c.st.Paths.Add(ptype, len(c.physBuf), len(c.physBuf))
-	t.paths++
 	done = readDone + c.o.OnChipLatency
 	c.st.PathLatency[ptype].Observe(done - now)
 	return found, foundLevel, done

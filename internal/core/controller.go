@@ -119,8 +119,6 @@ type pathTree struct {
 	// mig tallies each write phase's placements into Fig 5's migration
 	// histograms; nil on ρ's small tree, which Fig 5 does not chart.
 	mig *migTally
-	// paths counts the path accesses run on this tree.
-	paths uint64
 }
 
 // newPathTree builds a tree of geometry o whose memory-resident levels
@@ -133,7 +131,7 @@ func newPathTree(o config.ORAM, minLevel int, mem *dram.Model, physOff, blocks u
 		minLevel:    minLevel,
 		tr:          tree.New(o, minLevel),
 		layout:      tree.NewLayout(o, minLevel, int(mem.RowBlocks())),
-		fstash:      stash.NewFStash(o.StashCapacity, blocks),
+		fstash:      stash.NewFStash(blocks),
 		nPathBlocks: o.Z.BlocksPerPath(minLevel),
 		physOff:     physOff,
 	}
@@ -278,9 +276,6 @@ func (c *Controller) Utilization() []float64 {
 	return u
 }
 
-// BlocksPerPath returns the per-path DRAM block count of the main tree.
-func (c *Controller) BlocksPerPath() int { return c.nPathBlocks }
-
 // physRuns groups the addresses in physBuf, each offset by off, into DRAM
 // runs and returns them (in runBuf, valid until the next call).
 func (c *Controller) physRuns(off uint64) []dram.Run {
@@ -351,7 +346,6 @@ func (c *Controller) pathAccess(t *pathTree, now uint64, leaf block.Leaf, target
 	c.st.PhaseWriteBackCycles += writeDone - readDone
 
 	c.st.Paths.Add(ptype, t.nPathBlocks, t.nPathBlocks)
-	t.paths++
 	done = readDone + c.o.OnChipLatency
 	c.st.PathLatency[ptype].Observe(done - now)
 	if c.fl.Armed() {

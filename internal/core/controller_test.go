@@ -9,6 +9,7 @@ import (
 	"iroram/internal/cache"
 	"iroram/internal/config"
 	"iroram/internal/dram"
+	"iroram/internal/metrics"
 	"iroram/internal/rng"
 	"iroram/internal/tree"
 )
@@ -62,7 +63,7 @@ func TestCheckInvariantsAllocationBounded(t *testing.T) {
 	r := rng.New(5)
 	now := uint64(0)
 	for i := 0; i < 2000; i++ {
-		now = is.ReadBlock(now, block.ID(r.Uint64n(c.pm.DataBlocks())))
+		now = is.ReadBlock(now, block.ID(r.Uint64n(c.o.DataBlocks())))
 	}
 	const bound = 16 << 10
 	var before, after runtime.MemStats
@@ -85,7 +86,7 @@ func warmBaseline(t *testing.T) *Controller {
 	r := rng.New(5)
 	now := uint64(0)
 	for i := 0; i < 2000; i++ {
-		now = is.ReadBlock(now, block.ID(r.Uint64n(c.pm.DataBlocks())))
+		now = is.ReadBlock(now, block.ID(r.Uint64n(c.o.DataBlocks())))
 	}
 	return c
 }
@@ -241,8 +242,8 @@ func TestIssueUniformity(t *testing.T) {
 			heldOut := map[block.ID]bool{}
 			var heldList []block.ID
 			for i := 0; i < 300; i++ {
-				a := block.ID(r.Uint64n(c.pm.DataBlocks()))
-				if sch.DelayedRemap && r.Bool(0.3) && len(heldList) > 0 {
+				a := block.ID(r.Uint64n(c.o.DataBlocks()))
+				if sch.DelayedRemap && r.Float64() < 0.3 && len(heldList) > 0 {
 					v := heldList[r.Intn(len(heldList))]
 					if heldOut[v] {
 						delete(heldOut, v)
@@ -250,7 +251,7 @@ func TestIssueUniformity(t *testing.T) {
 						continue
 					}
 				}
-				if r.Bool(0.3) && !sch.DelayedRemap {
+				if r.Float64() < 0.3 && !sch.DelayedRemap {
 					now = is.PostWrite(now+uint64(r.Intn(3000)), a)
 					continue
 				}
@@ -294,8 +295,8 @@ func TestWriteBackFullAccess(t *testing.T) {
 	end := is.PostWrite(0, 42)
 	// Drain the queue by advancing time.
 	is.AdvanceTo(end + 100*c.o.IntervalT)
-	if is.WriteQueueLen() != 0 {
-		t.Fatalf("write queue still has %d entries", is.WriteQueueLen())
+	if len(is.writeQ) != 0 {
+		t.Fatalf("write queue still has %d entries", len(is.writeQ))
 	}
 	if c.st.ServedRequests != 1 {
 		t.Errorf("served %d", c.st.ServedRequests)
@@ -328,7 +329,7 @@ func TestBackgroundEvictionTriggers(t *testing.T) {
 	r := rng.New(3)
 	now := uint64(0)
 	for i := 0; i < 600; i++ {
-		a := block.ID(r.Uint64n(c.pm.DataBlocks()))
+		a := block.ID(r.Uint64n(c.o.DataBlocks()))
 		now = is.ReadBlock(now+1, a)
 	}
 	if c.fstash.Len() > c.o.StashCapacity {
@@ -412,7 +413,7 @@ func TestLLCDHoldsBlocksOut(t *testing.T) {
 	// Eviction reinserts it.
 	end := is.PostWrite(done+10, 55)
 	is.AdvanceTo(end + 50*c.o.IntervalT)
-	if is.WriteQueueLen() != 0 {
+	if len(is.writeQ) != 0 {
 		t.Fatal("reinsert never drained")
 	}
 	if !c.pm.Leaf(55).Valid() {
@@ -440,7 +441,7 @@ func TestUtilizationBounds(t *testing.T) {
 	r := rng.New(5)
 	now := uint64(0)
 	for i := 0; i < 300; i++ {
-		now = is.ReadBlock(now+300, block.ID(r.Uint64n(c.pm.DataBlocks())))
+		now = is.ReadBlock(now+300, block.ID(r.Uint64n(c.o.DataBlocks())))
 	}
 	u := c.Utilization()
 	if len(u) != c.o.Levels {
@@ -462,16 +463,20 @@ func TestMigrationStatsPopulated(t *testing.T) {
 	r := rng.New(17)
 	now := uint64(0)
 	for i := 0; i < 300; i++ {
-		now = is.ReadBlock(now+300, block.ID(r.Uint64n(c.pm.DataBlocks())))
+		now = is.ReadBlock(now+300, block.ID(r.Uint64n(c.o.DataBlocks())))
 	}
 	if c.st.MigrationFetched.Total() == 0 || c.st.MigrationPreexisting.Total() == 0 {
 		t.Error("migration histograms not populated")
 	}
 	// Fig 5: pre-existing stash blocks land nearer the root than fetched
 	// blocks on average.
-	avg := func(h interface{ FractionUpTo(int) float64 }) float64 {
+	avg := func(h *metrics.LinearHist) float64 {
 		// fraction of placements in the top half of the tree
-		return h.FractionUpTo(c.o.Levels / 2)
+		var top uint64
+		for _, n := range h.Counts[:c.o.Levels/2+1] {
+			top += n
+		}
+		return float64(top) / float64(h.Total())
 	}
 	if avg(c.st.MigrationPreexisting) <= avg(c.st.MigrationFetched) {
 		t.Logf("pre-existing top-half share %.3f vs fetched %.3f (informational)",
@@ -485,7 +490,7 @@ func TestDeterministicExecution(t *testing.T) {
 		r := rng.New(23)
 		now := uint64(0)
 		for i := 0; i < 200; i++ {
-			now = is.ReadBlock(now+137, block.ID(r.Uint64n(c.pm.DataBlocks())))
+			now = is.ReadBlock(now+137, block.ID(r.Uint64n(c.o.DataBlocks())))
 		}
 		return now, c.st.Paths.Total()
 	}
@@ -499,8 +504,8 @@ func TestDeterministicExecution(t *testing.T) {
 func TestIRAllocFewerBlocksPerPath(t *testing.T) {
 	_, base := newSystem(t, config.Baseline())
 	_, alloc := newSystem(t, config.IRAllocScheme())
-	if alloc.BlocksPerPath() >= base.BlocksPerPath() {
-		t.Errorf("IR-Alloc path %d blocks, baseline %d", alloc.BlocksPerPath(), base.BlocksPerPath())
+	if alloc.nPathBlocks >= base.nPathBlocks {
+		t.Errorf("IR-Alloc path %d blocks, baseline %d", alloc.nPathBlocks, base.nPathBlocks)
 	}
 }
 
@@ -509,7 +514,7 @@ func TestContextSwitchFlushesStash(t *testing.T) {
 	r := rng.New(31)
 	now := uint64(0)
 	for i := 0; i < 120; i++ {
-		now = is.ReadBlock(now+400, block.ID(r.Uint64n(c.pm.DataBlocks())))
+		now = is.ReadBlock(now+400, block.ID(r.Uint64n(c.o.DataBlocks())))
 	}
 	if c.StashLen() == 0 {
 		t.Skip("stash happened to be empty before the switch")
@@ -536,7 +541,7 @@ func TestContextSwitchIRStash(t *testing.T) {
 	r := rng.New(33)
 	now := uint64(0)
 	for i := 0; i < 120; i++ {
-		now = is.ReadBlock(now+400, block.ID(r.Uint64n(c.pm.DataBlocks())))
+		now = is.ReadBlock(now+400, block.ID(r.Uint64n(c.o.DataBlocks())))
 	}
 	done := c.ContextSwitch(now)
 	if c.StashLen() != 0 {

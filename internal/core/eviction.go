@@ -15,11 +15,11 @@ import (
 // classifies every entry by its deepest placeable level on the current path
 // (tree.DeepestLevel, a leaf-XOR + leading-zero count), then buckets are
 // filled deepest-first from the per-level lists, with entries that did not
-// fit spilling toward the root. Cost is O(stash + path). The pre-PR3
-// formulation — one full stash scan per tree level via
-// stash.FStash.TakeForBucket — is O(levels × stash) and is retained in
-// eviction_reference_test.go (evictOntoPathReference) as the oracle for the
-// differential tests in eviction_test.go.
+// fit spilling toward the root. Cost is O(stash + path). The per-level
+// formulation — one full stash scan per tree level (takeForBucket) — is
+// O(levels × stash) and is retained in eviction_reference_test.go
+// (evictOntoPathReference) as the oracle for the differential tests in
+// eviction_test.go.
 //
 // The two implementations place the same NUMBER of blocks at every level of
 // the path (both are maximal greedy deepest-first evictions; see

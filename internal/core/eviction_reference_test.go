@@ -7,10 +7,38 @@ import (
 	"iroram/internal/tree"
 )
 
+// takeForBucket removes and returns up to max blocks of fs placeable in the
+// bucket that the path of leaf crosses at level: the per-level write-phase
+// selection scan. It walks a copy of fs's storage order and removes each
+// pick through Remove, whose swap-with-last moves the last entry into the
+// pick's slot; the copy mirrors that move, so the scan visits the entries
+// in the order a removal scan over the stash itself would. accept lets the
+// caller veto candidates (the IR-Stash set-conflict rule); nil accepts all.
+// Picks are appended to dst.
+func takeForBucket(fs *stash.FStash, leaf block.Leaf, level, levels, max int,
+	accept func(tree.Entry) bool, dst []tree.Entry) []tree.Entry {
+	var items []tree.Entry
+	fs.Each(func(e tree.Entry) { items = append(items, e) })
+	for i := 0; i < len(items) && max > 0; {
+		e := items[i]
+		if !tree.SameSubtree(leaf, e.Leaf, level, levels) || (accept != nil && !accept(e)) {
+			i++
+			continue
+		}
+		dst = append(dst, e)
+		max--
+		fs.Remove(e.Addr)
+		last := len(items) - 1
+		items[i] = items[last]
+		items = items[:last]
+	}
+	return dst
+}
+
 // evictOntoPathReference is the original per-level write phase, kept as the
 // differential-test oracle of evictOntoPath: for each level, leaf-to-root,
 // rescan the whole stash for blocks placeable in that level's bucket
-// (TakeForBucket), then fill the on-chip segment one block at a time,
+// (takeForBucket), then fill the on-chip segment one block at a time,
 // re-stashing refused blocks.
 // refused and takeBuf are caller-owned scratch (refused is an epoch-stamped
 // set reset per level, preserving the historical retry-at-shallower-levels
@@ -24,7 +52,7 @@ func evictOntoPathReference(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 	onPlace func(e tree.Entry, level int, fetched bool)) {
 
 	for l := levels - 1; l >= minLevel; l-- {
-		take := fs.TakeForBucket(leaf, l, levels, z[l], nil, takeBuf[:0])
+		take := takeForBucket(fs, leaf, l, levels, z[l], nil, takeBuf[:0])
 		if onPlace != nil {
 			for _, e := range take {
 				onPlace(e, l, false)
@@ -38,7 +66,7 @@ func evictOntoPathReference(fs *stash.FStash, tr *tree.Tree, top stash.TopStore,
 	for l := minLevel - 1; l >= 0; l-- {
 		refused.Reset()
 		for placed := 0; placed < z[l]; {
-			cand := fs.TakeForBucket(leaf, l, levels, 1,
+			cand := takeForBucket(fs, leaf, l, levels, 1,
 				func(e tree.Entry) bool { return !refused.Has(e.Addr) }, takeBuf[:0])
 			if len(cand) == 0 {
 				break

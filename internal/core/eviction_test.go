@@ -77,7 +77,7 @@ func TestEvictionDifferential(t *testing.T) {
 				}
 
 				// Snapshot for the oracle, preserving storage order.
-				shadow := stash.NewFStash(c.fstash.Capacity(), c.pm.Total())
+				shadow := stash.NewFStash(c.pm.Total())
 				c.fstash.Each(func(e tree.Entry) { shadow.Insert(e) })
 				shadowTr := tree.New(c.o, c.minLevel)
 				var shadowTop stash.TopStore
@@ -190,7 +190,7 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 
 				// Oracle state: the resident stash in storage order, then the
 				// gathered blocks appended unflagged — the pre-fused shape.
-				shadow := stash.NewFStash(c.fstash.Capacity(), c.pm.Total())
+				shadow := stash.NewFStash(c.pm.Total())
 				c.fstash.Each(func(e tree.Entry) { shadow.Insert(e) })
 				for _, e := range c.gathered {
 					e.Leaf &^= tree.GatherFlag
@@ -206,7 +206,7 @@ func TestEvictionGatherFlagDifferential(t *testing.T) {
 				// the live call is about to consume (resident stash clone in
 				// storage order, flagged gathered copy, freshly-drained path
 				// buckets), snapshotted before the live call mutates them.
-				shadow2 := stash.NewFStash(c.fstash.Capacity(), c.pm.Total())
+				shadow2 := stash.NewFStash(c.pm.Total())
 				c.fstash.Each(func(e tree.Entry) { shadow2.Insert(e) })
 				gathered2 = append(gathered2[:0], c.gathered...)
 				shadowTr2 := tree.New(c.o, c.minLevel)
@@ -347,7 +347,7 @@ func TestEvictionRefusalDifferential(t *testing.T) {
 	}
 	newSide := func() *side {
 		s := &side{
-			fs:    stash.NewFStash(o.StashCapacity, blocks),
+			fs:    stash.NewFStash(blocks),
 			tr:    tree.New(o, o.TopLevels),
 			irs:   stash.NewIRStash(o.Levels, o.TopLevels, o.Z, o.SStashWays),
 			lists: make([][]tree.Entry, o.Levels),

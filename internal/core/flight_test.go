@@ -31,14 +31,15 @@ func TestFlightEnabledZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race instrumentation")
 	}
-	fl := flight.New(1024, 1)
+	const ring = 1024
+	fl := flight.New(ring, 1)
 	_, op := accessRig(t, config.Baseline(), fl)
 	before := fl.Recorded()
 	if avg := testing.AllocsPerRun(400, op); avg != 0 {
 		t.Errorf("tracing enabled: ReadBlock allocates %.2f times per access, want 0", avg)
 	}
-	if n := fl.Recorded() - before; n <= uint64(fl.Capacity()) {
-		t.Errorf("runs recorded %d events, fewer than one ring wrap (%d)", n, fl.Capacity())
+	if n := fl.Recorded() - before; n <= ring {
+		t.Errorf("runs recorded %d events, fewer than one ring wrap (%d)", n, ring)
 	}
 }
 

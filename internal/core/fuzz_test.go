@@ -56,7 +56,7 @@ func FuzzNewController(f *testing.F) {
 		}
 		is := NewIssuer(c, nil)
 		now := uint64(0)
-		for _, op := range pipelineWorkload(200, c.pm.DataBlocks(), cfg.Scheme) {
+		for _, op := range pipelineWorkload(200, c.o.DataBlocks(), cfg.Scheme) {
 			if op.cswtch {
 				now = c.ContextSwitch(now)
 			} else if op.write {

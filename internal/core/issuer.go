@@ -65,12 +65,6 @@ func NewIssuer(c *Controller, dwbSrc DWBSource) *Issuer {
 	return is
 }
 
-// Controller returns the paced controller.
-func (is *Issuer) Controller() *Controller { return is.c }
-
-// WriteQueueLen returns the number of posted writes waiting.
-func (is *Issuer) WriteQueueLen() int { return len(is.writeQ) }
-
 // earliestIssue returns the first cycle at or after now the controller may
 // issue a path.
 func (is *Issuer) earliestIssue(now uint64) uint64 {

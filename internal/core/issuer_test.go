@@ -126,7 +126,7 @@ func TestDWBDistributionShiftsFromDummy(t *testing.T) {
 		r := rng.New(5)
 		now := uint64(0)
 		for i := 0; i < 100; i++ {
-			now = is.ReadBlock(now+8000, block.ID(r.Uint64n(c.pm.DataBlocks())))
+			now = is.ReadBlock(now+8000, block.ID(r.Uint64n(c.o.DataBlocks())))
 		}
 		return c.st.DummyPaths, c.st.DWBConverted
 	}
@@ -144,6 +144,15 @@ func TestDWBDistributionShiftsFromDummy(t *testing.T) {
 	}
 }
 
+// smallTreePaths counts the path accesses ρ ran on its small tree. Both
+// trees count their paths in st.Paths, and every small-tree path moves
+// fewer blocks than a main-tree one, so the shortfall in blocks read
+// against all-main-tree paths counts them.
+func smallTreePaths(c *Controller) uint64 {
+	short := c.st.Paths.Total()*uint64(c.nPathBlocks) - c.st.Paths.BlocksRead
+	return short / uint64(c.nPathBlocks-c.rho.nPathBlocks)
+}
+
 func TestRhoBasicOperation(t *testing.T) {
 	cfg := config.Tiny().WithScheme(config.RhoScheme())
 	mem := dram.New(cfg.DRAM)
@@ -158,7 +167,7 @@ func TestRhoBasicOperation(t *testing.T) {
 		a := block.ID(r.Uint64n(1024))
 		now = is.ReadBlock(now+900, a)
 	}
-	if c.rho.paths == 0 {
+	if smallTreePaths(c) == 0 {
 		t.Fatal("rho never used the small tree")
 	}
 	if c.rho.member.Len() == 0 {
@@ -181,13 +190,13 @@ func TestRhoReuseHitsSmallTree(t *testing.T) {
 	}
 	is := NewIssuer(c, nil)
 	now := is.ReadBlock(0, 42)
-	before := c.rho.paths
+	before := smallTreePaths(c)
 	// Flush it out of the stash into the small tree with dummies, then
 	// re-read: the access must be a small-tree path, not a main path.
 	is.AdvanceTo(now + 30*c.o.IntervalT)
 	mainBefore := c.st.Paths.Paths[block.PathData]
 	is.ReadBlock(now+31*c.o.IntervalT, 42)
-	if c.rho.paths == before && c.st.Paths.Paths[block.PathData] > mainBefore {
+	if smallTreePaths(c) == before && c.st.Paths.Paths[block.PathData] > mainBefore {
 		t.Error("re-read went to the main tree despite small-tree residency")
 	}
 }
@@ -205,7 +214,7 @@ func TestRhoDemotionDrains(t *testing.T) {
 	r := rng.New(3)
 	now := uint64(0)
 	for i := 0; i < 400; i++ {
-		a := block.ID(r.Uint64n(c.pm.DataBlocks()))
+		a := block.ID(r.Uint64n(c.o.DataBlocks()))
 		now = is.ReadBlock(now+900, a)
 	}
 	if c.rho.member.Len() > c.rho.limit {
@@ -279,8 +288,8 @@ func TestPostWriteNoTimingProtection(t *testing.T) {
 		now = is.PostWrite(now, block.ID(i*53))
 	}
 	is.AdvanceTo(now + 1_000_000)
-	if is.WriteQueueLen() != 0 {
-		t.Fatalf("write queue stuck at %d without pacing", is.WriteQueueLen())
+	if len(is.writeQ) != 0 {
+		t.Fatalf("write queue stuck at %d without pacing", len(is.writeQ))
 	}
 	if c.st.DummyPaths != 0 {
 		t.Errorf("%d dummies with protection off", c.st.DummyPaths)
@@ -295,7 +304,7 @@ func TestDummyServiceOpportunisticallyDrainsStash(t *testing.T) {
 	r := rng.New(41)
 	now := uint64(0)
 	for i := 0; i < 60; i++ {
-		now = is.ReadBlock(now+200, block.ID(r.Uint64n(c.pm.DataBlocks())))
+		now = is.ReadBlock(now+200, block.ID(r.Uint64n(c.o.DataBlocks())))
 	}
 	before := c.StashLen()
 	if before == 0 {

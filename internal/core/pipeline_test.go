@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"iroram/internal/block"
@@ -41,7 +43,7 @@ func pipelineWorkload(n int, dataBlocks uint64, sch config.Scheme) []pipelineOp 
 			continue
 		}
 		if sch.DelayedRemap {
-			if r.Bool(0.3) && len(heldList) > 0 {
+			if r.Float64() < 0.3 && len(heldList) > 0 {
 				v := heldList[r.Intn(len(heldList))]
 				if heldOut[v] {
 					delete(heldOut, v)
@@ -88,11 +90,11 @@ func pipelineSystem(t *testing.T, sch config.Scheme, ref bool) (*Issuer, *Contro
 // comparePipelines drives two systems through the same workload in
 // lockstep and fails on the first divergence in completion times, then on
 // any difference in statistics, DRAM state, stash contents (including
-// storage order, which is behavior-visible through TakeForPath), or tree
+// storage order, which sets DrainForPath's visit order), or tree
 // occupancy.
 func comparePipelines(t *testing.T, label string, isA, isB *Issuer, cA, cB *Controller) {
 	t.Helper()
-	ops := pipelineWorkload(1200, cA.pm.DataBlocks(), cA.cfg.Scheme)
+	ops := pipelineWorkload(1200, cA.o.DataBlocks(), cA.cfg.Scheme)
 	nowA, nowB := uint64(0), uint64(0)
 	for i, op := range ops {
 		if op.cswtch {
@@ -113,8 +115,8 @@ func comparePipelines(t *testing.T, label string, isA, isB *Issuer, cA, cB *Cont
 	if sa, sb := cA.mem.Stats(), cB.mem.Stats(); sa != sb {
 		t.Fatalf("%s: DRAM stats diverge:\nA %+v\nB %+v", label, sa, sb)
 	}
-	if fa, fb := cA.mem.FreeAt(), cB.mem.FreeAt(); fa != fb {
-		t.Fatalf("%s: DRAM channel state diverges: %d vs %d", label, fa, fb)
+	if !reflect.DeepEqual(cA.mem, cB.mem) {
+		t.Fatalf("%s: DRAM channel, bank or scratch state diverges", label)
 	}
 
 	type scalars struct {
@@ -168,15 +170,10 @@ func comparePipelines(t *testing.T, label string, isA, isB *Issuer, cA, cB *Cont
 			t.Fatalf("%s: stash storage order diverges at %d: %+v vs %+v", label, i, entA[i], entB[i])
 		}
 	}
-	for l := 0; l < cA.o.Levels; l++ {
-		if oa, ob := cA.tr.OccupiedAt(l), cB.tr.OccupiedAt(l); oa != ob {
-			t.Fatalf("%s: tree level %d occupancy %d vs %d", label, l, oa, ob)
-		}
+	if ua, ub := cA.tr.Utilization(), cB.tr.Utilization(); !slices.Equal(ua, ub) {
+		t.Fatalf("%s: tree level utilization %v vs %v", label, ua, ub)
 	}
 	if cA.rho != nil {
-		if cA.rho.paths != cB.rho.paths {
-			t.Fatalf("%s: rho small paths %d vs %d", label, cA.rho.paths, cB.rho.paths)
-		}
 		if oa, ob := cA.rho.occupied(), cB.rho.occupied(); oa != ob {
 			t.Fatalf("%s: rho occupancy %d vs %d", label, oa, ob)
 		}

@@ -25,7 +25,7 @@ func TestRingBasicOperation(t *testing.T) {
 	r := rng.New(9)
 	now := uint64(0)
 	for i := 0; i < 400; i++ {
-		a := block.ID(r.Uint64n(c.pm.DataBlocks()))
+		a := block.ID(r.Uint64n(c.o.DataBlocks()))
 		now = is.ReadBlock(now+800, a)
 	}
 	if c.st.ServedRequests != 400 {
@@ -51,7 +51,7 @@ func TestRingReadsMoveFewerBlocks(t *testing.T) {
 		r := rng.New(3)
 		now := uint64(0)
 		for i := 0; i < 400; i++ {
-			now = is.ReadBlock(now+600, block.ID(r.Uint64n(c.pm.DataBlocks())))
+			now = is.ReadBlock(now+600, block.ID(r.Uint64n(c.o.DataBlocks())))
 		}
 		return float64(c.st.Paths.BlocksRead+c.st.Paths.BlocksWrit) /
 			float64(c.st.Paths.Total())
@@ -69,7 +69,7 @@ func TestRingEvictionCadence(t *testing.T) {
 	r := rng.New(5)
 	now := uint64(0)
 	for i := 0; i < 300; i++ {
-		now = is.ReadBlock(now+600, block.ID(r.Uint64n(c.pm.DataBlocks())))
+		now = is.ReadBlock(now+600, block.ID(r.Uint64n(c.o.DataBlocks())))
 	}
 	reads := c.st.Paths.Total() - c.st.Paths.Paths[block.PathEvict]
 	wantEvicts := reads / uint64(c.cfg.Scheme.RingA)
@@ -87,7 +87,7 @@ func TestRingReshufflesHappen(t *testing.T) {
 	r := rng.New(7)
 	now := uint64(0)
 	for i := 0; i < 600; i++ {
-		now = is.ReadBlock(now+500, block.ID(r.Uint64n(c.pm.DataBlocks())))
+		now = is.ReadBlock(now+500, block.ID(r.Uint64n(c.o.DataBlocks())))
 	}
 	if c.ring.Reshuffles == 0 {
 		t.Error("no early reshuffles despite sustained reads")
@@ -100,7 +100,7 @@ func TestRingStashBounded(t *testing.T) {
 	r := rng.New(11)
 	now := uint64(0)
 	for i := 0; i < 800; i++ {
-		now = is.ReadBlock(now+400, block.ID(r.Uint64n(c.pm.DataBlocks())))
+		now = is.ReadBlock(now+400, block.ID(r.Uint64n(c.o.DataBlocks())))
 	}
 	if c.fstash.Len() > c.o.StashCapacity {
 		t.Errorf("stash at %d over capacity %d", c.fstash.Len(), c.o.StashCapacity)
@@ -115,7 +115,7 @@ func TestRingComposesWithIRAlloc(t *testing.T) {
 		r := rng.New(13)
 		now := uint64(0)
 		for i := 0; i < 400; i++ {
-			now = is.ReadBlock(now+600, block.ID(r.Uint64n(c.pm.DataBlocks())))
+			now = is.ReadBlock(now+600, block.ID(r.Uint64n(c.o.DataBlocks())))
 		}
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)

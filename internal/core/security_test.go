@@ -176,8 +176,8 @@ func TestIssueGapAuditRhoAndDWB(t *testing.T) {
 			r := rng.New(5)
 			now := uint64(0)
 			for i := 0; i < 250; i++ {
-				a := block.ID(r.Uint64n(c.pm.DataBlocks()))
-				if r.Bool(0.25) {
+				a := block.ID(r.Uint64n(c.o.DataBlocks()))
+				if r.Float64() < 0.25 {
 					now = is.PostWrite(now+uint64(r.Intn(4000)), a)
 				} else {
 					now = is.ReadBlock(now+uint64(r.Intn(4000)), a)

@@ -21,7 +21,7 @@ type Stats struct {
 	TopHits uint64
 	// HitLevels histograms the tree level at which requested data blocks
 	// were found (tree-top and memory levels; Fig 6).
-	HitLevels *stats.LevelHist
+	HitLevels *metrics.LinearHist
 
 	// PosMapPaths counts PTp path accesses (Pos1 + Pos2), Fig 14's metric.
 	PosMapPaths uint64
@@ -49,8 +49,8 @@ type Stats struct {
 	// Migration records which levels write phases placed blocks at,
 	// separated by block origin (Fig 5): fetched this access vs
 	// pre-existing in the stash.
-	MigrationFetched     *stats.LevelHist
-	MigrationPreexisting *stats.LevelHist
+	MigrationFetched     *metrics.LinearHist
+	MigrationPreexisting *metrics.LinearHist
 
 	// Issue-gap audit (the obliviousness regression check): with timing
 	// protection on, the controller may never be observably idle — every
@@ -114,9 +114,9 @@ type Epoch struct {
 
 func newStats(levels int) *Stats {
 	return &Stats{
-		HitLevels:            stats.NewLevelHist(levels),
-		MigrationFetched:     stats.NewLevelHist(levels),
-		MigrationPreexisting: stats.NewLevelHist(levels),
+		HitLevels:            metrics.NewLinearHist(levels),
+		MigrationFetched:     metrics.NewLinearHist(levels),
+		MigrationPreexisting: metrics.NewLinearHist(levels),
 	}
 }
 

@@ -96,8 +96,8 @@ func TestBatchQueuesBehindEarlierTraffic(t *testing.T) {
 	if second <= first-8*uint64(testCfg().TBurst) {
 		t.Errorf("second batch at %d ignored queueing behind first at %d", second, first)
 	}
-	if m.FreeAt() != second {
-		t.Errorf("FreeAt = %d, want %d", m.FreeAt(), second)
+	if m.freeAt() != second {
+		t.Errorf("freeAt = %d, want %d", m.freeAt(), second)
 	}
 }
 

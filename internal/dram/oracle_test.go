@@ -17,6 +17,18 @@ type Access struct {
 	Write bool
 }
 
+// freeAt returns the cycle at which every channel is idle, i.e. when all
+// previously issued traffic has drained.
+func (m *Model) freeAt() uint64 {
+	var max uint64
+	for i := range m.channels {
+		if m.channels[i].freeAt > max {
+			max = m.channels[i].freeAt
+		}
+	}
+	return max
+}
+
 // decompose maps a physical block address to channel, bank and row using
 // block-level channel interleaving (the USIMM default): consecutive blocks
 // rotate across channels, so a row-aligned subtree is striped over all

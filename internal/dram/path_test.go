@@ -58,9 +58,9 @@ func TestServicePathMatchesServiceBatch(t *testing.T) {
 	if batch.Stats() != path.Stats() {
 		t.Fatalf("stats diverge:\nbatch %+v\npath  %+v", batch.Stats(), path.Stats())
 	}
-	if batch.FreeAt() != path.FreeAt() {
+	if batch.freeAt() != path.freeAt() {
 		t.Fatalf("channel state diverges: batch free at %d, path free at %d",
-			batch.FreeAt(), path.FreeAt())
+			batch.freeAt(), path.freeAt())
 	}
 }
 

@@ -68,9 +68,9 @@ func diffState(t *testing.T, runs, oracle *Model) {
 	if runs.Stats() != oracle.Stats() {
 		t.Fatalf("stats diverge:\nrun-length  %+v\nper-address %+v", runs.Stats(), oracle.Stats())
 	}
-	if runs.FreeAt() != oracle.FreeAt() {
+	if runs.freeAt() != oracle.freeAt() {
 		t.Fatalf("channel state diverges: run-length free at %d, per-address free at %d",
-			runs.FreeAt(), oracle.FreeAt())
+			runs.freeAt(), oracle.freeAt())
 	}
 }
 
@@ -246,7 +246,7 @@ func TestRunRowBoundaryMidBucket(t *testing.T) {
 	}
 	// Re-reading the same bucket finds every row still open — and must again
 	// time out identically in both implementations.
-	diffStep(t, 1, runs, oracle, runs.FreeAt(), phys, 0, false)
+	diffStep(t, 1, runs, oracle, runs.freeAt(), phys, 0, false)
 	diffState(t, runs, oracle)
 	if st2 := runs.Stats(); st2.RowMisses != st.RowMisses {
 		t.Fatalf("re-read missed rows: %d misses, want %d", st2.RowMisses, st.RowMisses)
@@ -281,7 +281,26 @@ func TestRunBankConflictWrap(t *testing.T) {
 	}
 }
 
-// TestPathServiceBoundDominatesRunLength pins PathServiceBound as an upper
+// pathServiceBound returns an upper bound on the CPU cycles one path phase
+// of n blocks takes on an idle memory system: the bound that shows the
+// timing-protection interval T can absorb a full path (the paper's
+// assumption when fixing T=1000).
+//
+// The bound is strict for any address sequence: a channel's cursor advances
+// by at most one full row turnaround (precharge + write recovery +
+// activate + column access) plus one burst per access, because a bank's
+// last data beat never trails its channel's bus cursor. Real subtree-laid-
+// out paths come in far under it — they pay roughly one turnaround per
+// chunk, not per block — which TestPathServiceBoundDominatesRunLength
+// exercises against the run-length servicer.
+func (m *Model) pathServiceBound(n int) uint64 {
+	cpd := uint64(m.cfg.CPUCyclesPerDRAMCycle)
+	perChan := (uint64(n) + uint64(m.cfg.Channels) - 1) / uint64(m.cfg.Channels)
+	lat := uint64(m.cfg.TRP+m.cfg.TWR+m.cfg.TRCD+m.cfg.TCAS) * cpd
+	return perChan * (lat + uint64(m.cfg.TBurst)*cpd)
+}
+
+// TestPathServiceBoundDominatesRunLength pins pathServiceBound as an upper
 // bound on the run-length servicer for real subtree-laid-out paths on a
 // cold, idle model: no path may take longer than the bound used to size
 // the timing-protection interval T. (The bound's premise is a path's
@@ -297,7 +316,7 @@ func TestPathServiceBoundDominatesRunLength(t *testing.T) {
 		leaf := block.Leaf(r.Uint64n(sys.ORAM.LeafCount()))
 		phys = layout.PathPhys(leaf, phys[:0])
 		took := servicePath(m, 0, phys, 0, iter%2 == 0)
-		if bound := m.PathServiceBound(len(phys)); took > bound {
+		if bound := m.pathServiceBound(len(phys)); took > bound {
 			t.Fatalf("iter %d leaf %d: run-length service of %d blocks took %d cycles, bound %d",
 				iter, leaf, len(phys), took, bound)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"iroram/internal/block"
 	"iroram/internal/config"
+	"iroram/internal/metrics"
 	"iroram/internal/sim"
 	"iroram/internal/stats"
 	"iroram/internal/trace"
@@ -166,7 +167,7 @@ func Fig5(opts Options) (*stats.Table, error) {
 	res := rs[0]
 	levels := opts.Base.ORAM.Levels
 	t := stats.NewTable("Fig 5: write-phase placement level by block origin", levelRows(levels)...)
-	toShares := func(h *stats.LevelHist) []float64 {
+	toShares := func(h *metrics.LinearHist) []float64 {
 		total := float64(h.Total())
 		out := make([]float64, levels)
 		for l, c := range h.Counts {

@@ -204,22 +204,6 @@ func (r *Recorder) Len() int {
 	return len(r.ring)
 }
 
-// Capacity returns the ring capacity.
-func (r *Recorder) Capacity() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.ring)
-}
-
-// SampleEvery returns the access sampling period.
-func (r *Recorder) SampleEvery() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.sampleEvery
-}
-
 // Trace is an immutable snapshot of a recorder: the retained events in
 // record order plus the drop accounting needed to judge coverage.
 type Trace struct {

@@ -18,7 +18,7 @@ func TestNilRecorderInert(t *testing.T) {
 	}
 	r.Record(Event{Kind: KindAccess})
 	r.Disarm()
-	if r.Recorded() != 0 || r.Dropped() != 0 || r.Len() != 0 || r.Capacity() != 0 {
+	if r.Recorded() != 0 || r.Dropped() != 0 || r.Len() != 0 {
 		t.Error("nil recorder reports non-zero state")
 	}
 	if r.Snapshot() != nil {
@@ -90,8 +90,8 @@ func TestSamplingPattern(t *testing.T) {
 	if got := r.SampledAccesses(); got != 4 {
 		t.Errorf("SampledAccesses = %d, want 4", got)
 	}
-	if r.SampleEvery() != 3 {
-		t.Errorf("SampleEvery = %d, want 3", r.SampleEvery())
+	if r.sampleEvery != 3 {
+		t.Errorf("sampleEvery = %d, want 3", r.sampleEvery)
 	}
 }
 

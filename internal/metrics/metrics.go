@@ -25,10 +25,7 @@
 // byte-identical metric dumps regardless of worker count.
 package metrics
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // NumBuckets is the number of power-of-two histogram buckets. Bucket 0
 // holds exactly the value 0; bucket k (k >= 1) holds values in
@@ -57,29 +54,6 @@ func (h *Hist) Observe(v uint64) {
 		h.max = v
 	}
 }
-
-// Count returns the number of samples observed.
-func (h *Hist) Count() uint64 { return h.count }
-
-// Sum returns the sum of all observed samples.
-func (h *Hist) Sum() uint64 { return h.sum }
-
-// Min returns the smallest observed sample, or 0 before any observation.
-func (h *Hist) Min() uint64 { return h.min }
-
-// Max returns the largest observed sample, or 0 before any observation.
-func (h *Hist) Max() uint64 { return h.max }
-
-// Mean returns the arithmetic mean of observed samples, or 0 when empty.
-func (h *Hist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// BucketIndex returns the bucket a value falls into: its bit length.
-func BucketIndex(v uint64) int { return bits.Len64(v) }
 
 // BucketBounds returns the inclusive value range [lo, hi] of bucket i.
 // Bucket 0 is [0, 0]; bucket k >= 1 is [2^(k-1), 2^k - 1].
@@ -127,8 +101,8 @@ func (h *Hist) Snapshot() HistSnapshot {
 
 // LinearHist is a histogram with one bucket per small integer index — the
 // simulator uses it for per-tree-level measurements (hit level, placement
-// level). Add is allocation-free. The exported Counts slice is part of the
-// legacy stats API (internal/stats aliases LevelHist to this type).
+// level). Add is allocation-free. Counts is exported: the figure drivers
+// read it, and the write phase's migration tally adds to it directly.
 type LinearHist struct {
 	Counts []uint64
 }
@@ -141,10 +115,6 @@ func NewLinearHist(n int) *LinearHist {
 // Add increments bucket i.
 func (h *LinearHist) Add(i int) { h.Counts[i]++ }
 
-// AddN adds n to bucket i — the bulk form for callers that tally a batch
-// locally and flush once.
-func (h *LinearHist) AddN(i int, n uint64) { h.Counts[i] += n }
-
 // Total returns the histogram mass.
 func (h *LinearHist) Total() uint64 {
 	var n uint64
@@ -152,19 +122,6 @@ func (h *LinearHist) Total() uint64 {
 		n += c
 	}
 	return n
-}
-
-// FractionUpTo returns the share of mass at buckets [0, l].
-func (h *LinearHist) FractionUpTo(l int) float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	var n uint64
-	for i := 0; i <= l && i < len(h.Counts); i++ {
-		n += h.Counts[i]
-	}
-	return float64(n) / float64(total)
 }
 
 // LinearSnapshot is the serializable state of a LinearHist.
@@ -179,9 +136,4 @@ func (h *LinearHist) Snapshot() LinearSnapshot {
 		Total:  h.Total(),
 		Counts: append([]uint64(nil), h.Counts...),
 	}
-}
-
-// String renders the summary fields compactly (buckets elided).
-func (s HistSnapshot) String() string {
-	return fmt.Sprintf("hist{n=%d sum=%d min=%d max=%d}", s.Count, s.Sum, s.Min, s.Max)
 }

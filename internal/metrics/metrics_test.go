@@ -6,8 +6,8 @@ import (
 )
 
 // TestHistBucketBoundaries pins the power-of-two bucketing: bucket 0 is
-// exactly {0}, bucket k holds [2^(k-1), 2^k - 1], and the boundary values
-// land on the correct side.
+// exactly {0}, bucket k holds [2^(k-1), 2^k - 1], and Observe puts the
+// boundary values on the correct side.
 func TestHistBucketBoundaries(t *testing.T) {
 	cases := []struct {
 		v      uint64
@@ -23,10 +23,12 @@ func TestHistBucketBoundaries(t *testing.T) {
 		{1 << 63, 64}, {^uint64(0), 64},
 	}
 	for _, c := range cases {
-		if got := BucketIndex(c.v); got != c.bucket {
-			t.Errorf("BucketIndex(%d) = %d, want %d", c.v, got, c.bucket)
-		}
+		var h Hist
+		h.Observe(c.v)
 		lo, hi := BucketBounds(c.bucket)
+		if b := h.Snapshot().Buckets; len(b) != 1 || b[0].Lo != lo || b[0].Hi != hi {
+			t.Errorf("Observe(%d) filled %+v, want bucket %d [%d, %d]", c.v, b, c.bucket, lo, hi)
+		}
 		if c.v < lo || c.v > hi {
 			t.Errorf("value %d outside its bucket %d bounds [%d, %d]", c.v, c.bucket, lo, hi)
 		}
@@ -53,13 +55,10 @@ func TestHistObserveAndSnapshot(t *testing.T) {
 	for _, v := range []uint64{0, 1, 1, 5, 1000} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 1007 || h.Min() != 0 || h.Max() != 1000 {
-		t.Fatalf("summary = count %d sum %d min %d max %d", h.Count(), h.Sum(), h.Min(), h.Max())
-	}
-	if h.Mean() != 1007.0/5 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
 	s := h.Snapshot()
+	if s.Count != 5 || s.Sum != 1007 || s.Min != 0 || s.Max != 1000 {
+		t.Fatalf("summary = count %d sum %d min %d max %d", s.Count, s.Sum, s.Min, s.Max)
+	}
 	var total uint64
 	for _, b := range s.Buckets {
 		total += b.N
@@ -90,9 +89,6 @@ func TestLinearHist(t *testing.T) {
 	if h.Total() != 3 {
 		t.Fatalf("total = %d", h.Total())
 	}
-	if got := h.FractionUpTo(1); got != 1.0/3 {
-		t.Fatalf("FractionUpTo(1) = %v", got)
-	}
 	s := h.Snapshot()
 	if s.Total != 3 || len(s.Counts) != 4 || s.Counts[2] != 2 {
 		t.Fatalf("snapshot = %+v", s)
@@ -118,7 +114,7 @@ func TestRegistrySnapshotAndDescs(t *testing.T) {
 	r.LinearHistogram("test_linear", "levels", "a linear histogram", lh)
 
 	descs := r.Descs()
-	if len(descs) != 5 || r.Len() != 5 {
+	if len(descs) != 5 || len(r.entries) != 5 {
 		t.Fatalf("descs = %+v", descs)
 	}
 	for i := 1; i < len(descs); i++ {
@@ -193,7 +189,7 @@ func TestRegistryRejectsBadNames(t *testing.T) {
 // so a long run walks up through the buckets.
 func histObserveRig() func() {
 	var h Hist
-	return func() { h.Observe(h.Count()) }
+	return func() { h.Observe(h.count) }
 }
 
 func BenchmarkHistObserve(b *testing.B) {

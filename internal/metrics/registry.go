@@ -105,9 +105,6 @@ func (r *Registry) LinearHistogram(name, unit, help string, h *LinearHist) {
 		&entry{linear: h})
 }
 
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int { return len(r.entries) }
-
 // Descs returns every registered metric's description, sorted by name —
 // the registry's self-description, used by `make docscheck` to validate
 // docs/METRICS.md and by the JSONL schema tests.

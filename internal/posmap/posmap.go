@@ -34,30 +34,6 @@ const (
 	Pos2
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Data:
-		return "data"
-	case Pos1:
-		return "pos1"
-	default:
-		return "pos2"
-	}
-}
-
-// PathType returns the path-access type generated by fetching a block of
-// this kind.
-func (k Kind) PathType() block.PathType {
-	switch k {
-	case Data:
-		return block.PathData
-	case Pos1:
-		return block.PathPos1
-	default:
-		return block.PathPos2
-	}
-}
-
 // Map is the authoritative position map over the unified block space.
 type Map struct {
 	nd, np1, np2 uint64
@@ -87,15 +63,6 @@ func New(o config.ORAM, r *rng.Source) *Map {
 }
 
 func ceilDiv(a, b uint64) uint64 { return (a + b - 1) / b }
-
-// DataBlocks returns Nd.
-func (m *Map) DataBlocks() uint64 { return m.nd }
-
-// Pos1Blocks returns Np1.
-func (m *Map) Pos1Blocks() uint64 { return m.np1 }
-
-// Pos2Blocks returns Np2.
-func (m *Map) Pos2Blocks() uint64 { return m.np2 }
 
 // Total returns the unified space size Nd+Np1+Np2.
 func (m *Map) Total() uint64 { return m.nd + m.np1 + m.np2 }

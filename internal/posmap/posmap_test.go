@@ -15,27 +15,27 @@ func newTiny() *Map {
 
 func TestSpaceSizing(t *testing.T) {
 	m := newTiny()
-	nd := m.DataBlocks()
-	if m.Pos1Blocks() != (nd+15)/16 {
-		t.Errorf("Np1 = %d, want ceil(%d/16)", m.Pos1Blocks(), nd)
+	nd := m.nd
+	if m.np1 != (nd+15)/16 {
+		t.Errorf("Np1 = %d, want ceil(%d/16)", m.np1, nd)
 	}
-	if m.Pos2Blocks() != (m.Pos1Blocks()+15)/16 {
-		t.Errorf("Np2 = %d", m.Pos2Blocks())
+	if m.np2 != (m.np1+15)/16 {
+		t.Errorf("Np2 = %d", m.np2)
 	}
-	if m.Total() != nd+m.Pos1Blocks()+m.Pos2Blocks() {
+	if m.Total() != nd+m.np1+m.np2 {
 		t.Error("Total mismatch")
 	}
 }
 
 func TestKindRanges(t *testing.T) {
 	m := newTiny()
-	if m.Kind(0) != Data || m.Kind(block.ID(m.DataBlocks()-1)) != Data {
+	if m.Kind(0) != Data || m.Kind(block.ID(m.nd-1)) != Data {
 		t.Error("data range misclassified")
 	}
-	if m.Kind(block.ID(m.DataBlocks())) != Pos1 {
+	if m.Kind(block.ID(m.nd)) != Pos1 {
 		t.Error("first pos1 misclassified")
 	}
-	if m.Kind(block.ID(m.DataBlocks()+m.Pos1Blocks())) != Pos2 {
+	if m.Kind(block.ID(m.nd+m.np1)) != Pos2 {
 		t.Error("first pos2 misclassified")
 	}
 	if m.Kind(block.ID(m.Total()-1)) != Pos2 {
@@ -53,14 +53,6 @@ func TestKindPanicsOutOfRange(t *testing.T) {
 	m.Kind(block.ID(m.Total()))
 }
 
-func TestPathTypes(t *testing.T) {
-	if Data.PathType() != block.PathData ||
-		Pos1.PathType() != block.PathPos1 ||
-		Pos2.PathType() != block.PathPos2 {
-		t.Error("Kind -> PathType mapping wrong")
-	}
-}
-
 func TestParentChain(t *testing.T) {
 	m := newTiny()
 	a := block.ID(17)
@@ -68,7 +60,7 @@ func TestParentChain(t *testing.T) {
 	if onChip || m.Kind(p1) != Pos1 {
 		t.Fatalf("parent of data = %v (onChip=%v)", p1, onChip)
 	}
-	if p1 != block.ID(m.DataBlocks()+17/16) {
+	if p1 != block.ID(m.nd+17/16) {
 		t.Errorf("Pos1 parent %d misplaced", p1)
 	}
 	p2, onChip := m.Parent(p1)
@@ -166,7 +158,7 @@ func TestUnmap(t *testing.T) {
 func TestPos1ForMatchesParent(t *testing.T) {
 	m := newTiny()
 	check := func(seed uint64) bool {
-		a := block.ID(seed % m.DataBlocks())
+		a := block.ID(seed % m.nd)
 		p, onChip := m.Parent(a)
 		return !onChip && m.Pos1For(a) == p
 	}
@@ -182,7 +174,7 @@ func TestPos1ForPanicsOnPosBlock(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Pos1For(block.ID(m.DataBlocks()))
+	m.Pos1For(block.ID(m.nd))
 }
 
 func TestDeterministicAcrossConstruction(t *testing.T) {

@@ -78,9 +78,6 @@ func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (r *Source) Bool(p float64) bool { return r.Float64() < p }
-
 // Fork derives an independent child stream. Children of the same parent at
 // different points of the parent stream are uncorrelated.
 func (r *Source) Fork() *Source { return New(r.Uint64()) }

@@ -163,17 +163,19 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-func TestBoolProbability(t *testing.T) {
+// TestFloat64Threshold checks the biased coin the tests draw as
+// Float64() < p: it comes up true with probability p.
+func TestFloat64Threshold(t *testing.T) {
 	r := New(13)
 	const draws = 100000
 	hits := 0
 	for i := 0; i < draws; i++ {
-		if r.Bool(0.3) {
+		if r.Float64() < 0.3 {
 			hits++
 		}
 	}
 	if p := float64(hits) / draws; math.Abs(p-0.3) > 0.01 {
-		t.Errorf("Bool(0.3) rate = %v", p)
+		t.Errorf("Float64() < 0.3 rate = %v", p)
 	}
 }
 

@@ -103,9 +103,6 @@ func NewLimit(n int) *Limit {
 	return &Limit{tokens: make(chan struct{}, n)}
 }
 
-// Cap returns the number of concurrent cells the limit admits.
-func (l *Limit) Cap() int { return cap(l.tokens) }
-
 // acquire blocks until a token is free or ctx is cancelled.
 func (l *Limit) acquire(ctx context.Context) error {
 	select {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,8 +180,8 @@ func TestMapZeroCells(t *testing.T) {
 func TestLimitBoundsAcrossPools(t *testing.T) {
 	const capTokens = 2
 	limit := NewLimit(capTokens)
-	if limit.Cap() != capTokens {
-		t.Fatalf("Cap() = %d, want %d", limit.Cap(), capTokens)
+	if cap(limit.tokens) != capTokens {
+		t.Fatalf("limit admits %d cells, want %d", cap(limit.tokens), capTokens)
 	}
 	var cur, peak atomic.Int64
 	cell := func(i int) (struct{}, error) {
@@ -252,7 +253,7 @@ func TestLimitDoesNotQueueAfterCancel(t *testing.T) {
 
 // TestLimitDefaultsToGOMAXPROCS pins the n <= 0 fallback.
 func TestLimitDefaultsToGOMAXPROCS(t *testing.T) {
-	if got := NewLimit(0).Cap(); got < 1 {
-		t.Errorf("Cap() = %d, want >= 1", got)
+	if got := cap(NewLimit(0).tokens); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("limit admits %d cells, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
 }

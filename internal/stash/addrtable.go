@@ -1,10 +1,6 @@
 package stash
 
-import (
-	"fmt"
-
-	"iroram/internal/block"
-)
+import "iroram/internal/block"
 
 // AddrTable maps block.ID -> uint32 with open addressing: a power-of-two
 // slot array, linear probing, and backward-shift deletion (no tombstones).
@@ -169,8 +165,4 @@ func (t *AddrTable) rehash(slots int) {
 			t.Put(k, oldVals[i])
 		}
 	}
-}
-
-func (t *AddrTable) String() string {
-	return fmt.Sprintf("AddrTable{%d/%d}", t.n, len(t.keys))
 }

@@ -21,11 +21,11 @@ func TestAddrTableDifferential(t *testing.T) {
 		for op := 0; op < 60000; op++ {
 			id := block.ID(r.Uint64n(300))
 			switch {
-			case r.Bool(0.45):
+			case r.Float64() < 0.45:
 				v := uint32(r.Uint64n(1 << 30))
 				tab.Put(id, v)
 				shadow[id] = v
-			case r.Bool(0.6):
+			case r.Float64() < 0.6:
 				got, ok := tab.Get(id)
 				want, wantOK := shadow[id]
 				if ok != wantOK || (ok && got != want) {
@@ -102,16 +102,16 @@ func TestAddrTableGrowth(t *testing.T) {
 // capacity (transient overflow).
 func TestFStashIndexDifferential(t *testing.T) {
 	r := rng.New(17)
-	s := NewFStash(8, 500)
+	s := NewFStash(500)
 	shadow := map[block.ID]block.Leaf{}
 	for op := 0; op < 40000; op++ {
 		id := block.ID(r.Uint64n(500))
 		switch {
-		case r.Bool(0.5):
+		case r.Float64() < 0.5:
 			leaf := block.Leaf(r.Uint64n(1 << 20))
 			s.Insert(tree.Entry{Addr: id, Leaf: leaf})
 			shadow[id] = leaf
-		case r.Bool(0.5):
+		case r.Float64() < 0.5:
 			got, ok := s.Lookup(id)
 			want, wantOK := shadow[id]
 			if ok != wantOK || (ok && got != want) {

@@ -75,16 +75,16 @@ func topCacheFindRig(tb testing.TB) func() {
 // way of its set), and finds a never-stored address whose set has no free
 // way. Its op is the S-Stash traffic of the IR-ORAM write phase and LLC
 // probe: a Fill refused by that set conflict (the dominant Fill outcome on
-// write-heavy workloads), a LookupByAddr hit, then a RemoveByAddr+Fill
-// churn of the hit block. Every call goes through the memoized MD5 set
-// index.
+// write-heavy workloads), a LookupByAddr hit, then a Remove+Fill churn of
+// the hit block along its path. Fill and LookupByAddr go through the
+// memoized MD5 set index.
 func irStashFillRig(tb testing.TB) func() {
 	o := config.Tiny().ORAM
 	s := NewIRStash(o.Levels, o.TopLevels, o.Z, o.SStashWays)
 	pairs, id := loadTopStore(s, o)
 	hole := pairs[len(pairs)-1]
 	pairs = pairs[:len(pairs)-1]
-	if !s.RemoveByAddr(hole.addr) {
+	if !s.Remove(hole.addr, hole.leaf) {
 		tb.Fatal("resident block not removed")
 	}
 	setFull := func(set int) bool {
@@ -112,7 +112,7 @@ func irStashFillRig(tb testing.TB) func() {
 		if _, ok := s.LookupByAddr(p.addr); !ok {
 			tb.Fatal("resident block not found")
 		}
-		if !s.RemoveByAddr(p.addr) {
+		if !s.Remove(p.addr, p.leaf) {
 			tb.Fatal("resident block not removed")
 		}
 		if !s.Fill(p.level, p.leaf, tree.Entry{Addr: p.addr, Leaf: p.leaf}) {

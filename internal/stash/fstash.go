@@ -16,8 +16,8 @@ import (
 
 // FStash is the traditional fully-associative stash. Storage is unbounded —
 // Path ORAM lets the stash grow transiently and relies on background
-// eviction to drain it (Ren et al.) — but Capacity records the provisioned
-// size so the controller can detect pressure.
+// eviction to drain it (Ren et al.); the controller detects pressure with
+// Overfull against its eviction threshold.
 //
 // The items slice is the only storage and the only order. Membership is a
 // bitmap with one bit per block of the unified space, set exactly while
@@ -27,22 +27,16 @@ import (
 // not fit, so each stashed block costs one bit clear and one bit set per
 // write phase.
 type FStash struct {
-	capacity int
-	items    []tree.Entry
-	held     []uint64 // bit a%64 of word a/64 is set while block a is stashed
-	// HighWater tracks the maximum occupancy ever reached.
-	HighWater int
+	items []tree.Entry
+	held  []uint64 // bit a%64 of word a/64 is set while block a is stashed
 }
 
-// NewFStash returns an empty stash provisioned for capacity blocks whose
-// membership bitmap covers block IDs [0, blocks). The bitmap is allocated
-// here and never grows; stashing an ID outside it panics.
-func NewFStash(capacity int, blocks uint64) *FStash {
-	return &FStash{capacity: capacity, held: make([]uint64, (blocks+63)/64)}
+// NewFStash returns an empty stash whose membership bitmap covers block IDs
+// [0, blocks). The bitmap is allocated here and never grows; stashing an ID
+// outside it panics.
+func NewFStash(blocks uint64) *FStash {
+	return &FStash{held: make([]uint64, (blocks+63)/64)}
 }
-
-// Capacity returns the provisioned size.
-func (s *FStash) Capacity() int { return s.capacity }
 
 // Len returns the current occupancy.
 func (s *FStash) Len() int { return len(s.items) }
@@ -82,9 +76,6 @@ func (s *FStash) Insert(e tree.Entry) {
 	}
 	s.setHeld(e.Addr, true)
 	s.items = append(s.items, e)
-	if len(s.items) > s.HighWater {
-		s.HighWater = len(s.items)
-	}
 }
 
 // Lookup returns the leaf of addr if stashed.
@@ -102,18 +93,11 @@ func (s *FStash) Remove(addr block.ID) bool {
 	if i < 0 {
 		return false
 	}
-	s.removeAt(i)
-	return true
-}
-
-// removeAt deletes the entry in storage slot i by swap-with-last. Callers
-// that already hold the slot (the scan loops below) use it directly instead
-// of finding it again through Remove.
-func (s *FStash) removeAt(i int) {
-	s.setHeld(s.items[i].Addr, false)
+	s.setHeld(addr, false)
 	last := len(s.items) - 1
 	s.items[i] = s.items[last]
 	s.items = s.items[:last]
+	return true
 }
 
 // Each calls fn for every stashed entry in storage order. fn must not
@@ -143,40 +127,14 @@ func (s *FStash) CheckMembership() error {
 	return nil
 }
 
-// TakeForBucket removes and returns up to max blocks whose leaves allow
-// placement in the bucket that the path of leaf crosses at level — the
-// per-level write-phase selection scan (retained for the core tests'
-// reference eviction; the controller hot path uses DrainForPath). accept
-// lets the caller veto candidates (the IR-Stash set-conflict rule); pass
-// nil to accept all.
-// Selected entries are appended to dst (may be nil) and returned.
-func (s *FStash) TakeForBucket(leaf block.Leaf, level, levels, max int,
-	accept func(tree.Entry) bool, dst []tree.Entry) []tree.Entry {
-	out := dst
-	if max <= 0 {
-		return out
-	}
-	taken := 0
-	for i := 0; i < len(s.items) && taken < max; {
-		e := s.items[i]
-		if tree.SameSubtree(leaf, e.Leaf, level, levels) && (accept == nil || accept(e)) {
-			out = append(out, e)
-			taken++
-			s.removeAt(i) // swaps the last entry into slot i; do not advance
-			continue
-		}
-		i++
-	}
-	return out
-}
-
 // DrainForPath is the single-pass half of the deepest-first eviction
 // (Stefanov et al.): it drains the whole stash plus the caller's
 // just-gathered extra entries into perLevel, appending each entry to
 // perLevel[d], where d is its deepest placeable level on the path of leaf
 // (tree.DeepestLevel). The caller then fills buckets deepest-first, letting
 // unplaced entries spill toward the root — O(stash + path) in total, versus
-// the O(levels × stash) of running TakeForBucket once per level.
+// the O(levels × stash) of rescanning the stash once per level (the
+// reference eviction in internal/core's eviction_reference_test.go).
 //
 // Entries are visited in exactly the order a removal scan over the stash
 // would visit them had extra first been Inserted — storage slot 0, then
@@ -186,15 +144,11 @@ func (s *FStash) TakeForBucket(leaf block.Leaf, level, levels, max int,
 // survives in takeforpath_test.go as the oracle
 // TestDrainForPathMatchesTakeForPath compares against. extra entries must
 // not already be stashed (the controller's a-block-lives-in-exactly-one-
-// place invariant); their membership bits are never touched. HighWater
-// advances as if the extra entries had been inserted first. perLevel must
+// place invariant); their membership bits are never touched. perLevel must
 // have at least levels slices; slices are appended to, so the caller resets
 // and reuses them across paths to stay allocation-free.
 func (s *FStash) DrainForPath(leaf block.Leaf, levels int, perLevel [][]tree.Entry, extra []tree.Entry) {
 	n := len(s.items)
-	if hw := n + len(extra); hw > s.HighWater {
-		s.HighWater = hw
-	}
 	first := 0
 	if n > 0 {
 		drainVisit(leaf, levels, perLevel, s.items[0])
@@ -221,8 +175,4 @@ func (s *FStash) DrainForPath(leaf block.Leaf, levels int, perLevel [][]tree.Ent
 func drainVisit(leaf block.Leaf, levels int, perLevel [][]tree.Entry, e tree.Entry) {
 	d := tree.DeepestLevel(leaf, e.Leaf&^tree.GatherFlag, levels)
 	perLevel[d] = append(perLevel[d], e)
-}
-
-func (s *FStash) String() string {
-	return fmt.Sprintf("FStash{%d/%d}", len(s.items), s.capacity)
 }

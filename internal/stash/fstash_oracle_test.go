@@ -14,9 +14,8 @@ import (
 // open-addressed AddrTable from address to storage slot as the index. It
 // is the reference the bitmap-indexed FStash is checked against.
 type indexedFStash struct {
-	items     []tree.Entry
-	index     *AddrTable
-	HighWater int
+	items []tree.Entry
+	index *AddrTable
 }
 
 func newIndexedFStash(capacity int) *indexedFStash {
@@ -32,9 +31,6 @@ func (s *indexedFStash) Insert(e tree.Entry) {
 	}
 	s.index.Put(e.Addr, uint32(len(s.items)))
 	s.items = append(s.items, e)
-	if len(s.items) > s.HighWater {
-		s.HighWater = len(s.items)
-	}
 }
 
 func (s *indexedFStash) Lookup(addr block.ID) (block.Leaf, bool) {
@@ -70,31 +66,8 @@ func (s *indexedFStash) Each(fn func(tree.Entry)) {
 	}
 }
 
-func (s *indexedFStash) TakeForBucket(leaf block.Leaf, level, levels, max int,
-	accept func(tree.Entry) bool, dst []tree.Entry) []tree.Entry {
-	out := dst
-	if max <= 0 {
-		return out
-	}
-	taken := 0
-	for i := 0; i < len(s.items) && taken < max; {
-		e := s.items[i]
-		if tree.SameSubtree(leaf, e.Leaf, level, levels) && (accept == nil || accept(e)) {
-			out = append(out, e)
-			taken++
-			s.removeAt(i)
-			continue
-		}
-		i++
-	}
-	return out
-}
-
 func (s *indexedFStash) DrainForPath(leaf block.Leaf, levels int, perLevel [][]tree.Entry, extra []tree.Entry) {
 	n := len(s.items)
-	if hw := n + len(extra); hw > s.HighWater {
-		s.HighWater = hw
-	}
 	first := 0
 	if n > 0 {
 		drainVisit(leaf, levels, perLevel, s.items[0])
@@ -121,7 +94,6 @@ const (
 	fsLookup
 	fsRemove
 	fsDrain
-	fsTake
 	numFSOps
 )
 
@@ -133,18 +105,16 @@ const (
 // fstashPair runs the bitmap-indexed FStash and the indexed reference in
 // lockstep through one decoded operation sequence.
 type fstashPair struct {
-	got        *FStash
-	want       *indexedFStash
-	gotLists   [][]tree.Entry
-	wantLists  [][]tree.Entry
-	extra      []tree.Entry
-	gotBucket  []tree.Entry
-	wantBucket []tree.Entry
+	got       *FStash
+	want      *indexedFStash
+	gotLists  [][]tree.Entry
+	wantLists [][]tree.Entry
+	extra     []tree.Entry
 }
 
 func newFStashPair() *fstashPair {
 	return &fstashPair{
-		got:       NewFStash(4, fsUniverse),
+		got:       NewFStash(fsUniverse),
 		want:      newIndexedFStash(4),
 		gotLists:  make([][]tree.Entry, fsLevels),
 		wantLists: make([][]tree.Entry, fsLevels),
@@ -153,8 +123,8 @@ func newFStashPair() *fstashPair {
 
 // step applies operation op, with operands decoded from x and y, to both
 // stashes and compares every result, then the full observable state: Len,
-// HighWater, the Each order, the lookup of every block of the universe,
-// and the bitmap's own consistency check.
+// the Each order, the lookup of every block of the universe, and the
+// bitmap's own consistency check.
 func (p *fstashPair) step(t testing.TB, op int, x, y uint64) {
 	t.Helper()
 	id := block.ID(x % fsUniverse)
@@ -202,22 +172,9 @@ func (p *fstashPair) step(t testing.TB, op int, x, y uint64) {
 				t.Fatalf("DrainForPath(%d) level %d: %v, reference %v", leaf, l, p.gotLists[l], p.wantLists[l])
 			}
 		}
-	case fsTake:
-		level, max := int(x%fsLevels), int(y%6)
-		var accept func(tree.Entry) bool
-		if y&8 != 0 {
-			accept = func(e tree.Entry) bool { return e.Addr%3 != 0 }
-		}
-		p.gotBucket = p.got.TakeForBucket(leaf, level, fsLevels, max, accept, p.gotBucket[:0])
-		p.wantBucket = p.want.TakeForBucket(leaf, level, fsLevels, max, accept, p.wantBucket[:0])
-		if !slices.Equal(p.gotBucket, p.wantBucket) {
-			t.Fatalf("TakeForBucket(%d, level %d, max %d): %v, reference %v",
-				leaf, level, max, p.gotBucket, p.wantBucket)
-		}
 	}
-	if p.got.Len() != p.want.Len() || p.got.HighWater != p.want.HighWater {
-		t.Fatalf("Len %d HighWater %d, reference %d and %d",
-			p.got.Len(), p.got.HighWater, p.want.Len(), p.want.HighWater)
+	if p.got.Len() != p.want.Len() {
+		t.Fatalf("Len %d, reference %d", p.got.Len(), p.want.Len())
 	}
 	if !slices.Equal(p.got.items, p.want.items) {
 		t.Fatalf("Each order %v, reference %v", p.got.items, p.want.items)
@@ -244,9 +201,10 @@ func TestFStashMatchesIndexedReference(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		r := rng.New(seed)
 		p := newFStashPair()
+		peak := 0
 		for i := 0; i < 20000; i++ {
 			var op int
-			switch u := r.Uint64n(100); {
+			switch u := r.Uint64n(83); {
 			case u < 40:
 				op = fsInsert
 			case u < 50:
@@ -255,15 +213,14 @@ func TestFStashMatchesIndexedReference(t *testing.T) {
 				op = fsLookup
 			case u < 80:
 				op = fsRemove
-			case u < 83:
-				op = fsDrain
 			default:
-				op = fsTake
+				op = fsDrain
 			}
 			p.step(t, op, r.Uint64(), r.Uint64())
+			peak = max(peak, p.want.Len())
 		}
-		if p.want.HighWater < 20 {
-			t.Fatalf("seed %d: the stash never held more than %d blocks", seed, p.want.HighWater)
+		if peak < 20 {
+			t.Fatalf("seed %d: the stash never held more than %d blocks", seed, peak)
 		}
 	}
 }
@@ -278,7 +235,7 @@ func FuzzFStash(f *testing.F) {
 	f.Add([]byte{fsInsert, 1, 3, fsInsert, 2, 5, fsInsertStashed, 0, 7, fsLookup, 1, 0,
 		fsDrain, 0xff, 4, fsLookup, 1, 0})
 	f.Add([]byte{fsInsert, 9, 1, fsInsert, 10, 2, fsInsert, 11, 3, fsRemove, 9, 0,
-		fsTake, 0, 0x0f, fsInsert, 9, 4, fsDrain, 0x55, 8})
+		fsInsert, 9, 4, fsDrain, 0x55, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*maxFStashOps {
 			data = data[:3*maxFStashOps]

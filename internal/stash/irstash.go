@@ -64,7 +64,6 @@ const setMemoSlots = 4096
 type sslot struct {
 	addr  block.ID
 	leaf  block.Leaf
-	node  int32 // owning TT bucket, for reverse removal
 	valid bool
 }
 
@@ -237,7 +236,7 @@ func (s *IRStash) Fill(level int, leaf block.Leaf, e tree.Entry) bool {
 	for s.slots[w].valid {
 		w++
 	}
-	s.slots[w] = sslot{addr: e.Addr, leaf: e.Leaf, node: int32(n), valid: true}
+	s.slots[w] = sslot{addr: e.Addr, leaf: e.Leaf, valid: true}
 	s.free[set]--
 	s.tt[n][ptrIdx] = int32(w)
 	s.occupied[level]++
@@ -273,27 +272,6 @@ func (s *IRStash) Remove(addr block.ID, leaf block.Leaf) bool {
 	return false
 }
 
-// RemoveByAddr deletes addr found through the address index (used when an
-// S-Stash-resident block is invalidated, e.g. by LLC-D takeover).
-func (s *IRStash) RemoveByAddr(addr block.ID) bool {
-	base := s.setOf(addr) * s.ways
-	for w := 0; w < s.ways; w++ {
-		sl := &s.slots[base+w]
-		if sl.valid && sl.addr == addr {
-			for i, ptr := range s.tt[sl.node] {
-				if ptr == int32(base+w) {
-					s.tt[sl.node][i] = -1
-					break
-				}
-			}
-			s.occupied[levelOfNode(int(sl.node))]--
-			s.vacate(int32(base + w))
-			return true
-		}
-	}
-	return false
-}
-
 // Each implements TopStore through the TT pointers, bucket by bucket in
 // heap order.
 func (s *IRStash) Each(visit func(e tree.Entry, level int, bucket uint64)) {
@@ -323,15 +301,4 @@ func (s *IRStash) Len() int {
 		n += int(o)
 	}
 	return n
-}
-
-// TTBytes returns the TT table size in bytes using the paper's 12-bit
-// pointer encoding ((2^t - 1) buckets x Z pointers x 12 bits) — 6 KB for
-// the Table I geometry, the space-overhead number of Section VI-F.
-func (s *IRStash) TTBytes() int {
-	bits := 0
-	for l := 0; l < s.topLevels; l++ {
-		bits += (1 << uint(l)) * s.z[l] * 12
-	}
-	return bits / 8
 }

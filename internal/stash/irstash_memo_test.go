@@ -78,8 +78,8 @@ func TestIRStashSetOfMatchesMD5(t *testing.T) {
 	checkMemo(t, s)
 }
 
-// TestIRStashMemoDifferential runs interleaved Fill, LookupByAddr,
-// RemoveByAddr, Remove, ReadPath and ReadPathEach against a model that
+// TestIRStashMemoDifferential runs interleaved Fill, LookupByAddr, Remove,
+// ReadPath and ReadPathEach against a model that
 // places blocks by the reference MD5 set: every Fill outcome, conflict
 // count, lookup and removal must match, and placed blocks must sit in their
 // MD5 set. After every op, a Find hit must imply a LookupByAddr hit (the
@@ -150,15 +150,9 @@ func TestIRStashMemoDifferential(t *testing.T) {
 					t.Fatalf("ways %d op %d: LookupByAddr(%v) = %d,%v, model %d,%v",
 						ways, op, a, leaf, ok, m.leaf, want)
 				}
-			case k < 9: // RemoveByAddr, or Remove on the block's own path
+			case k < 9: // Remove on the block's own path
 				m, want := model[a]
-				var got bool
-				if op%2 == 0 {
-					got = s.RemoveByAddr(a)
-				} else {
-					got = s.Remove(a, probeLeaf(a))
-				}
-				if got != want {
+				if got := s.Remove(a, probeLeaf(a)); got != want {
 					t.Fatalf("ways %d op %d: removing %v = %v, model %v", ways, op, a, got, want)
 				}
 				if want {

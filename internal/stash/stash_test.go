@@ -11,7 +11,7 @@ import (
 )
 
 func TestFStashInsertLookupRemove(t *testing.T) {
-	s := NewFStash(8, 16)
+	s := NewFStash(16)
 	s.Insert(tree.Entry{Addr: 1, Leaf: 10})
 	s.Insert(tree.Entry{Addr: 2, Leaf: 20})
 	if l, ok := s.Lookup(1); !ok || l != 10 {
@@ -29,7 +29,7 @@ func TestFStashInsertLookupRemove(t *testing.T) {
 }
 
 func TestFStashDuplicateInsertUpdatesLeaf(t *testing.T) {
-	s := NewFStash(8, 16)
+	s := NewFStash(16)
 	s.Insert(tree.Entry{Addr: 1, Leaf: 10})
 	s.Insert(tree.Entry{Addr: 1, Leaf: 11})
 	if s.Len() != 1 {
@@ -44,7 +44,7 @@ func TestFStashDuplicateInsertUpdatesLeaf(t *testing.T) {
 // membership bit is clear, and a set bit for a block that is not stashed,
 // each fail the self-check CheckInvariants relies on.
 func TestFStashCheckMembershipCatchesBitFaults(t *testing.T) {
-	s := NewFStash(8, 128)
+	s := NewFStash(128)
 	for _, a := range []block.ID{3, 64, 127} {
 		s.Insert(tree.Entry{Addr: a, Leaf: 0})
 	}
@@ -62,59 +62,19 @@ func TestFStashCheckMembershipCatchesBitFaults(t *testing.T) {
 	}
 }
 
-func TestFStashHighWaterAndOverfull(t *testing.T) {
-	s := NewFStash(4, 16)
+func TestFStashOverfull(t *testing.T) {
+	s := NewFStash(16)
 	for i := 0; i < 6; i++ {
 		s.Insert(tree.Entry{Addr: block.ID(i), Leaf: 0})
-	}
-	if s.HighWater != 6 {
-		t.Errorf("HighWater = %d", s.HighWater)
 	}
 	if !s.Overfull(4) || s.Overfull(6) {
 		t.Error("Overfull thresholds wrong")
 	}
 }
 
-func TestFStashTakeForBucket(t *testing.T) {
-	const levels = 5 // leaves 0..15
-	s := NewFStash(16, 16)
-	s.Insert(tree.Entry{Addr: 1, Leaf: 0}) // left half
-	s.Insert(tree.Entry{Addr: 2, Leaf: 1})
-	s.Insert(tree.Entry{Addr: 3, Leaf: 15}) // right half
-	// Level 1 bucket of leaf 0 accepts leaves 0..7 only.
-	got := s.TakeForBucket(0, 1, levels, 4, nil, nil)
-	if len(got) != 2 {
-		t.Fatalf("took %d blocks, want 2", len(got))
-	}
-	if s.Len() != 1 {
-		t.Errorf("stash kept %d blocks, want 1", s.Len())
-	}
-	if _, ok := s.Lookup(3); !ok {
-		t.Error("wrong block taken")
-	}
-}
-
-func TestFStashTakeForBucketRespectsMaxAndVeto(t *testing.T) {
-	const levels = 5
-	s := NewFStash(16, 16)
-	for i := 0; i < 6; i++ {
-		s.Insert(tree.Entry{Addr: block.ID(i), Leaf: 0})
-	}
-	got := s.TakeForBucket(0, 0, levels, 2, nil, nil)
-	if len(got) != 2 {
-		t.Fatalf("max ignored: took %d", len(got))
-	}
-	veto := s.TakeForBucket(0, 0, levels, 10, func(e tree.Entry) bool { return e.Addr%2 == 0 }, nil)
-	for _, e := range veto {
-		if e.Addr%2 != 0 {
-			t.Errorf("veto ignored for %v", e.Addr)
-		}
-	}
-}
-
 func TestFStashEachDeterministic(t *testing.T) {
 	build := func() []block.ID {
-		s := NewFStash(8, 16)
+		s := NewFStash(16)
 		for i := 0; i < 8; i++ {
 			s.Insert(tree.Entry{Addr: block.ID(i), Leaf: 0})
 		}
@@ -237,8 +197,11 @@ func TestIRStashAddrIndex(t *testing.T) {
 	if _, ok := s.LookupByAddr(78); ok {
 		t.Error("phantom hit")
 	}
-	if !s.RemoveByAddr(77) || s.RemoveByAddr(77) {
-		t.Error("RemoveByAddr semantics wrong")
+	if !s.Remove(77, leaf) || s.Remove(77, leaf) {
+		t.Error("Remove semantics wrong")
+	}
+	if _, ok := s.LookupByAddr(77); ok {
+		t.Error("address index still finds removed block")
 	}
 	if _, ok := s.Find(77, leaf); ok {
 		t.Error("TT still points at removed block")
@@ -280,19 +243,6 @@ func TestIRStashConflictRefusal(t *testing.T) {
 	}
 }
 
-func TestIRStashTTBytesTableI(t *testing.T) {
-	// Section VI-F: (2^10-1) buckets x 4 pointers x 12 bits ~= 6 KB.
-	z := make([]int, 25)
-	for i := range z {
-		z[i] = 4
-	}
-	s := NewIRStash(25, 10, z, 4)
-	got := s.TTBytes()
-	if got < 6000 || got > 6200 {
-		t.Errorf("TTBytes = %d, want about 6 KB", got)
-	}
-}
-
 func TestIRStashHashSpreads(t *testing.T) {
 	s := NewIRStash(testLevels, testTop, topZ(), 4)
 	counts := make([]int, s.sets)
@@ -325,7 +275,7 @@ func TestTopStoreConservation(t *testing.T) {
 			inStore := 0
 			for op := 0; op < 300; op++ {
 				leaf := block.Leaf(r.Uint64n(1 << (testLevels - 1)))
-				if r.Bool(0.6) {
+				if r.Float64() < 0.6 {
 					level := int(r.Uint64n(testTop))
 					// A block legal at this bucket: borrow the path's leaf.
 					if ts.Fill(level, leaf, tree.Entry{Addr: block.ID(r.Uint64n(1 << 30)), Leaf: leaf}) {

@@ -24,7 +24,7 @@ func (s *FStash) TakeForPath(leaf block.Leaf, lowLevel, levels int, perLevel [][
 			continue
 		}
 		perLevel[d] = append(perLevel[d], e)
-		s.removeAt(i) // swaps the last entry into slot i; do not advance
+		s.Remove(e.Addr) // swaps the last entry into slot i; do not advance
 	}
 }
 
@@ -36,7 +36,7 @@ func TestTakeForPathClassifies(t *testing.T) {
 	leaves := uint64(1) << (levels - 1)
 	r := rng.New(9)
 	for trial := 0; trial < 200; trial++ {
-		s := NewFStash(64, 64)
+		s := NewFStash(64)
 		n := int(r.Uint64n(40))
 		entries := make([]tree.Entry, 0, n)
 		for i := 0; i < n; i++ {
@@ -85,7 +85,7 @@ func TestTakeForPathClassifies(t *testing.T) {
 // must see only this call's entries.
 func TestTakeForPathReusesLists(t *testing.T) {
 	const levels = 4
-	s := NewFStash(8, 16)
+	s := NewFStash(16)
 	s.Insert(tree.Entry{Addr: 1, Leaf: 7})
 	perLevel := make([][]tree.Entry, levels)
 	perLevel[levels-1] = append(perLevel[levels-1], tree.Entry{Addr: 99, Leaf: 0})
@@ -102,15 +102,15 @@ func TestTakeForPathReusesLists(t *testing.T) {
 // must file exactly the entries, in exactly the per-level order, that
 // inserting extra and then running the TakeForPath removal scan from level
 // 0 files — with GatherFlag riding along on the flagged extras only. It
-// must advance HighWater the same way and leave no drained address's
-// membership bit set, which the next round (re-inserting overlapping
-// addresses into the same stashes) also exercises.
+// must leave no drained address's membership bit set, which the next round
+// (re-inserting overlapping addresses into the same stashes) also
+// exercises.
 func TestDrainForPathMatchesTakeForPath(t *testing.T) {
 	const levels = 7
 	leaves := uint64(1) << (levels - 1)
 	r := rng.New(17)
 	for trial := 0; trial < 100; trial++ {
-		drain, oracle := NewFStash(32, 256), NewFStash(32, 256)
+		drain, oracle := NewFStash(256), NewFStash(256)
 		for round := 0; round < 4; round++ {
 			// Resident entries, identical history on both stashes.
 			resident := map[block.ID]bool{}
@@ -172,10 +172,6 @@ func TestDrainForPathMatchesTakeForPath(t *testing.T) {
 					}
 				}
 			}
-			if drain.HighWater != oracle.HighWater {
-				t.Fatalf("trial %d round %d: HighWater %d, oracle %d",
-					trial, round, drain.HighWater, oracle.HighWater)
-			}
 			if drain.Len() != 0 || oracle.Len() != 0 {
 				t.Fatalf("trial %d round %d: %d / %d entries left after a level-0 drain",
 					trial, round, drain.Len(), oracle.Len())
@@ -194,21 +190,5 @@ func TestDrainForPathMatchesTakeForPath(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestTakeForBucketAppendsToDst pins the buffered contract: selections are
-// appended behind whatever dst already holds.
-func TestTakeForBucketAppendsToDst(t *testing.T) {
-	const levels = 4
-	s := NewFStash(8, 16)
-	s.Insert(tree.Entry{Addr: 1, Leaf: 5})
-	dst := []tree.Entry{{Addr: 42, Leaf: 1}}
-	out := s.TakeForBucket(5, levels-1, levels, 4, nil, dst)
-	if len(out) != 2 || out[0].Addr != 42 || out[1].Addr != 1 {
-		t.Fatalf("TakeForBucket dst contract broken: %v", out)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("selected entry not removed, Len = %d", s.Len())
 	}
 }

@@ -1,14 +1,14 @@
 // Package stats collects and reports simulator statistics: path-access
-// counters by type (Fig 2, 15), per-level histograms (Fig 6), and the
-// aligned text tables the experiment harness prints.
+// counters by type (Fig 2, 15) and the aligned text tables the experiment
+// harness prints. Per-level histograms (Fig 6) are internal/metrics'
+// LinearHist.
 //
-// The raw instruments are built on internal/metrics — LevelHist is the
-// metrics.LinearHist primitive, and every counter here is registered into a
-// metrics.Registry by the component that owns it (see core.Stats and
-// internal/sim), which is what makes the JSONL metric dumps and the
-// docs/METRICS.md self-description possible. The instruments inherit the
-// metrics package's contracts: allocation-free updates on the access path,
-// and fully deterministic values for a given seed.
+// Every counter here is registered into a metrics.Registry by the
+// component that owns it (see core.Stats and internal/sim), which is what
+// makes the JSONL metric dumps and the docs/METRICS.md self-description
+// possible. The counters inherit the metrics package's contracts:
+// allocation-free updates on the access path, and fully deterministic
+// values for a given seed.
 package stats
 
 import (
@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"iroram/internal/block"
-	"iroram/internal/metrics"
 )
 
 // PathCounters tallies path accesses by type, plus the DRAM block traffic
@@ -52,16 +51,6 @@ func (c *PathCounters) Fraction(t block.PathType) float64 {
 		return 0
 	}
 	return float64(c.Paths[t]) / float64(total)
-}
-
-// LevelHist is a histogram indexed by tree level — the metrics package's
-// linear histogram under its historical name (Add increments level l;
-// Total and FractionUpTo summarize the mass).
-type LevelHist = metrics.LinearHist
-
-// NewLevelHist returns a histogram for levels levels.
-func NewLevelHist(levels int) *LevelHist {
-	return metrics.NewLinearHist(levels)
 }
 
 // Series is a labelled sequence of float64 values, one entry per benchmark

@@ -33,24 +33,6 @@ func TestPathCountersEmptyFraction(t *testing.T) {
 	}
 }
 
-func TestLevelHist(t *testing.T) {
-	h := NewLevelHist(10)
-	for l := 0; l < 10; l++ {
-		for i := 0; i <= l; i++ {
-			h.Add(l)
-		}
-	}
-	if h.Total() != 55 {
-		t.Fatalf("total = %d, want 55", h.Total())
-	}
-	if f := h.FractionUpTo(9); f != 1 {
-		t.Errorf("FractionUpTo(9) = %v, want 1", f)
-	}
-	if f := h.FractionUpTo(0); math.Abs(f-1.0/55) > 1e-12 {
-		t.Errorf("FractionUpTo(0) = %v, want 1/55", f)
-	}
-}
-
 func TestTableAlignmentAndLookup(t *testing.T) {
 	tab := NewTable("Fig X", "gcc", "mcf", "mean")
 	tab.AddSeries("Baseline", []float64{1, 1, 1})

@@ -51,19 +51,6 @@ const (
 	Uniform
 )
 
-func (p PatternKind) String() string {
-	switch p {
-	case Stream:
-		return "stream"
-	case Strided:
-		return "strided"
-	case Chase:
-		return "chase"
-	default:
-		return "uniform"
-	}
-}
-
 // Spec describes a synthetic benchmark. MPKI targets are the Table II
 // values, i.e. LLC misses per kilo-instruction; the generator arranges the
 // stream so that an LLC of the configured size reproduces them

@@ -76,10 +76,6 @@ func ceilPow2(n uint64) uint64 {
 	return p
 }
 
-// Chunks returns the number of level chunks, i.e. the expected number of
-// row activations per path and per channel-spread.
-func (ly *Layout) Chunks() int { return len(ly.chunks) }
-
 // PhysicalSlots returns the physical address space size in blocks,
 // padding included.
 func (ly *Layout) PhysicalSlots() uint64 {

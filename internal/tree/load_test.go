@@ -112,7 +112,7 @@ func checkLoad(t *testing.T, c loadCase, seed uint64, workers ...int) (merged bo
 				c.name, k, len(gotSpill), len(wantSpill))
 		}
 		for l := 0; l < c.o.Levels; l++ {
-			if g, w := got.OccupiedAt(l), want.OccupiedAt(l); g != w {
+			if g, w := got.occupied[l], want.occupied[l]; g != w {
 				t.Fatalf("%s, %d workers: level %d holds %d blocks after load, %d after Place",
 					c.name, k, l, g, w)
 			}

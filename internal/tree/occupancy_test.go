@@ -283,8 +283,8 @@ func TestOccupancyDifferential(t *testing.T) {
 				}
 			}
 		}
-		if g := tr.OccupiedAt(l); g != w {
-			t.Fatalf("OccupiedAt(%d) = %d, oracle %d", l, g, w)
+		if g := tr.occupied[l]; g != w {
+			t.Fatalf("occupied[%d] = %d, oracle %d", l, g, w)
 		}
 	}
 }

@@ -156,12 +156,6 @@ func entryOf(s uint64) Entry {
 	return Entry{Addr: block.ID(uint32(s)), Leaf: block.Leaf(s >> 32)}
 }
 
-// Levels returns L.
-func (t *Tree) Levels() int { return t.levels }
-
-// Z returns the bucket size of a level.
-func (t *Tree) Z(level int) int { return t.z[level] }
-
 // BucketIndex returns the index within level of the bucket that the path of
 // leaf crosses at that level.
 func (t *Tree) BucketIndex(level int, leaf block.Leaf) uint64 {
@@ -598,9 +592,6 @@ func (t *Tree) Occupied() uint64 {
 	}
 	return n
 }
-
-// OccupiedAt returns the number of real blocks at one level.
-func (t *Tree) OccupiedAt(level int) uint64 { return t.occupied[level] }
 
 // Utilization returns the per-level space utilization (real blocks over
 // allocated slots), Fig 3's y-axis. On-chip levels report zero here; the

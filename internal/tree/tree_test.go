@@ -87,8 +87,8 @@ func TestFillBucketRoundTrip(t *testing.T) {
 	level := o.Levels - 1
 	es := []Entry{{Addr: 7, Leaf: leaf}, {Addr: 8, Leaf: leaf}}
 	tr.FillBucket(level, leaf, es)
-	if tr.OccupiedAt(level) != 2 {
-		t.Fatalf("occupied at leaf level = %d", tr.OccupiedAt(level))
+	if tr.occupied[level] != 2 {
+		t.Fatalf("occupied at leaf level = %d", tr.occupied[level])
 	}
 	got := tr.ReadPath(leaf, nil)
 	if len(got) != 2 {
