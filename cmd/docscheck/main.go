@@ -325,6 +325,11 @@ var allowUnused = map[string]bool{
 	// it; tests do, and it stays for the planned audit of every scheme's
 	// bus view, whose context-switch leg needs it.
 	"Controller.ContextSwitch": true,
+	// Public methods of types the facade re-exports (iroram.Table,
+	// iroram.System); example_test.go documents tab.Get. Without the entry
+	// each passes only while an unrelated Get or Now (time.Now) exists.
+	"Table.Get":  true,
+	"System.Now": true,
 }
 
 // unusedFunc is one func or method unusedFuncs reports: where it is

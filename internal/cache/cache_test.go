@@ -242,8 +242,8 @@ func TestDWBScannerFindsDirtyLRU(t *testing.T) {
 	if !ok || addr != 2 {
 		t.Fatalf("FindCandidate = %d,%v want 2,true", addr, ok)
 	}
-	if s.Found != 1 {
-		t.Errorf("Found = %d", s.Found)
+	if s.cursor != 3 || s.pauseUntil != 0 {
+		t.Errorf("after a find: cursor %d, pause until %d; want 3 and 0", s.cursor, s.pauseUntil)
 	}
 }
 
@@ -264,8 +264,8 @@ func TestDWBScannerPausesAfterEmptySweep(t *testing.T) {
 	if _, ok := s.FindCandidate(0); ok {
 		t.Fatal("empty cache should yield no candidate")
 	}
-	if s.EmptySweeps != 1 {
-		t.Fatalf("EmptySweeps = %d", s.EmptySweeps)
+	if s.pauseUntil != scanPause {
+		t.Fatalf("an empty sweep at cycle 0 pauses until %d, want %d", s.pauseUntil, scanPause)
 	}
 	// Even with a candidate now present, the scanner stays paused.
 	c.Insert(0, true)
@@ -296,6 +296,37 @@ func TestDWBScannerRoundRobin(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Errorf("round-robin visited %d/4 distinct sets", len(seen))
+	}
+}
+
+// TestScannerAbortAndClean pins the write-back half of each scanner: the
+// dirty-LRU scanner aborts once its candidate is clean or no longer LRU and
+// cleans it when the write-back completes; the any-LRU scanner keeps a
+// clean LRU line as a candidate and leaves the dirty bit alone.
+func TestScannerAbortAndClean(t *testing.T) {
+	c := New(4, 2)
+	dirty := NewDWBScanner(c, func() int { return 0 })
+	anyLRU := NewLRUScanner(c, func() int { return 0 })
+	c.Insert(2, true)  // set 2
+	c.Insert(6, false) // set 2; LRU = 2 (dirty)
+	if !dirty.StillCandidate(2) || !anyLRU.StillCandidate(2) {
+		t.Fatal("the dirty LRU line is not a candidate")
+	}
+	if !anyLRU.MarkClean(2) || !c.IsDirtyLRU(2) {
+		t.Fatal("the any-LRU scanner cleaned the line or reported it gone")
+	}
+	if !dirty.MarkClean(2) || c.IsDirtyLRU(2) {
+		t.Fatal("the dirty-LRU scanner left the line dirty or reported it gone")
+	}
+	if dirty.StillCandidate(2) || !anyLRU.StillCandidate(2) {
+		t.Fatal("a clean LRU line: want no dirty candidate and an any-LRU candidate")
+	}
+	c.Access(2, false) // 6 becomes LRU
+	if dirty.StillCandidate(2) || anyLRU.StillCandidate(2) {
+		t.Fatal("a line that is no longer LRU is still a candidate")
+	}
+	if dirty.MarkClean(3) {
+		t.Fatal("MarkClean reported a line that was never resident")
 	}
 }
 

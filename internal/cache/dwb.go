@@ -5,11 +5,13 @@ import (
 	"math/bits"
 )
 
-// DWBScanner implements the candidate-search half of IR-DWB (Fig 9): a Ptr
-// register that round-robins across LLC sets looking for a dirty LRU entry
-// while the LLC is idle. If a full sweep finds nothing, the search pauses
-// for 1000 cycles and restarts from a random set, exactly as the paper's
-// small state machine (borrowed from autonomous eager writeback) does.
+// DWBScanner implements the LLC half of IR-DWB (Fig 9): a Ptr register
+// that round-robins across LLC sets looking for a dirty LRU entry while the
+// LLC is idle, and the abort check and clean-marking of an early
+// write-back. If a full sweep finds nothing, the search pauses for 1000
+// cycles and restarts from a random set, exactly as the paper's small
+// state machine (borrowed from autonomous eager writeback) does. It is the
+// controller's core.DWBSource.
 //
 // Since PR 4 the search itself is a word-wise scan of the cache's per-set
 // summary bitmaps (see Cache.EnableLRUTracking) instead of an O(sets)
@@ -24,11 +26,8 @@ type DWBScanner struct {
 	randSet    func() int
 	// anyLRU widens the predicate from dirty-LRU to any LRU line (the
 	// proactive-remapping extension, where clean LLC-D lines also need
-	// PosMap work at eviction).
+	// PosMap work at eviction, and only PosMap state is prefetched).
 	anyLRU bool
-
-	// Candidates found / sweeps that came up empty, for diagnostics.
-	Found, EmptySweeps uint64
 }
 
 // scanPause is the paper's 1000-cycle back-off after an empty sweep.
@@ -68,13 +67,32 @@ func (s *DWBScanner) FindCandidate(now uint64) (addr uint64, ok bool) {
 		if s.cursor == s.c.sets {
 			s.cursor = 0
 		}
-		s.Found++
 		return addr, true
 	}
-	s.EmptySweeps++
 	s.pauseUntil = now + scanPause
 	s.cursor = s.restartSet()
 	return 0, false
+}
+
+// StillCandidate reports whether addr is still the LRU line of its set,
+// and dirty unless the scanner takes any LRU line: the abort condition of
+// an in-flight early write-back.
+func (s *DWBScanner) StillCandidate(addr uint64) bool {
+	if s.anyLRU {
+		return s.c.IsLRU(addr)
+	}
+	return s.c.IsDirtyLRU(addr)
+}
+
+// MarkClean clears addr's dirty bit once its early write-back completes,
+// reporting whether the line is still resident. A scanner that takes any
+// LRU line leaves the bit alone and reports true: it prefetched PosMap
+// state only.
+func (s *DWBScanner) MarkClean(addr uint64) bool {
+	if s.anyLRU {
+		return true
+	}
+	return s.c.MarkClean(addr)
 }
 
 // restartSet draws the post-empty-sweep restart set, validating randSet's

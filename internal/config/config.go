@@ -345,6 +345,11 @@ func (s System) Validate() error {
 		if s.Scheme.RhoZ <= 0 || s.Scheme.RhoPattern <= 0 {
 			return errors.New("config: rho Z and pattern must be positive")
 		}
+		// IR-DWB writes a candidate back along its main-tree path, in a
+		// main-tree slot; a small-tree resident has no such path.
+		if s.Scheme.DWB {
+			return errors.New("config: Rho does not combine with IR-DWB")
+		}
 	}
 	d := s.DRAM
 	if d.Channels <= 0 || d.BanksPerChannel <= 0 || d.RowBytes < BlockSize ||

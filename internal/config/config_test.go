@@ -133,6 +133,7 @@ func TestValidateCatchesBadGeometry(t *testing.T) {
 		{"cache", func(s *System) { s.LLC.Ways = 3 }, "cache"},
 		{"cpu", func(s *System) { s.CPU.IPC = 0 }, "IPC"},
 		{"rho", func(s *System) { s.Scheme = RhoScheme(); s.Scheme.RhoZ = 0 }, "rho"},
+		{"rhodwb", func(s *System) { s.Scheme = RhoScheme(); s.Scheme.DWB = true }, "IR-DWB"},
 	}
 	for _, c := range cases {
 		sys := Scaled()

@@ -247,10 +247,13 @@ func (c *Controller) dwbStep(now uint64, a block.ID, stage int) (newStage int, d
 		done = c.fetchPosBlock(now, pm1, block.PathDWB, false)
 		return 1, done, true
 	case 1:
+		// config.Validate rejects IR-DWB under ρ, so a is in no small tree
+		// and its entry is a main-tree leaf or NoLeaf.
 		leaf := c.pm.Leaf(a)
 		if !leaf.Valid() {
-			// Held out of the tree (should not happen: IR-DWB is not
-			// combined with LLC-D); treat as an on-chip reinsert.
+			// Held out of the tree: under LLC-D a fetched block lives
+			// only in the LLC until its eviction. Its PosMap1 block is
+			// resident now, so the write-back reinserts it on-chip.
 			c.reinsert(a, c.pm.Pos1For(a))
 			return 0, now, false
 		}

@@ -34,9 +34,11 @@ func (c *Controller) pathAccessReference(t *pathTree, now uint64, leaf block.Lea
 	readDone := c.mem.ServiceRuns(now, c.physRuns(t.physOff), false)
 	c.st.PhaseReadCycles += readDone - now
 
-	c.readBuf = t.tr.ReadPath(leaf, c.readBuf[:0])
+	c.readBuf = c.readBuf[:0]
+	buffer := c.bufferRead
+	t.tr.ReadPathEach(leaf, buffer)
 	if t.top != nil {
-		c.readBuf = t.top.ReadPath(leaf, c.readBuf)
+		t.top.ReadPathEach(leaf, buffer)
 	}
 	fetched := make(map[block.ID]bool, len(c.readBuf))
 	for _, e := range c.readBuf {
@@ -63,3 +65,7 @@ func (c *Controller) pathAccessReference(t *pathTree, now uint64, leaf block.Lea
 	c.st.PathLatency[ptype].Observe(done - now)
 	return found, foundLevel, done
 }
+
+// bufferRead appends one block of a path read to readBuf. It is the visit
+// function the reference reads a path through.
+func (c *Controller) bufferRead(e tree.Entry, _ int) { c.readBuf = append(c.readBuf, e) }

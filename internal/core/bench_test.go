@@ -47,7 +47,7 @@ func accessRig(tb testing.TB, sch config.Scheme, fl *flight.Recorder) (*Controll
 // a full stash round-trip without DRAM timing: read a random path's blocks
 // into the stash, remap one of them as a demand access does, then drain
 // them back with the single-pass deepest-first eviction. That isolates the
-// structures the write phase walks (the open-addressed stash index, the
+// structures the write phase walks (the stash's membership bitmap, the
 // per-level candidate lists, the tree-top store) from memory-model
 // arithmetic. The remapped blocks keep the tree top in use: without them
 // every block settles into the memory levels and the top stays empty. The
@@ -56,11 +56,14 @@ func accessRig(tb testing.TB, sch config.Scheme, fl *flight.Recorder) (*Controll
 func evictRig(tb testing.TB, sch config.Scheme) (*Controller, func()) {
 	c, _ := accessRig(tb, sch, nil)
 	r := rng.New(3)
+	// Bound once: a method value built inside op would allocate per run.
+	buffer := c.bufferRead
 	op := func() {
 		leaf := block.Leaf(r.Uint64n(c.o.LeafCount()))
-		c.readBuf = c.tr.ReadPath(leaf, c.readBuf[:0])
+		c.readBuf = c.readBuf[:0]
+		c.tr.ReadPathEach(leaf, buffer)
 		if c.top != nil {
-			c.readBuf = c.top.ReadPath(leaf, c.readBuf)
+			c.top.ReadPathEach(leaf, buffer)
 		}
 		if n := len(c.readBuf); n > 0 {
 			e := &c.readBuf[r.Uint64n(uint64(n))]

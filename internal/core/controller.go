@@ -79,7 +79,7 @@ type Controller struct {
 	// Fused-gather state: gather is built once and walks the tree + top
 	// segment of a path, staging blocks for the drain while watching for
 	// gTarget — the single-walk replacement for the
-	// ReadPath-into-buffer-then-scan shape the reference keeps.
+	// read-into-buffer-then-scan shape the reference keeps.
 	gather  func(tree.Entry, int)
 	gTarget block.ID
 	gFound  bool

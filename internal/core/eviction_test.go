@@ -68,9 +68,10 @@ func TestEvictionDifferential(t *testing.T) {
 				// both implementations (protocol-wise a background
 				// eviction: random leaf, no target).
 				leaf := block.Leaf(r.Uint64n(c.o.LeafCount()))
-				c.readBuf = c.tr.ReadPath(leaf, c.readBuf[:0])
+				c.readBuf = c.readBuf[:0]
+				c.tr.ReadPathEach(leaf, c.bufferRead)
 				if c.top != nil {
-					c.readBuf = c.top.ReadPath(leaf, c.readBuf)
+					c.top.ReadPathEach(leaf, c.bufferRead)
 				}
 				for _, e := range c.readBuf {
 					c.fstash.Insert(e)

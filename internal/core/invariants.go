@@ -19,18 +19,17 @@ import (
 // the ORAM (in the LLC under LLC-D, or pending a ρ demotion) with its
 // PosMap entry unmapped. Each tree and top-store block must sit in a bucket
 // on its leaf's path, each on-chip block (F-Stash, top store) must carry
-// its current leaf (the PosMap's, or ρ's membership record in the small
-// tree), each structure must hold as many blocks as it counts, and each
-// F-Stash's membership bitmap must mark exactly its stashed blocks.
+// its current leaf (the PosMap's main-tree leaf, or in the small tree its
+// tagged small-tree leaf), each structure must hold as many blocks as it
+// counts, and each F-Stash's membership bitmap must mark exactly its
+// stashed blocks.
 func (c *Controller) CheckInvariants() error {
 	ck := residency{seen: make([]uint64, (c.pm.Total()+63)/64), total: c.pm.Total()}
 	ck.pathTree(&c.pathTree, "main", c.pm.Leaf)
 	if c.rho != nil {
 		ck.pathTree(&c.rho.pathTree, "small", func(id block.ID) block.Leaf {
-			if leaf, ok := c.rho.member.Get(id); ok {
-				return block.Leaf(leaf)
-			}
-			return block.NoLeaf
+			leaf, _ := c.pm.Small(id)
+			return leaf
 		})
 	}
 	c.plb.EachValid(func(l cache.Line) { ck.mark(block.ID(l.Addr), "the PLB") })
@@ -38,9 +37,13 @@ func (c *Controller) CheckInvariants() error {
 		return ck.err
 	}
 	for id := block.ID(0); uint64(id) < ck.total; id++ {
-		if ck.seen[id/64]&(1<<(id%64)) == 0 && c.pm.Leaf(id).Valid() {
-			return fmt.Errorf("core: block %v is mapped to leaf %d but held nowhere", id, c.pm.Leaf(id))
+		if ck.seen[id/64]&(1<<(id%64)) != 0 || !c.pm.Leaf(id).Valid() {
+			continue
 		}
+		if leaf, ok := c.pm.Small(id); ok {
+			return fmt.Errorf("core: block %v is mapped to small-tree leaf %d but held nowhere", id, leaf)
+		}
+		return fmt.Errorf("core: block %v is mapped to leaf %d but held nowhere", id, c.pm.Leaf(id))
 	}
 	return nil
 }

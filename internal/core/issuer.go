@@ -6,8 +6,9 @@ import (
 )
 
 // DWBSource is what IR-DWB needs from the LLC: the Ptr-register candidate
-// search and the ability to check and clear a line's dirty-LRU status. The
-// simulator implements it over the LLC model; addresses are data block IDs.
+// search and the ability to check and clear a line's dirty-LRU status.
+// cache.DWBScanner implements it over the LLC model; addresses are data
+// block IDs.
 type DWBSource interface {
 	// FindCandidate returns the next dirty LRU line, honoring the paper's
 	// round-robin scan and 1000-cycle back-off.

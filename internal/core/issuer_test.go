@@ -170,7 +170,7 @@ func TestRhoBasicOperation(t *testing.T) {
 	if smallTreePaths(c) == 0 {
 		t.Fatal("rho never used the small tree")
 	}
-	if c.rho.member.Len() == 0 {
+	if c.rho.members == 0 {
 		t.Fatal("no blocks installed in the small tree")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -217,8 +217,18 @@ func TestRhoDemotionDrains(t *testing.T) {
 		a := block.ID(r.Uint64n(c.o.DataBlocks()))
 		now = is.ReadBlock(now+900, a)
 	}
-	if c.rho.member.Len() > c.rho.limit {
-		t.Errorf("small tree holds %d members over limit %d", c.rho.member.Len(), c.rho.limit)
+	if c.rho.members > c.rho.limit {
+		t.Errorf("small tree holds %d members over limit %d", c.rho.members, c.rho.limit)
+	}
+	tagged := 0
+	for id := block.ID(0); uint64(id) < c.pm.Total(); id++ {
+		if _, ok := c.pm.Small(id); ok {
+			tagged++
+		}
+	}
+	if tagged != c.rho.members {
+		t.Errorf("the position map tags %d blocks as small-tree residents, the small tree counts %d",
+			tagged, c.rho.members)
 	}
 	is.AdvanceTo(now + 100*c.o.IntervalT)
 	if err := c.CheckInvariants(); err != nil {

@@ -16,9 +16,9 @@ import (
 //     holds recently-used blocks, so the common case moves far fewer blocks
 //     per path than the main tree;
 //   - which tree holds a block is recorded alongside its leaf in the (same)
-//     position map, so lookup cost rides the normal PLB/PTp machinery — the
-//     member map below is simulation bookkeeping of that field, not an
-//     extra on-chip structure;
+//     position map: a resident's entry holds its small-tree leaf under a
+//     tree tag (posmap.Map.SetSmall), so the map stays the one record of
+//     every block's location;
 //   - to defeat timing channels with two path lengths, accesses follow a
 //     fixed issue pattern (1 main-tree slot per RhoPattern small-tree
 //     slots) with per-slot dummies — the mechanism that hurts mcf in the
@@ -32,13 +32,9 @@ type rhoState struct {
 	// pathTree is the small tree; it runs the main tree's path-access
 	// pipeline with a nil migration tally.
 	pathTree
-	// member records which blocks live in the small tree and under which
-	// leaf — the simulation bookkeeping of the position-map residency bit.
-	// It is consulted on every request (inSmallTree), so it is an
-	// open-addressed table rather than a Go map; it is never iterated, so
-	// it cannot perturb ordering. Values are the leaves, stored as the
-	// table's uint32 payload.
-	member  *stash.AddrTable
+	// members counts the small tree's residents; the position map records
+	// which blocks they are and under which leaf.
+	members int
 	order   []block.ID // FIFO for demotion
 	limit   int
 	demoteQ []block.ID
@@ -66,7 +62,6 @@ func (c *Controller) initRho() error {
 	c.rho = &rhoState{
 		// The small tree shares the DRAM with the main tree, laid out after it.
 		pathTree: newPathTree(small, small.TopLevels, c.mem, c.physEnd(), c.pm.Total()),
-		member:   stash.NewAddrTable(int(slots / 2)),
 		limit:    int(slots / 2),
 	}
 	if small.TopLevels > 0 {
@@ -82,7 +77,7 @@ func (c *Controller) inSmallTree(a block.ID) bool {
 	if c.rho == nil {
 		return false
 	}
-	_, ok := c.rho.member.Get(a)
+	_, ok := c.pm.Small(a)
 	return ok
 }
 
@@ -92,11 +87,10 @@ func (c *Controller) inSmallTree(a block.ID) bool {
 // main tree's dedicated cache.
 func (c *Controller) rhoDataAccess(now uint64, a block.ID, write bool) uint64 {
 	r := c.rho
-	rawLeaf, ok := r.member.Get(a)
+	leaf, ok := c.pm.Small(a)
 	if !ok {
 		panic(fmt.Sprintf("core: rhoDataAccess for non-member %v", a))
 	}
-	leaf := block.Leaf(rawLeaf)
 	if r.top != nil {
 		if _, hit := r.top.Find(a, leaf); hit {
 			c.st.TopHits++
@@ -111,7 +105,7 @@ func (c *Controller) rhoDataAccess(now uint64, a block.ID, write bool) uint64 {
 		}
 	}
 	newLeaf := r.randomLeaf(c.rng)
-	r.member.Put(a, uint32(newLeaf))
+	c.pm.SetSmall(a, newLeaf)
 	r.fstash.Insert(tree.Entry{Addr: a, Leaf: newLeaf})
 	c.st.ServedRequests++
 	return done
@@ -120,22 +114,23 @@ func (c *Controller) rhoDataAccess(now uint64, a block.ID, write bool) uint64 {
 // rhoInstall moves a block just fetched from the main tree into the small
 // tree, demoting the oldest resident when over the occupancy bound. The
 // block was already extracted from the main tree by the fetching path
-// access; its main-tree mapping is discarded until demotion.
+// access; its position-map entry now holds its small-tree leaf, and a
+// demotion unmaps it until the posted write reinserts it into the main
+// tree.
 func (c *Controller) rhoInstall(a block.ID) {
 	r := c.rho
-	c.pm.Unmap(a)
 	leaf := r.randomLeaf(c.rng)
-	r.member.Put(a, uint32(leaf))
+	c.pm.SetSmall(a, leaf)
+	r.members++
 	r.fstash.Insert(tree.Entry{Addr: a, Leaf: leaf})
 	r.order = append(r.order, a)
-	for r.member.Len() > r.limit && len(r.order) > 0 {
+	for r.members > r.limit && len(r.order) > 0 {
 		victim := r.order[0]
 		r.order = r.order[1:]
-		rawLeaf, ok := r.member.Get(victim)
+		vleaf, ok := c.pm.Small(victim)
 		if !ok {
 			continue // already demoted
 		}
-		vleaf := block.Leaf(rawLeaf)
 		removed := r.fstash.Remove(victim)
 		if !removed {
 			_, removed = r.tr.Remove(victim, vleaf)
@@ -143,7 +138,8 @@ func (c *Controller) rhoInstall(a block.ID) {
 		if !removed && (r.top == nil || !r.top.Remove(victim, vleaf)) {
 			panic(fmt.Sprintf("core: rho member %v not in small structures", victim))
 		}
-		r.member.Delete(victim)
+		c.pm.Unmap(victim)
+		r.members--
 		r.demoteQ = append(r.demoteQ, victim)
 	}
 }

@@ -30,12 +30,13 @@ type ringState struct {
 	dummyLeft []uint8
 
 	sinceEvict int
-	evictSeq   uint64
+	// evictSeq counts the eviction paths issued so far; the next one runs
+	// along its reverse-lexicographic leaf.
+	evictSeq uint64
 
-	// Reshuffles and EvictPaths count the background work the protocol
-	// amortizes over reads.
+	// Reshuffles counts the early reshuffles the protocol amortizes over
+	// reads.
 	Reshuffles uint64
-	EvictPaths uint64
 }
 
 func (c *Controller) initRing() {
@@ -135,7 +136,6 @@ func (c *Controller) ringEvictPath(now uint64) uint64 {
 	r := c.ring
 	leaf := c.reverseLexLeaf(r.evictSeq)
 	r.evictSeq++
-	r.EvictPaths++
 	// The eviction path moves Z+S blocks per bucket in both directions;
 	// account the dummy slots on top of what pathAccess charges (Z each
 	// way) so the traffic matches the protocol.

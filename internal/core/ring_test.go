@@ -31,7 +31,7 @@ func TestRingBasicOperation(t *testing.T) {
 	if c.st.ServedRequests != 400 {
 		t.Fatalf("served %d", c.st.ServedRequests)
 	}
-	if c.ring.EvictPaths == 0 {
+	if c.ring.evictSeq == 0 {
 		t.Fatal("no eviction paths under Ring")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -73,7 +73,7 @@ func TestRingEvictionCadence(t *testing.T) {
 	}
 	reads := c.st.Paths.Total() - c.st.Paths.Paths[block.PathEvict]
 	wantEvicts := reads / uint64(c.cfg.Scheme.RingA)
-	got := c.ring.EvictPaths
+	got := c.ring.evictSeq
 	if got < wantEvicts/2 || got > wantEvicts*2 {
 		t.Errorf("evict paths %d for %d reads (A=%d), want about %d",
 			got, reads, c.cfg.Scheme.RingA, wantEvicts)

@@ -12,6 +12,12 @@
 // The package stores the authoritative block→leaf assignment for the whole
 // space; the ORAM controller charges path accesses according to which
 // PosMap blocks are PLB-resident when an entry is needed.
+//
+// Each entry is a 32-bit leaf. Leaves stay below 2^31 (config.MaxLevels),
+// so the top bit is free for ρ's tree tag: a data block resident in ρ's
+// small tree stores its small-tree leaf with bit 31 set (SetSmall, Small),
+// and block.NoLeaf, which has every bit set, marks a block held out of
+// both trees. A block's location is recorded in this one place.
 package posmap
 
 import (
@@ -81,10 +87,33 @@ func (m *Map) Kind(id block.ID) Kind {
 	}
 }
 
-// Leaf returns the current leaf of id, or block.NoLeaf while the block is
-// unmapped (LLC-D keeps accessed blocks out of the tree).
+// Leaf returns the current main-tree leaf of id, or block.NoLeaf while the
+// block is unmapped (LLC-D keeps accessed blocks out of the tree, and a
+// demoted ρ block waits out of both trees). The caller must already know
+// that id is not in ρ's small tree (Small): Leaf does not mask the tag, so
+// that the tree load's two calls per block stay branch-free.
 func (m *Map) Leaf(id block.ID) block.Leaf {
 	return block.Leaf(m.leaf[id])
+}
+
+// smallTag marks an entry holding a ρ small-tree leaf.
+const smallTag = 1 << 31
+
+// Small returns id's small-tree leaf and true while id is resident in ρ's
+// small tree, and block.NoLeaf and false otherwise.
+func (m *Map) Small(id block.ID) (block.Leaf, bool) {
+	v := m.leaf[id]
+	if v&smallTag == 0 || v == uint32(block.NoLeaf) {
+		return block.NoLeaf, false
+	}
+	return block.Leaf(v &^ smallTag), true
+}
+
+// SetSmall records that id is resident in ρ's small tree under leaf, which
+// must be below 2^31-1 so that the tagged entry never reads as NoLeaf.
+// Unmap ends the residency.
+func (m *Map) SetSmall(id block.ID, leaf block.Leaf) {
+	m.leaf[id] = uint32(leaf) | smallTag
 }
 
 // Remap assigns id a fresh uniform random leaf and returns it — the block
@@ -95,7 +124,8 @@ func (m *Map) Remap(id block.ID) block.Leaf {
 	return l
 }
 
-// Unmap marks id as not present in the tree (delayed remapping).
+// Unmap marks id as not present in either tree (delayed remapping, or a
+// ρ demotion).
 func (m *Map) Unmap(id block.ID) { m.leaf[id] = uint32(block.NoLeaf) }
 
 // Parent returns the PosMap block holding id's entry. onChip is true when

@@ -155,6 +155,34 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
+// TestSmallTag pins ρ's tree tag: a tagged entry returns its small-tree
+// leaf, including leaf 0 and the largest leaf a small tree can have, and
+// Unmap, Remap and an untagged entry all read as not small.
+func TestSmallTag(t *testing.T) {
+	m := newTiny()
+	if _, ok := m.Small(3); ok {
+		t.Fatal("a fresh entry reads as small-tree resident")
+	}
+	for _, leaf := range []block.Leaf{0, 1, 12345, 1<<30 - 1} {
+		m.SetSmall(3, leaf)
+		if got, ok := m.Small(3); !ok || got != leaf {
+			t.Fatalf("Small after SetSmall(%d) = %d,%v", leaf, got, ok)
+		}
+	}
+	m.Unmap(3)
+	if got, ok := m.Small(3); ok || got != block.NoLeaf {
+		t.Fatalf("Small after Unmap = %d,%v, want NoLeaf,false", got, ok)
+	}
+	if m.Leaf(3).Valid() {
+		t.Fatal("Unmap left a valid main-tree leaf")
+	}
+	m.SetSmall(3, 7)
+	l := m.Remap(3)
+	if _, ok := m.Small(3); ok || m.Leaf(3) != l {
+		t.Fatalf("Remap left the tag set or the leaf unrecorded: leaf %d, want %d", m.Leaf(3), l)
+	}
+}
+
 func TestPos1ForMatchesParent(t *testing.T) {
 	m := newTiny()
 	check := func(seed uint64) bool {

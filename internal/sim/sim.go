@@ -47,13 +47,12 @@ import (
 
 // System is one fully wired simulation instance.
 type System struct {
-	cfg     config.System
-	mem     *dram.Model
-	llc     *cache.Cache
-	ctrl    *core.Controller
-	issuer  *core.Issuer
-	scanner *cache.DWBScanner
-	reg     *metrics.Registry
+	cfg    config.System
+	mem    *dram.Model
+	llc    *cache.Cache
+	ctrl   *core.Controller
+	issuer *core.Issuer
+	reg    *metrics.Registry
 
 	now          uint64
 	lastDone     uint64
@@ -89,32 +88,6 @@ func (s *System) AttachFlight(fl *flight.Recorder) {
 	s.mem.AttachFlight(fl)
 }
 
-// llcDWB adapts the LLC to the controller's DWBSource interface. In
-// proactive-remap mode (the Section IV-D future work) candidates are any
-// LRU lines — under LLC-D even clean evictions need PosMap work — and the
-// dirty bit is left alone (only PosMap state is prefetched).
-type llcDWB struct {
-	llc       *cache.Cache
-	scan      *cache.DWBScanner
-	proactive bool
-}
-
-func (d llcDWB) FindCandidate(now uint64) (uint64, bool) { return d.scan.FindCandidate(now) }
-
-func (d llcDWB) StillCandidate(addr uint64) bool {
-	if d.proactive {
-		return d.llc.IsLRU(addr)
-	}
-	return d.llc.IsDirtyLRU(addr)
-}
-
-func (d llcDWB) MarkClean(addr uint64) bool {
-	if d.proactive {
-		return true // nothing to clear; only PosMap state was prefetched
-	}
-	return d.llc.MarkClean(addr)
-}
-
 // New builds a System for the given configuration.
 func New(cfg config.System) (*System, error) {
 	if err := cfg.Validate(); err != nil {
@@ -134,14 +107,12 @@ func New(cfg config.System) (*System, error) {
 	}
 	scanner := newScan(llc, func() int { return scanRNG.Intn(llc.Sets()) })
 	s := &System{
-		cfg:     cfg,
-		mem:     mem,
-		llc:     llc,
-		ctrl:    ctrl,
-		scanner: scanner,
+		cfg:    cfg,
+		mem:    mem,
+		llc:    llc,
+		ctrl:   ctrl,
+		issuer: core.NewIssuer(ctrl, scanner),
 	}
-	s.issuer = core.NewIssuer(ctrl, llcDWB{llc: llc, scan: scanner,
-		proactive: cfg.Scheme.ProactiveRemap})
 	s.reg = metrics.NewRegistry()
 	ctrl.RegisterMetrics(s.reg)
 	s.issuer.RegisterMetrics(s.reg)

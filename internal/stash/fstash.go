@@ -3,7 +3,7 @@
 // whose membership is one bit per block of the unified space), the
 // baseline's dedicated tree-top cache, and the IR-Stash design (a
 // double-indexed set-associative S-Stash plus the TT pointer table) of
-// Section IV-C. ρ's membership table, AddrTable, lives here too.
+// Section IV-C.
 package stash
 
 import (

@@ -10,42 +10,42 @@ import (
 )
 
 // indexedFStash is the F-Stash as it was before the membership bitmap:
-// the same items slice, order and swap-with-last removal, with an
-// open-addressed AddrTable from address to storage slot as the index. It
-// is the reference the bitmap-indexed FStash is checked against.
+// the same items slice, order and swap-with-last removal, with a map from
+// address to storage slot as the index. It is the reference the
+// bitmap-indexed FStash is checked against.
 type indexedFStash struct {
 	items []tree.Entry
-	index *AddrTable
+	index map[block.ID]int
 }
 
-func newIndexedFStash(capacity int) *indexedFStash {
-	return &indexedFStash{index: NewAddrTable(capacity)}
+func newIndexedFStash() *indexedFStash {
+	return &indexedFStash{index: map[block.ID]int{}}
 }
 
 func (s *indexedFStash) Len() int { return len(s.items) }
 
 func (s *indexedFStash) Insert(e tree.Entry) {
-	if i, ok := s.index.Get(e.Addr); ok {
+	if i, ok := s.index[e.Addr]; ok {
 		s.items[i] = e
 		return
 	}
-	s.index.Put(e.Addr, uint32(len(s.items)))
+	s.index[e.Addr] = len(s.items)
 	s.items = append(s.items, e)
 }
 
 func (s *indexedFStash) Lookup(addr block.ID) (block.Leaf, bool) {
-	if i, ok := s.index.Get(addr); ok {
+	if i, ok := s.index[addr]; ok {
 		return s.items[i].Leaf, true
 	}
 	return block.NoLeaf, false
 }
 
 func (s *indexedFStash) Remove(addr block.ID) bool {
-	i, ok := s.index.Get(addr)
+	i, ok := s.index[addr]
 	if !ok {
 		return false
 	}
-	s.removeAt(int(i))
+	s.removeAt(i)
 	return true
 }
 
@@ -54,10 +54,10 @@ func (s *indexedFStash) removeAt(i int) {
 	last := len(s.items) - 1
 	if i != last {
 		s.items[i] = s.items[last]
-		s.index.Put(s.items[i].Addr, uint32(i))
+		s.index[s.items[i].Addr] = i
 	}
 	s.items = s.items[:last]
-	s.index.Delete(addr)
+	delete(s.index, addr)
 }
 
 func (s *indexedFStash) Each(fn func(tree.Entry)) {
@@ -81,9 +81,7 @@ func (s *indexedFStash) DrainForPath(leaf block.Leaf, levels int, perLevel [][]t
 	for i := n - 1; i >= 1; i-- {
 		drainVisit(leaf, levels, perLevel, s.items[i])
 	}
-	for _, e := range s.items {
-		s.index.Delete(e.Addr)
-	}
+	clear(s.index)
 	s.items = s.items[:0]
 }
 
@@ -115,7 +113,7 @@ type fstashPair struct {
 func newFStashPair() *fstashPair {
 	return &fstashPair{
 		got:       NewFStash(fsUniverse),
-		want:      newIndexedFStash(4),
+		want:      newIndexedFStash(),
 		gotLists:  make([][]tree.Entry, fsLevels),
 		wantLists: make([][]tree.Entry, fsLevels),
 	}
@@ -192,7 +190,7 @@ func (p *fstashPair) step(t testing.TB, op int, x, y uint64) {
 }
 
 // TestFStashMatchesIndexedReference drives the bitmap-indexed FStash and
-// the AddrTable-indexed reference through long random operation streams
+// the map-indexed reference through long random operation streams
 // over a 200-block universe. Inserts outnumber removals between the
 // occasional full drain, so the stash holds tens of blocks, every lookup
 // of a stashed block scans, and duplicate inserts and removals hit

@@ -128,6 +128,19 @@ func levelOfNode(n int) int {
 	return l
 }
 
+// mix64 is the 64-bit finalizer mix (splitmix64) that indexes the set
+// memo: masked to a power-of-two size, it spreads dense block IDs over the
+// whole memo.
+func mix64(id block.ID) uint64 {
+	x := uint64(id)
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // setOf returns addr's S-Stash set, hashing it only on a memo miss.
 func (s *IRStash) setOf(addr block.ID) int {
 	i := mix64(addr) & (setMemoSlots - 1)
@@ -177,27 +190,8 @@ func (s *IRStash) LookupByAddr(addr block.ID) (block.Leaf, bool) {
 	return block.NoLeaf, false
 }
 
-// ReadPath implements TopStore: it drains the top buckets along leaf via
-// the TT pointers.
-func (s *IRStash) ReadPath(leaf block.Leaf, dst []tree.Entry) []tree.Entry {
-	out := dst
-	for l := 0; l < s.topLevels; l++ {
-		n := s.node(l, leaf)
-		for i, ptr := range s.tt[n] {
-			if ptr < 0 {
-				continue
-			}
-			sl := &s.slots[ptr]
-			out = append(out, tree.Entry{Addr: sl.addr, Leaf: sl.leaf})
-			s.drained(sl.addr, s.vacate(ptr))
-			s.tt[n][i] = -1
-			s.occupied[l]--
-		}
-	}
-	return out
-}
-
-// ReadPathEach implements TopStore.
+// ReadPathEach implements TopStore: it drains the top buckets along leaf
+// via the TT pointers.
 func (s *IRStash) ReadPathEach(leaf block.Leaf, visit func(tree.Entry, int)) {
 	for l := 0; l < s.topLevels; l++ {
 		n := s.node(l, leaf)

@@ -78,13 +78,13 @@ func TestIRStashSetOfMatchesMD5(t *testing.T) {
 	checkMemo(t, s)
 }
 
-// TestIRStashMemoDifferential runs interleaved Fill, LookupByAddr, Remove,
-// ReadPath and ReadPathEach against a model that
-// places blocks by the reference MD5 set: every Fill outcome, conflict
-// count, lookup and removal must match, and placed blocks must sit in their
-// MD5 set. After every op, a Find hit must imply a LookupByAddr hit (the
-// reason ServeOnChip skips the tree-top walk under IR-Stash), and every
-// set's free-way count must equal a recount of its invalid ways.
+// TestIRStashMemoDifferential runs interleaved Fill, LookupByAddr, Remove
+// and ReadPathEach against a model that places blocks by the reference MD5
+// set: every Fill outcome, conflict count, lookup and removal must match,
+// and placed blocks must sit in their MD5 set. After every op, a Find hit
+// must imply a LookupByAddr hit (the reason ServeOnChip skips the tree-top
+// walk under IR-Stash), and every set's free-way count must equal a
+// recount of its invalid ways.
 func TestIRStashMemoDifferential(t *testing.T) {
 	for _, ways := range []int{1, 4} {
 		s := NewIRStash(testLevels, testTop, topZ(), ways)
@@ -171,13 +171,7 @@ func TestIRStashMemoDifferential(t *testing.T) {
 					setCount[md5Set(e.Addr, s.sets)]--
 					bucketCount[m.node]--
 				}
-				if op%2 == 0 {
-					for _, e := range s.ReadPath(leaf, nil) {
-						drain(e, 0)
-					}
-				} else {
-					s.ReadPathEach(leaf, drain)
-				}
+				s.ReadPathEach(leaf, drain)
 			}
 			if got, want := s.setOf(a), md5Set(a, s.sets); got != want {
 				t.Fatalf("ways %d op %d: setOf(%v) = %d, MD5 gives %d", ways, op, a, got, want)

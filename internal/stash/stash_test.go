@@ -110,6 +110,14 @@ func testStores() map[string]TopStore {
 	}
 }
 
+// readPath collects, in visit order, the blocks ReadPathEach removes from
+// the path of leaf.
+func readPath(ts TopStore, leaf block.Leaf) []tree.Entry {
+	var out []tree.Entry
+	ts.ReadPathEach(leaf, func(e tree.Entry, _ int) { out = append(out, e) })
+	return out
+}
+
 func TestTopStoreFillReadRoundTrip(t *testing.T) {
 	for name, ts := range testStores() {
 		leaf := block.Leaf(12)
@@ -122,9 +130,8 @@ func TestTopStoreFillReadRoundTrip(t *testing.T) {
 		if ts.Len() != 2 {
 			t.Fatalf("%s: Len = %d", name, ts.Len())
 		}
-		got := ts.ReadPath(leaf, nil)
-		if len(got) != 2 {
-			t.Fatalf("%s: ReadPath returned %d", name, len(got))
+		if got := readPath(ts, leaf); len(got) != 2 {
+			t.Fatalf("%s: path read returned %d", name, len(got))
 		}
 		if ts.Len() != 0 {
 			t.Errorf("%s: store not drained", name)
@@ -282,7 +289,7 @@ func TestTopStoreConservation(t *testing.T) {
 						inStore++
 					}
 				} else {
-					inStore -= len(ts.ReadPath(leaf, nil))
+					inStore -= len(readPath(ts, leaf))
 				}
 				if ts.Len() != inStore {
 					return false

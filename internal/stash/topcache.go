@@ -12,13 +12,9 @@ import (
 // offers the block-address index (AddrIndex) that lets the LLC discover
 // tree-top hits without a PosMap lookup.
 type TopStore interface {
-	// ReadPath removes every real block in the top buckets on the path of
-	// leaf (the on-chip segment of a path read), appending to dst — which
-	// may be nil, or a buffer reused across paths to avoid allocation.
-	ReadPath(leaf block.Leaf, dst []tree.Entry) []tree.Entry
-	// ReadPathEach is ReadPath without the intermediate buffer: each
-	// removed block is handed to visit with its level, in exactly
-	// ReadPath's emission order. visit must not touch the store.
+	// ReadPathEach removes every real block in the top buckets on the path
+	// of leaf (the on-chip segment of a path read) and hands each to visit
+	// with its level, root first. visit must not touch the store.
 	ReadPathEach(leaf block.Leaf, visit func(tree.Entry, int))
 	// Fill places e into the bucket the path of leaf crosses at level; it
 	// returns false when the design cannot accept the block (bucket full,
@@ -57,8 +53,8 @@ type AddrIndex interface {
 // [nodeLo[n], nodeLo[n]+z[l]); its live entries are the dense prefix of
 // length cnt[n], appended to by Fill and compacted by Remove's
 // swap-with-last — the exact array dynamics of the historical per-node
-// slices, so ReadPath emission order is unchanged. Find and Remove scan the
-// live prefixes of the path's at most topLevels buckets.
+// slices, so ReadPathEach emission order is unchanged. Find and Remove scan
+// the live prefixes of the path's at most topLevels buckets.
 type TopCache struct {
 	topLevels int
 	levels    int
@@ -101,21 +97,6 @@ func NewTopCache(levels, topLevels int, z []int) *TopCache {
 func (t *TopCache) node(level int, leaf block.Leaf) int {
 	idx := uint64(leaf) >> (uint(t.levels-1) - uint(level))
 	return (1 << uint(level)) + int(idx)
-}
-
-// ReadPath implements TopStore.
-func (t *TopCache) ReadPath(leaf block.Leaf, dst []tree.Entry) []tree.Entry {
-	out := dst
-	for l := 0; l < t.topLevels; l++ {
-		n := t.node(l, leaf)
-		lo, c := t.nodeLo[n], uint32(t.cnt[n])
-		t.occupied[l] -= uint64(c)
-		t.cnt[n] = 0
-		for s := lo; s < lo+c; s++ {
-			out = append(out, tree.Entry{Addr: block.ID(t.slotAddr[s]), Leaf: block.Leaf(t.slotLeaf[s])})
-		}
-	}
-	return out
 }
 
 // ReadPathEach implements TopStore.

@@ -202,34 +202,12 @@ func (t *Tree) loadPath(leaf block.Leaf, occ *[config.MaxLevels]uint64) {
 	}
 }
 
-// ReadPath removes every real block on the path of leaf (memory-resident
-// levels only), leaving those buckets empty — the read phase of a path
-// access. The blocks are appended to dst (pass nil, or a reused buffer to
-// keep the hot path allocation-free) and returned root-to-leaf.
-func (t *Tree) ReadPath(leaf block.Leaf, dst []Entry) []Entry {
-	var occ [config.MaxLevels]uint64
-	t.loadPath(leaf, &occ)
-	out := dst
-	for l := t.minLevel; l < t.levels; l++ {
-		o := occ[l]
-		if o == 0 {
-			continue
-		}
-		w := t.record(l, leaf)
-		t.rec[w] = 0
-		t.occupied[l] -= uint64(bits.OnesCount64(o))
-		for ; o != 0; o &= o - 1 {
-			out = append(out, entryOf(t.rec[w+1+uint64(bits.TrailingZeros64(o))]))
-		}
-	}
-	return out
-}
-
-// ReadPathEach is ReadPath without the intermediate buffer: it removes every
-// real block on the path of leaf (memory-resident levels only) and hands
-// each to visit along with its level, in exactly ReadPath's root-to-leaf
-// emission order. It is the read-gather half of the controller's fused
-// single-walk pipeline; visit must not touch the tree.
+// ReadPathEach removes every real block on the path of leaf
+// (memory-resident levels only), leaving those buckets empty — the read
+// phase of a path access — and hands each to visit along with its level,
+// root to leaf and in slot order within a bucket. It is the read-gather
+// half of the controller's fused single-walk pipeline; visit must not
+// touch the tree.
 func (t *Tree) ReadPathEach(leaf block.Leaf, visit func(Entry, int)) {
 	var occ [config.MaxLevels]uint64
 	t.loadPath(leaf, &occ)

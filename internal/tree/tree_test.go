@@ -14,13 +14,21 @@ func tinyORAM() config.ORAM {
 	return o
 }
 
+// readPath collects, in visit order, the blocks ReadPathEach removes from
+// the path of leaf.
+func readPath(tr *Tree, leaf block.Leaf) []Entry {
+	var out []Entry
+	tr.ReadPathEach(leaf, func(e Entry, _ int) { out = append(out, e) })
+	return out
+}
+
 func TestNewEmpty(t *testing.T) {
 	o := tinyORAM()
 	tr := New(o, o.TopLevels)
 	if tr.Occupied() != 0 {
 		t.Fatalf("new tree occupied %d", tr.Occupied())
 	}
-	if got := tr.ReadPath(0, nil); len(got) != 0 {
+	if got := readPath(tr, 0); len(got) != 0 {
 		t.Fatalf("empty tree path returned %d blocks", len(got))
 	}
 }
@@ -49,14 +57,14 @@ func TestReadPathRemovesBlocks(t *testing.T) {
 	tr := New(o, o.TopLevels)
 	tr.Place(Entry{Addr: 1, Leaf: 9})
 	tr.Place(Entry{Addr: 2, Leaf: 9})
-	got := tr.ReadPath(9, nil)
+	got := readPath(tr, 9)
 	if len(got) != 2 {
 		t.Fatalf("read %d blocks, want 2", len(got))
 	}
 	if tr.Occupied() != 0 {
 		t.Errorf("occupied %d after draining path", tr.Occupied())
 	}
-	if got2 := tr.ReadPath(9, nil); len(got2) != 0 {
+	if got2 := readPath(tr, 9); len(got2) != 0 {
 		t.Error("second read should find nothing")
 	}
 }
@@ -71,9 +79,9 @@ func TestReadPathOnlyTouchesOwnPath(t *testing.T) {
 	b := block.Leaf(leaves - 1)
 	tr.Place(Entry{Addr: 1, Leaf: a})
 	tr.Place(Entry{Addr: 2, Leaf: b})
-	got := tr.ReadPath(a, nil)
+	got := readPath(tr, a)
 	if len(got) != 1 || got[0].Addr != 1 {
-		t.Fatalf("ReadPath(a) = %v", got)
+		t.Fatalf("path read of a = %v", got)
 	}
 	if _, ok := tr.Find(2, b); !ok {
 		t.Error("block on the other path vanished")
@@ -90,7 +98,7 @@ func TestFillBucketRoundTrip(t *testing.T) {
 	if tr.occupied[level] != 2 {
 		t.Fatalf("occupied at leaf level = %d", tr.occupied[level])
 	}
-	got := tr.ReadPath(leaf, nil)
+	got := readPath(tr, leaf)
 	if len(got) != 2 {
 		t.Fatalf("read back %d blocks", len(got))
 	}
@@ -149,7 +157,7 @@ func TestPathInvariant(t *testing.T) {
 	}
 	for probe := 0; probe < 100; probe++ {
 		leaf := block.Leaf(r.Uint64n(leaves))
-		got := tr.ReadPath(leaf, nil)
+		got := readPath(tr, leaf)
 		for _, e := range got {
 			onPath := false
 			for l := o.TopLevels; l < o.Levels; l++ {
