@@ -71,7 +71,8 @@ func (c *Controller) ServeOnChip(now uint64, j Job) (served bool, done uint64) {
 		if !j.Write {
 			panic(fmt.Sprintf("core: read for unmapped block %v", a))
 		}
-		c.reinsert(a, pm1)
+		c.reinsert(a)
+		c.plb.MarkDirty(uint64(pm1))
 		c.st.ServedRequests++
 		return true, done
 	}
@@ -91,12 +92,11 @@ func (c *Controller) ServeOnChip(now uint64, j Job) (served bool, done uint64) {
 	return false, 0
 }
 
-// reinsert returns an out-of-tree block to the stash under a fresh leaf and
-// dirties its PosMap1 entry (which the caller has ensured is resident).
-func (c *Controller) reinsert(a block.ID, pm1 block.ID) {
-	newLeaf := c.remap(a)
-	c.fstash.Insert(tree.Entry{Addr: a, Leaf: newLeaf})
-	c.plb.MarkDirty(uint64(pm1))
+// reinsert returns block a, just taken off the tree or held out of it, to
+// the stash under a fresh leaf. The caller dirties a's PosMap1 entry, which
+// records the new leaf and which the caller has ensured is resident.
+func (c *Controller) reinsert(a block.ID) {
+	c.fstash.Insert(tree.Entry{Addr: a, Leaf: c.remap(a)})
 }
 
 // PathStep performs exactly one path access toward completing the job —
@@ -126,10 +126,10 @@ func (c *Controller) PathStep(now uint64, j Job) (completed bool, done uint64) {
 	if !leaf.Valid() {
 		panic(fmt.Sprintf("core: PathStep for unmapped block %v (ServeOnChip should have handled it)", a))
 	}
-	// Main-tree data access. The access itself reports the level the block
-	// was read from (discovered during the gather walk — no separate
-	// tree.Find walk); top-segment finds report -1, matching tree.Find's
-	// memory-levels-only histogram.
+	// Main-tree data access. The access itself reports the memory level
+	// the block was read from, found during its gather walk; a block read
+	// from the on-chip top segment reports -1, so HitLevels charts memory
+	// levels only.
 	found, lvl, done := c.treeAccess(now, leaf, a, block.PathData)
 	if !found {
 		panic(fmt.Sprintf("core: block %v not on its path %d (tree corrupted)", a, leaf))
@@ -137,20 +137,18 @@ func (c *Controller) PathStep(now uint64, j Job) (completed bool, done uint64) {
 	if lvl >= 0 {
 		c.st.HitLevels.Add(lvl)
 	}
-	if c.cfg.Scheme.DelayedRemap && !j.Write {
+	switch {
+	case c.cfg.Scheme.DelayedRemap && !j.Write:
 		// LLC-D: discard the mapping; the block now lives only in the LLC
 		// and rejoins the tree on eviction. Write-backs (the block was just
 		// evicted from the LLC) reinsert like the normal policy below.
 		c.pm.Unmap(a)
-		c.plb.MarkDirty(uint64(pm1))
-	} else if c.rho != nil {
+	case c.rho != nil:
 		c.rhoInstall(a)
-		c.plb.MarkDirty(uint64(pm1))
-	} else {
-		newLeaf := c.remap(a)
-		c.fstash.Insert(tree.Entry{Addr: a, Leaf: newLeaf})
-		c.plb.MarkDirty(uint64(pm1))
+	default:
+		c.reinsert(a)
 	}
+	c.plb.MarkDirty(uint64(pm1))
 	c.st.ServedRequests++
 	return true, done
 }
@@ -249,12 +247,14 @@ func (c *Controller) dwbStep(now uint64, a block.ID, stage int) (newStage int, d
 	case 1:
 		// config.Validate rejects IR-DWB under ρ, so a is in no small tree
 		// and its entry is a main-tree leaf or NoLeaf.
+		pm1 := c.pm.Pos1For(a)
 		leaf := c.pm.Leaf(a)
 		if !leaf.Valid() {
 			// Held out of the tree: under LLC-D a fetched block lives
 			// only in the LLC until its eviction. Its PosMap1 block is
 			// resident now, so the write-back reinserts it on-chip.
-			c.reinsert(a, c.pm.Pos1For(a))
+			c.reinsert(a)
+			c.plb.MarkDirty(uint64(pm1))
 			return 0, now, false
 		}
 		if _, ok := c.fstash.Lookup(a); ok {
@@ -269,9 +269,8 @@ func (c *Controller) dwbStep(now uint64, a block.ID, stage int) (newStage int, d
 		if !found {
 			panic(fmt.Sprintf("core: DWB target %v not on its path", a))
 		}
-		newLeaf := c.remap(a)
-		c.fstash.Insert(tree.Entry{Addr: a, Leaf: newLeaf})
-		c.plb.MarkDirty(uint64(c.pm.Pos1For(a)))
+		c.reinsert(a)
+		c.plb.MarkDirty(uint64(pm1))
 		return 0, done, true
 	default:
 		panic(fmt.Sprintf("core: invalid DWB stage %d", stage))

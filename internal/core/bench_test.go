@@ -9,6 +9,7 @@ import (
 	"iroram/internal/flight"
 	"iroram/internal/rng"
 	"iroram/internal/stash"
+	"iroram/internal/tree"
 )
 
 // The controller's hot paths as warmed rigs. Each rig returns one op; the
@@ -56,20 +57,21 @@ func accessRig(tb testing.TB, sch config.Scheme, fl *flight.Recorder) (*Controll
 func evictRig(tb testing.TB, sch config.Scheme) (*Controller, func()) {
 	c, _ := accessRig(tb, sch, nil)
 	r := rng.New(3)
-	// Bound once: a method value built inside op would allocate per run.
-	buffer := c.bufferRead
+	// Bound once: a closure built inside op would allocate per run.
+	var read []tree.Entry
+	buffer := func(e tree.Entry, _ int) { read = append(read, e) }
 	op := func() {
 		leaf := block.Leaf(r.Uint64n(c.o.LeafCount()))
-		c.readBuf = c.readBuf[:0]
+		read = read[:0]
 		c.tr.ReadPathEach(leaf, buffer)
 		if c.top != nil {
 			c.top.ReadPathEach(leaf, buffer)
 		}
-		if n := len(c.readBuf); n > 0 {
-			e := &c.readBuf[r.Uint64n(uint64(n))]
+		if n := len(read); n > 0 {
+			e := &read[r.Uint64n(uint64(n))]
 			e.Leaf = c.pm.Remap(e.Addr)
 		}
-		for _, e := range c.readBuf {
+		for _, e := range read {
 			c.fstash.Insert(e)
 		}
 		c.evictBuf = evictOntoPath(c.fstash, c.tr, c.top, c.o.Z, c.minLevel,

@@ -60,26 +60,18 @@ type Controller struct {
 	rho  *rhoState  // non-nil when the ρ scheme is active
 	ring *ringState // non-nil when the Ring ORAM protocol is active
 
-	// refPipeline routes pathAccess through the retained multi-walk
-	// reference implementation (access_reference.go). Tests flip it to pin
-	// the fused pipeline differentially.
-	refPipeline bool
-
 	// Scratch buffers reused across path accesses of either tree (the two
 	// never run concurrently), so the steady-state hot path allocates
 	// nothing (guarded by TestPathAccessZeroAllocs and
 	// TestEvictZeroAllocs). physBuf also holds the address lists of Ring ORAM
 	// reads and evictions and of the context-switch spill.
 	physBuf   []uint64
-	readBuf   []tree.Entry   // read-phase entries (tree + top segment)
 	evictList [][]tree.Entry // per-level candidates for evictOntoPath
 	evictBuf  []tree.Entry   // eviction candidate pool / spillover
 	gathered  []tree.Entry   // read-walk scratch: path blocks bound for the drain
 
-	// Fused-gather state: gather is built once and walks the tree + top
-	// segment of a path, staging blocks for the drain while watching for
-	// gTarget — the single-walk replacement for the
-	// read-into-buffer-then-scan shape the reference keeps.
+	// Gather state: gather is built once and walks the tree + top segment
+	// of a path, staging blocks for the drain while watching for gTarget.
 	gather  func(tree.Entry, int)
 	gTarget block.ID
 	gFound  bool
@@ -98,10 +90,9 @@ type Controller struct {
 
 // pathTree is one Path ORAM tree with everything the path-access pipeline
 // reads from it. The controller's main tree and ρ's small tree are both
-// pathTrees and run the same pipeline (pathAccess, pathAccessReference);
-// where the two differ, the difference is data here — geometry, DRAM
-// offset, a nil migration tally on the small tree — never a branch on
-// which tree is running.
+// pathTrees and run the same pipeline (pathAccess); where the two differ,
+// the difference is data here — geometry, DRAM offset, a nil migration
+// tally on the small tree — never a branch on which tree is running.
 type pathTree struct {
 	o        config.ORAM
 	minLevel int // first memory-resident level; [0, minLevel) live in top
@@ -146,16 +137,15 @@ func (t *pathTree) randomLeaf(r *rng.Source) block.Leaf {
 }
 
 // AttachFlight wires a flight recorder into the access pipeline: every
-// fused path access, on the main tree and on ρ's small tree alike, counts
-// toward the recorder's 1-in-N sample and, when armed, records its read,
-// decrypt and posted-writeback phase spans plus the whole-access span
-// tagged with path type and leaf — the adversary's view of the access,
-// which the security tests read back. The issuer adds per-slot occupancy
-// samples and disarms the recorder when it accounts the slot. The
-// reference pipeline and Ring ORAM's one-block-per-bucket read do not
-// sample; a Ring eviction path or context-switch flush access that does
-// leaves the recorder armed for the dummy slots or spill serviced right
-// after it. Recording only observes — no RNG draws, no timing changes — so
+// path access, on the main tree and on ρ's small tree alike, counts toward
+// the recorder's 1-in-N sample and, when armed, records its read, decrypt
+// and posted-writeback phase spans plus the whole-access span tagged with
+// path type and leaf — the adversary's view of the access, which the
+// security tests read back. The issuer adds per-slot occupancy samples and
+// disarms the recorder when it accounts the slot. Ring ORAM's
+// one-block-per-bucket read does not sample; a Ring eviction path or
+// context-switch flush access that does leaves the recorder armed for the
+// dummy slots or spill serviced right after it. Recording only observes — no RNG draws, no timing changes — so
 // every counter, histogram and byte of stdout is identical with tracing on
 // or off.
 func (c *Controller) AttachFlight(fl *flight.Recorder) { c.fl = fl }
@@ -297,18 +287,11 @@ func (c *Controller) physRuns(off uint64) []dram.Run {
 // steady state the controller is limited by exactly the per-path block
 // traffic that IR-Alloc reduces.
 //
-// This is the fused single-walk pipeline: the DRAM read phase is charged
-// from the path's run list, one walk over the path moves every
-// block straight into the stash (recording the target's level in passing,
-// where the reference shape pays a separate tree.Find walk), the eviction
-// walk refills it, and the write phase posts from the same run list. The
-// multi-walk, build-per-phase shape is retained in access_reference.go
-// and pinned against this one by TestFusedPipelineMatchesReference.
+// Both DRAM phases are charged from one run list, and one walk over the
+// path stages every block for the eviction drain, recording the target's
+// level in passing.
 func (c *Controller) pathAccess(t *pathTree, now uint64, leaf block.Leaf, target block.ID,
 	ptype block.PathType) (found bool, foundLevel int, done uint64) {
-	if c.refPipeline {
-		return c.pathAccessReference(t, now, leaf, target, ptype)
-	}
 	// Arm (or not) the flight recorder for this access before the read
 	// phase so the DRAM hooks see the sampling decision; the issuer
 	// disarms when it accounts the finished slot.

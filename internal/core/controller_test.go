@@ -553,6 +553,39 @@ func TestContextSwitchIRStash(t *testing.T) {
 	is.ReadBlock(done+10, 77)
 }
 
+// TestContextSwitchFlushesRhoSmallTree checks that under ρ a context
+// switch empties the small tree's F-Stash as well as the main one, and
+// that its spill covers both top stores, the main tree's first.
+func TestContextSwitchFlushesRhoSmallTree(t *testing.T) {
+	is, c := newSystem(t, config.RhoScheme())
+	r := rng.New(37)
+	now := uint64(0)
+	for i := 0; i < 2000; i++ {
+		now = is.ReadBlock(now+400, block.ID(r.Uint64n(c.o.DataBlocks())))
+	}
+	if c.rho.fstash.Len() == 0 {
+		t.Fatal("the small F-Stash is empty before the switch; pick another seed")
+	}
+	c.ContextSwitch(now)
+	if n := c.rho.fstash.Len(); n != 0 {
+		t.Errorf("the small F-Stash still holds %d blocks after the switch", n)
+	}
+	if n := c.StashLen(); n != 0 {
+		t.Errorf("the main F-Stash still holds %d blocks after the switch", n)
+	}
+	// The spill is the last address list ContextSwitch services.
+	mainSlots, smallSlots := c.topSlots(), c.rho.topSlots()
+	if mainSlots == 0 || smallSlots == 0 {
+		t.Fatalf("top stores of %d and %d slots; the test needs both", mainSlots, smallSlots)
+	}
+	if got := uint64(len(c.physBuf)); got != mainSlots+smallSlots {
+		t.Errorf("spilled %d slots, want %d (main) + %d (small)", got, mainSlots, smallSlots)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestContextSwitchSpillClearsTrees checks that the tree-top spill of a
 // context switch lands past every tree's DRAM region [physOff, physEnd):
 // under ρ the small tree is laid out right after the main tree, so a spill

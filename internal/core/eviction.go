@@ -25,10 +25,8 @@ import (
 // the path (both are maximal greedy deepest-first evictions; see
 // TestEvictionDifferential), but may pick DIFFERENT blocks when more
 // candidates fit a level than the bucket holds: the reference scan picks by
-// stash storage order, the single-pass picks deepest-candidates-first.
-// Recorded experiment tables were re-baselined for this tie-break change in
-// EXPERIMENTS.md (PR 3); both orders are deterministic, so tables remain
-// byte-identical across runs and -jobs values.
+// stash storage order, the single-pass picks deepest-candidates-first. Both
+// orders are deterministic.
 
 // evictOntoPath drains fs onto the path of leaf: memory-resident levels
 // [minLevel, levels) are bulk-filled into tr, and — when top is non-nil —
@@ -120,12 +118,12 @@ func fillMemoryLevels(fs *stash.FStash, tr *tree.Tree,
 	for l := 0; l < levels; l++ {
 		lists[l] = lists[l][:0]
 	}
-	// gathered holds the blocks the fused read walk just pulled off the
-	// path, kept out of the stash because this drain would remove them
-	// again immediately; DrainForPath classifies them and the resident
-	// entries in the exact order inserting them first would have produced.
-	// Callers that pre-inserted (the reference pipelines and the eviction
-	// tests) pass gathered == nil.
+	// gathered holds the blocks the read walk just pulled off the path,
+	// kept out of the stash because this drain would remove them again
+	// immediately; DrainForPath classifies them and the resident entries
+	// in the exact order inserting them first would have produced. Callers
+	// that insert the path's blocks first (the test oracles) pass
+	// gathered == nil.
 	fs.DrainForPath(leaf, levels, lists, gathered)
 
 	// The candidate pool for the current level is the entries whose deepest

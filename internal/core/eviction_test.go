@@ -56,6 +56,8 @@ func TestEvictionDifferential(t *testing.T) {
 			refCounts := make([]int, c.o.Levels)
 			refused := newEpochSet(int(c.pm.Total()))
 			takeBuf := make([]tree.Entry, 0, 64)
+			var read []tree.Entry
+			buffer := func(e tree.Entry, _ int) { read = append(read, e) }
 			now := uint64(0)
 
 			const accesses = 2500
@@ -68,12 +70,12 @@ func TestEvictionDifferential(t *testing.T) {
 				// both implementations (protocol-wise a background
 				// eviction: random leaf, no target).
 				leaf := block.Leaf(r.Uint64n(c.o.LeafCount()))
-				c.readBuf = c.readBuf[:0]
-				c.tr.ReadPathEach(leaf, c.bufferRead)
+				read = read[:0]
+				c.tr.ReadPathEach(leaf, buffer)
 				if c.top != nil {
-					c.top.ReadPathEach(leaf, c.bufferRead)
+					c.top.ReadPathEach(leaf, buffer)
 				}
-				for _, e := range c.readBuf {
+				for _, e := range read {
 					c.fstash.Insert(e)
 				}
 

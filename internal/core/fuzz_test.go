@@ -1,21 +1,39 @@
-package core
+package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"iroram/internal/config"
-	"iroram/internal/dram"
-	"iroram/internal/rng"
+	"iroram/internal/sim"
+	"iroram/internal/trace"
 )
+
+// fuzzRequests is how many xz requests one FuzzNewController input runs; a
+// context switch falls halfway through.
+const fuzzRequests = 1000
 
 // fuzzConfig decodes one FuzzNewController input into a Tiny-based system:
 // Levels in [0,12], TopLevels in [0,12], Z[l] = zs[l] mod 17 (4 past the
-// end of zs), UserBlocks in [0, Slots] (0 is the 50% default), and a scheme
-// from config.AllSchemes plus Ring. Out-of-range draws are left for
+// end of zs), UserBlocks in [0, Slots] (0 is the 50% default), and a
+// scheme. A scheme byte below 128 picks a preset from config.AllSchemes
+// plus Ring. From 128 up, the rest of the byte picks a protocol {Path, ρ,
+// Ring}, a tree-top design {none, dedicated, IR-Stash}, IR-DWB and LLC-D,
+// the flags TestSchemeFlagMatrix (internal/sim) combines, so combinations
+// no preset uses get fuzzed too. Out-of-range draws are left for
 // config.Validate to reject.
 func fuzzConfig(levels, top uint8, zs []byte, user uint32, scheme uint8) config.System {
-	schemes := append(config.AllSchemes(), config.RingScheme())
-	cfg := config.Tiny().WithScheme(schemes[int(scheme)%len(schemes)])
+	cfg := config.Tiny()
+	if scheme < 128 {
+		schemes := append(config.AllSchemes(), config.RingScheme())
+		cfg = cfg.WithScheme(schemes[int(scheme)%len(schemes)])
+	} else {
+		v := int(scheme - 128)
+		sch := []config.Scheme{config.Baseline(), config.RhoScheme(), config.RingScheme()}[v%3]
+		sch.Top = []config.TopDesign{config.TopNone, config.TopDedicated, config.TopIRStash}[v/3%3]
+		sch.DWB, sch.DelayedRemap = v/9%2 == 1, v/18%2 == 1
+		cfg = cfg.WithScheme(sch)
+	}
 	o := &cfg.ORAM
 	o.Levels = int(levels % 13)
 	o.TopLevels = int(top % 13)
@@ -30,10 +48,50 @@ func fuzzConfig(levels, top uint8, zs []byte, user uint32, scheme uint8) config.
 	return cfg
 }
 
+// fuzzSystem runs one FuzzNewController input: nil when config.Validate
+// rejects it, otherwise the System after fuzzRequests xz requests, with
+// CheckInvariants clean after construction, around the context switch and
+// at the end.
+func fuzzSystem(t *testing.T, levels, top uint8, zs []byte, user uint32, scheme uint8) *sim.System {
+	t.Helper()
+	cfg := fuzzConfig(levels, top, zs, user, scheme)
+	if cfg.Validate() != nil {
+		return nil
+	}
+	o := cfg.ORAM
+	desc := fmt.Sprintf("%+v L=%d top=%d Z=%v N=%d", cfg.Scheme, o.Levels, o.TopLevels, o.Z, o.UserBlocks)
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatalf("%s: valid config rejected: %v", desc, err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if err := s.Controller().CheckInvariants(); err != nil {
+			t.Fatalf("%s: %s: %v", desc, when, err)
+		}
+	}
+	check("after construction")
+	gen := trace.MustBenchmark("xz", cfg.ORAM.DataBlocks(), 1)
+	for i := 0; i < fuzzRequests; i++ {
+		req, ok := gen.Next()
+		if !ok {
+			t.Fatalf("the trace ended after %d requests", i)
+		}
+		s.Step(req)
+		if i == fuzzRequests/2 {
+			check("before the context switch")
+			s.Controller().ContextSwitch(s.Now())
+			check("after the context switch")
+		}
+	}
+	check("at the end")
+	return s
+}
+
 // FuzzNewController draws a tree geometry and a scheme: every input is
-// either rejected by config.Validate, or builds a controller that serves
-// 200 accesses (pipelineWorkload's mix of reads and write-backs) with
-// CheckInvariants clean before and after. Heavily loaded draws make the
+// either rejected by config.Validate, or builds a System (controller,
+// issuer, and an LLC that feeds IR-DWB) that serves fuzzRequests requests
+// with CheckInvariants clean throughout. Heavily loaded draws make the
 // initial placement spill past the memory levels into the top store and
 // the F-Stash, which no preset geometry does.
 func FuzzNewController(f *testing.F) {
@@ -41,33 +99,25 @@ func FuzzNewController(f *testing.F) {
 	// IR-ORAM with Alloc1's shape at 79% of its slots: the memory levels
 	// overflow into the S-Stash and the F-Stash.
 	f.Add(uint8(12), uint8(5), []byte{4, 4, 4, 4, 4, 2, 2, 2, 3, 3, 4, 4}, uint32(12000), uint8(5))
+	f.Add(uint8(12), uint8(5), []byte{}, uint32(0), dwbScheme)
 	f.Fuzz(func(t *testing.T, levels, top uint8, zs []byte, user uint32, scheme uint8) {
-		cfg := fuzzConfig(levels, top, zs, user, scheme)
-		if cfg.Validate() != nil {
-			return
-		}
-		c, err := NewController(cfg, dram.New(cfg.DRAM), rng.New(cfg.Seed))
-		if err != nil {
-			t.Fatalf("%s L=%d top=%d Z=%v N=%d: valid config rejected: %v",
-				cfg.Scheme.Name, cfg.ORAM.Levels, cfg.ORAM.TopLevels, cfg.ORAM.Z, cfg.ORAM.UserBlocks, err)
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("after construction: %v", err)
-		}
-		is := NewIssuer(c, nil)
-		now := uint64(0)
-		for _, op := range pipelineWorkload(200, c.o.DataBlocks(), cfg.Scheme) {
-			if op.cswtch {
-				now = c.ContextSwitch(now)
-			} else if op.write {
-				now = is.PostWrite(now+op.gap, op.addr)
-			} else {
-				now = is.ReadBlock(now+op.gap, op.addr)
-			}
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("%s L=%d top=%d Z=%v N=%d: after 200 accesses: %v",
-				cfg.Scheme.Name, cfg.ORAM.Levels, cfg.ORAM.TopLevels, cfg.ORAM.Z, cfg.ORAM.UserBlocks, err)
-		}
+		fuzzSystem(t, levels, top, zs, user, scheme)
 	})
+}
+
+// dwbScheme is a flag combination no preset uses: Path ORAM with the
+// dedicated tree top, IR-DWB and LLC-D.
+const dwbScheme uint8 = 128 + 0 + 1*3 + 1*9 + 1*18
+
+// TestFuzzSeedReachesDWB checks that fuzzing reaches IR-DWB: the
+// FuzzNewController seed with dwbScheme converts dummy slots into early
+// write-backs.
+func TestFuzzSeedReachesDWB(t *testing.T) {
+	s := fuzzSystem(t, 12, 5, []byte{}, 0, dwbScheme)
+	if s == nil {
+		t.Fatal("config.Validate rejects the seed")
+	}
+	if st := s.Controller().Stats(); st.DWBConverted == 0 {
+		t.Errorf("no IR-DWB conversion in %d requests (%d dummy paths)", fuzzRequests, st.DummyPaths)
+	}
 }

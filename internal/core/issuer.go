@@ -268,6 +268,14 @@ func (is *Issuer) tryDWB(slot uint64) (done uint64, ok bool) {
 	return done, true
 }
 
+// mainEvictDue reports whether the next slot carries a main-tree
+// background eviction ahead of other work: the main F-Stash is overfull
+// and, under ρ, the slot is a main-tree turn of the fixed main:small issue
+// pattern.
+func (is *Issuer) mainEvictDue() bool {
+	return is.c.StashOverfull() && (is.c.rho == nil || !is.rhoSlotSmall())
+}
+
 // demandSlot returns the time the waiting demand step may issue, first
 // running anything that outranks it (background eviction, and under ρ the
 // other tree's turns in the fixed pattern).
@@ -276,7 +284,7 @@ func (is *Issuer) demandSlot(now uint64, j Job) uint64 {
 	evictions := 0
 	for {
 		slot := is.earliestIssue(now)
-		if is.c.StashOverfull() && evictions < maxEvictRun {
+		if is.mainEvictDue() && evictions < maxEvictRun {
 			evictions++
 			done := is.c.backgroundEvict(slot)
 			is.record(slot)
@@ -286,14 +294,7 @@ func (is *Issuer) demandSlot(now uint64, j Job) uint64 {
 		if is.c.rho != nil && is.rhoSlotSmall() != is.c.inSmallTree(j.Addr) {
 			// Wrong turn in the fixed main:small issue pattern; it cannot
 			// be violated, so this turn carries background work.
-			var done uint64
-			if is.rhoSlotSmall() {
-				done = is.c.rhoBackgroundSlot(slot)
-			} else {
-				done = is.backgroundWork(slot)
-			}
-			is.record(slot)
-			is.finish(done)
+			is.issueBackground(slot)
 			continue
 		}
 		return slot
@@ -371,7 +372,7 @@ func (is *Issuer) PostWrite(now uint64, addr block.ID) uint64 {
 	evictions := 0
 	for len(is.writeQ) > is.maxWriteQ {
 		slot := is.earliestIssue(t)
-		evict := is.c.StashOverfull() && (is.c.rho == nil || !is.rhoSlotSmall())
+		evict := is.mainEvictDue()
 		switch {
 		case evict && evictions == maxEvictRun:
 			// Serve the queue head instead of a further eviction, as

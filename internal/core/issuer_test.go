@@ -7,6 +7,7 @@ import (
 	"iroram/internal/config"
 	"iroram/internal/dram"
 	"iroram/internal/rng"
+	"iroram/internal/tree"
 )
 
 // fakeDWB is a scripted DWBSource: a fixed candidate list, always still
@@ -231,6 +232,56 @@ func TestRhoDemotionDrains(t *testing.T) {
 			tagged, c.rho.members)
 	}
 	is.AdvanceTo(now + 100*c.o.IntervalT)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRhoDemandEvictionFollowsPattern checks that a demand read under ρ
+// issues main-tree background evictions only in the main-tree turns of the
+// fixed main:small pattern: with the main F-Stash overfull and a
+// small-tree resident requested, every main-tree path of the read must
+// fall in a main-tree slot.
+func TestRhoDemandEvictionFollowsPattern(t *testing.T) {
+	is, c := newSystem(t, config.RhoScheme())
+	r := rng.New(5)
+	now := uint64(0)
+	for i := 0; i < 300; i++ {
+		now = is.ReadBlock(now+900, block.ID(r.Uint64n(1024)))
+	}
+	is.AdvanceTo(now + 30*c.o.IntervalT)
+	// A resident in the small tree's memory levels: reading it takes a
+	// small-tree path.
+	target := block.Invalid
+	c.rho.tr.Each(func(e tree.Entry, _ int, _ uint64) {
+		if !target.Valid() {
+			target = e.Addr
+		}
+	})
+	if !target.Valid() {
+		t.Fatal("no small-tree resident in the small tree's memory levels")
+	}
+	for !c.StashOverfull() {
+		c.tr.ReadPathEach(c.randomLeaf(r), func(e tree.Entry, _ int) { c.fstash.Insert(e) })
+	}
+	slot0, paths0, blocks0 := is.slotIdx, c.st.Paths.Total(), c.st.Paths.BlocksRead
+	is.ReadBlock(is.prevDone, target)
+
+	slots := is.slotIdx - slot0
+	if paths := c.st.Paths.Total() - paths0; paths != slots {
+		t.Fatalf("%d path accesses in %d slots", paths, slots)
+	}
+	mainN, smallN := uint64(c.nPathBlocks), uint64(c.rho.nPathBlocks)
+	mainPaths := (c.st.Paths.BlocksRead - blocks0 - slots*smallN) / (mainN - smallN)
+	var mainSlots uint64
+	for s := slot0; s < is.slotIdx; s++ {
+		if s%uint64(c.cfg.Scheme.RhoPattern+1) == 0 {
+			mainSlots++
+		}
+	}
+	if mainPaths != mainSlots {
+		t.Errorf("%d main-tree paths in %d slots, of which %d are main-tree turns", mainPaths, slots, mainSlots)
+	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,8 @@
 package sim
 
 import (
+	"strconv"
+
 	"iroram/internal/block"
 	"iroram/internal/cache"
 	"iroram/internal/config"
@@ -208,24 +210,10 @@ func (s *System) RunWithSnapshots(gen trace.Generator, maxRequests, snapshots in
 	return s.Result(gen.Name()), out
 }
 
+// progressLabel labels a snapshot taken after done of total requests
+// (done <= total) with the percentage completed.
 func progressLabel(done, total int) string {
-	pct := done * 100 / total
-	return percentString(pct)
-}
-
-func percentString(pct int) string {
-	digits := [3]byte{}
-	n := 0
-	if pct >= 100 {
-		return "100%"
-	}
-	if pct >= 10 {
-		digits[n] = byte('0' + pct/10)
-		n++
-	}
-	digits[n] = byte('0' + pct%10)
-	n++
-	return string(digits[:n]) + "%"
+	return strconv.Itoa(done*100/total) + "%"
 }
 
 // UtilSnapshot is one labelled utilization-per-level measurement.

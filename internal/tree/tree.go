@@ -206,8 +206,7 @@ func (t *Tree) loadPath(leaf block.Leaf, occ *[config.MaxLevels]uint64) {
 // (memory-resident levels only), leaving those buckets empty — the read
 // phase of a path access — and hands each to visit along with its level,
 // root to leaf and in slot order within a bucket. It is the read-gather
-// half of the controller's fused single-walk pipeline; visit must not
-// touch the tree.
+// walk of the controller's path access; visit must not touch the tree.
 func (t *Tree) ReadPathEach(leaf block.Leaf, visit func(Entry, int)) {
 	var occ [config.MaxLevels]uint64
 	t.loadPath(leaf, &occ)
@@ -289,15 +288,8 @@ func (t *Tree) locate(addr block.ID, leaf block.Leaf) (level int, w uint64, slot
 	return 0, 0, 0, false
 }
 
-// Find scans the path of leaf for addr without modifying the tree and
-// returns the level holding it.
-func (t *Tree) Find(addr block.ID, leaf block.Leaf) (level int, ok bool) {
-	level, _, _, ok = t.locate(addr, leaf)
-	return level, ok
-}
-
-// Remove deletes addr from the path of leaf. Like Find, it reports the
-// level the block held and whether it was found.
+// Remove deletes addr from the path of leaf. It reports the level the
+// block held and whether it was found.
 func (t *Tree) Remove(addr block.ID, leaf block.Leaf) (level int, ok bool) {
 	level, w, b, ok := t.locate(addr, leaf)
 	if ok {

@@ -14,6 +14,13 @@ func tinyORAM() config.ORAM {
 	return o
 }
 
+// Find scans the path of leaf for addr without modifying the tree and
+// returns the level holding it.
+func (t *Tree) Find(addr block.ID, leaf block.Leaf) (level int, ok bool) {
+	level, _, _, ok = t.locate(addr, leaf)
+	return level, ok
+}
+
 // readPath collects, in visit order, the blocks ReadPathEach removes from
 // the path of leaf.
 func readPath(tr *Tree, leaf block.Leaf) []Entry {
