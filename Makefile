@@ -28,8 +28,16 @@
 #   make check       all of the above — the documented verification flow
 #   make bench       every go benchmark: one per paper figure plus the
 #                    hot-path microbenchmarks in their packages
-#   make flightcheck trace a quick fig10 run, validate it with flightstat,
-#                    and diff the trace bytes across -jobs 1 and -jobs 4
+#   make flightcheck trace a quick fig10 run, diff the trace bytes across
+#                    -jobs 4 and -jobs 1 with -dedup/-overlap off, and
+#                    summarize it with flightstat, as the CI flight job
+#                    does (the traces stay in flight-out/ for inspection)
+#   make determinism byte-diff quick fig10 stdout across -jobs 1 and 4,
+#                    quick -fig all stdout and JSONL (-epochs 500) with the
+#                    cell cache and overlap on at -jobs 4 against both off
+#                    at -jobs 1, and run tree.Load's differential at 1, 2
+#                    and 4 CPUs, as the CI determinism job does (on a
+#                    mismatch the outputs stay in determinism-out/)
 #   make scaled      regenerate the default-scale results (-fig all at
 #                    30,000 requests, the extension figures at 20,000) and
 #                    byte-diff them against results_scaled.txt and
@@ -41,7 +49,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race docscheck fmtcheck benchmod depcheck check bench flightcheck scaled profile profile-top
+.PHONY: build vet test race docscheck fmtcheck benchmod depcheck check bench flightcheck determinism scaled profile profile-top
 
 build:
 	$(GO) build ./...
@@ -85,13 +93,32 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 flightcheck:
-	$(GO) run ./cmd/experiments -fig fig10 -quick -progress=false -jobs 4 \
-		-flight flight-j4 -flight-sample 8 > /dev/null
-	$(GO) run ./cmd/experiments -fig fig10 -quick -progress=false -jobs 1 \
-		-dedup=false -overlap=false -flight flight-j1 -flight-sample 8 > /dev/null
-	diff -r flight-j4 flight-j1
-	$(GO) run ./cmd/flightstat flight-j4/fig10.trace.json
-	rm -r flight-j4 flight-j1
+	rm -rf flight-out
+	mkdir -p flight-out
+	$(GO) build -o flight-out/exp ./cmd/experiments
+	flight-out/exp -fig fig10 -quick -progress=false -jobs 4 \
+		-flight flight-out/j4 -flight-sample 8 > /dev/null
+	flight-out/exp -fig fig10 -quick -progress=false -jobs 1 \
+		-dedup=false -overlap=false -flight flight-out/j1 -flight-sample 8 > /dev/null
+	diff -r flight-out/j4 flight-out/j1
+	$(GO) run ./cmd/flightstat flight-out/j4/fig10.trace.json
+
+determinism:
+	rm -rf determinism-out
+	mkdir -p determinism-out
+	$(GO) build -o determinism-out/exp ./cmd/experiments
+	determinism-out/exp -fig fig10 -quick -jobs 1 -progress=false > determinism-out/fig10_j1.txt
+	determinism-out/exp -fig fig10 -quick -jobs 4 -progress=false > determinism-out/fig10_j4.txt
+	diff -u determinism-out/fig10_j1.txt determinism-out/fig10_j4.txt
+	determinism-out/exp -fig all -quick -requests 2000 -jobs 4 -progress=false \
+		-emit jsonl -out determinism-out/art_cached -epochs 500 > determinism-out/all_cached.txt
+	determinism-out/exp -fig all -quick -requests 2000 -jobs 1 -progress=false \
+		-dedup=false -overlap=false \
+		-emit jsonl -out determinism-out/art_direct -epochs 500 > determinism-out/all_direct.txt
+	diff -u determinism-out/all_direct.txt determinism-out/all_cached.txt
+	diff -r determinism-out/art_direct determinism-out/art_cached
+	$(GO) test -count=1 -run 'TestLoad' -cpu 1,2,4 ./internal/tree
+	rm -r determinism-out
 
 # The figures results_extensions.txt holds, in its order.
 EXT_FIGS = ring corun futurework ablation-sstash ablation-interval ablation-mlp ablation-plb

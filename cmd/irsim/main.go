@@ -206,7 +206,7 @@ func report(cfg iroram.Config, res iroram.Result, emitMode, out string, seed uin
 		res.DRAM.Reads, res.DRAM.Writes, 100*res.DRAM.RowHitRate())
 	if res.ORAM.DWBCompleted > 0 {
 		fmt.Printf("IR-DWB        %d converted, %d completed, %d aborted\n",
-			res.ORAM.DWBConverted, res.ORAM.DWBCompleted, res.ORAM.DWBAborted)
+			res.ORAM.Paths.Paths[block.PathDWB], res.ORAM.DWBCompleted, res.ORAM.DWBAborted)
 	}
 	if res.ORAM.NonUniformIssues > 0 {
 		fmt.Printf("WARNING       %d issue-gap violations (obliviousness audit)\n",
@@ -268,7 +268,7 @@ func runComparison(bench string, requests, levels int, seed uint64, emitMode, ou
 		}
 		fmt.Printf("%-10s %14d %9.3f %8d %8d %8d %8.1f\n",
 			sch.Name, res.Cycles, baseCycles/float64(res.Cycles), total,
-			res.ORAM.PosMapPaths, res.ORAM.DummyPaths, blkPerAcc)
+			res.ORAM.PosMapPaths(), res.ORAM.Paths.Paths[block.PathDummy], blkPerAcc)
 	}
 	if emitMode == "jsonl" {
 		if err := artifacts.WriteDir(out); err != nil {

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"iroram"
+	"iroram/internal/block"
 )
 
 func main() {
@@ -30,7 +31,7 @@ func main() {
 
 	report := func(name string, r iroram.Result, blocksPerPath int) {
 		fmt.Printf("%-9s %12d cycles  %6d paths  %3d blocks/path  PosMap paths %5d\n",
-			name, r.Cycles, r.ORAM.Paths.Total(), blocksPerPath, r.ORAM.PosMapPaths)
+			name, r.Cycles, r.ORAM.Paths.Total(), blocksPerPath, r.ORAM.PosMapPaths())
 	}
 	report("Baseline", base, cfgBase.ORAM.Z.BlocksPerPath(cfgBase.ORAM.TopLevels))
 	report("IR-ORAM", ir, cfgIR.ORAM.Z.BlocksPerPath(cfgIR.ORAM.TopLevels))
@@ -39,6 +40,6 @@ func main() {
 	fmt.Printf("  (IR-Alloc shrinks paths, IR-Stash serves %d requests from the\n",
 		ir.ORAM.SStashHits)
 	fmt.Printf("   double-indexed tree top with no PosMap work, IR-DWB converted %d\n",
-		ir.ORAM.DWBConverted)
+		ir.ORAM.Paths.Paths[block.PathDWB])
 	fmt.Println("   dummy paths into early write-backs)")
 }

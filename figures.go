@@ -73,7 +73,7 @@ func (e *UnknownExperimentError) Error() string {
 // IV-B at the given scale and returns the chosen profile with a compact
 // description.
 func SearchZProfile(opts ExperimentOptions) (ZProfile, string, error) {
-	prof, _, err := experiments.ZSearch(opts)
+	prof, err := experiments.ZSearch(opts)
 	if err != nil {
 		return nil, "", err
 	}

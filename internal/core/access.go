@@ -115,10 +115,10 @@ func (c *Controller) PathStep(now uint64, j Job) (completed bool, done uint64) {
 	if !c.posResident(pm1, false) {
 		pm2, onChip := c.pm.Parent(pm1)
 		if !onChip && !c.posResident(pm2, false) {
-			done = c.fetchPosBlock(now, pm2, block.PathPos2, true)
+			done = c.fetchPosBlock(now, pm2, block.PathPos2)
 			return false, done
 		}
-		done = c.fetchPosBlock(now, pm1, block.PathPos1, true)
+		done = c.fetchPosBlock(now, pm1, block.PathPos1)
 		return false, done
 	}
 	c.plb.Access(uint64(pm1), false) // recency for the entry we will read
@@ -178,8 +178,7 @@ func (c *Controller) posResident(u block.ID, countStats bool) bool {
 // it, and installs it in the PLB. A PLB victim is parked in the stash under
 // its current (still-secret) leaf; its own parent entry already records that
 // leaf, so no extra PosMap update is needed.
-func (c *Controller) fetchPosBlock(now uint64, u block.ID, ptype block.PathType,
-	countPosPath bool) uint64 {
+func (c *Controller) fetchPosBlock(now uint64, u block.ID, ptype block.PathType) uint64 {
 	leaf := c.pm.Leaf(u)
 	// The block may still be parked on-chip (a PLB victim travelling
 	// through the stash or the tree top back into memory); the full path
@@ -197,9 +196,6 @@ func (c *Controller) fetchPosBlock(now uint64, u block.ID, ptype block.PathType,
 	if victim := c.plb.Insert(uint64(u), true); victim.Valid {
 		v := block.ID(victim.Addr)
 		c.fstash.Insert(tree.Entry{Addr: v, Leaf: c.pm.Leaf(v)})
-	}
-	if countPosPath {
-		c.st.PosMapPaths++
 	}
 	return done
 }
@@ -235,14 +231,14 @@ func (c *Controller) dwbStep(now uint64, a block.ID, stage int) (newStage int, d
 		if onChip || c.posResident(pm2, false) {
 			return 2, now, false
 		}
-		done = c.fetchPosBlock(now, pm2, block.PathDWB, false)
+		done = c.fetchPosBlock(now, pm2, block.PathDWB)
 		return 2, done, true
 	case 2:
 		pm1 := c.pm.Pos1For(a)
 		if c.posResident(pm1, false) {
 			return 1, now, false
 		}
-		done = c.fetchPosBlock(now, pm1, block.PathDWB, false)
+		done = c.fetchPosBlock(now, pm1, block.PathDWB)
 		return 1, done, true
 	case 1:
 		// config.Validate rejects IR-DWB under ρ, so a is in no small tree

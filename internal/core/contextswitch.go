@@ -50,8 +50,9 @@ func (c *Controller) ContextSwitch(now uint64) uint64 {
 // flush completes: a path access along a stashed block's own leaf always
 // gives it a placement opportunity at every level of its path. A handful
 // of rounds empties the stash at normal load; the cap keeps a
-// pathological state from wedging the switch. The main tree's accesses go
-// through treeAccess, so a Ring tree flushes with Ring reads.
+// pathological state from wedging the switch. A Ring read places no
+// stashed block, so a Ring tree flushes with its eviction path (the
+// read+write pass that drains the stash) along each leaf instead.
 func (c *Controller) flushStash(t *pathTree, done uint64) uint64 {
 	for round := 0; round < 8 && t.fstash.Len() > 0; round++ {
 		var leaves []block.Leaf
@@ -62,8 +63,8 @@ func (c *Controller) flushStash(t *pathTree, done uint64) uint64 {
 			if t.fstash.Len() == 0 {
 				break
 			}
-			if t == &c.pathTree {
-				_, _, done = c.treeAccess(done, leaf, block.Invalid, block.PathEvict)
+			if c.ring != nil { // Ring has no small tree: t is the main one
+				done = c.ringEvict(done, leaf)
 			} else {
 				_, _, done = c.pathAccess(t, done, leaf, block.Invalid, block.PathEvict)
 			}

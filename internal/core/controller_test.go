@@ -196,8 +196,8 @@ func TestColdReadNeedsPosMapPaths(t *testing.T) {
 	is, c := newSystem(t, config.Baseline())
 	// A cold PLB: the first read needs PTp(Pos2) then PTp(Pos1) then PTd.
 	is.ReadBlock(0, 77)
-	if c.st.PosMapPaths != 2 {
-		t.Errorf("PosMapPaths = %d, want 2 on a cold PLB", c.st.PosMapPaths)
+	if c.st.PosMapPaths() != 2 {
+		t.Errorf("PosMapPaths = %d, want 2 on a cold PLB", c.st.PosMapPaths())
 	}
 	if c.st.Paths.Paths[block.PathPos1] != 1 || c.st.Paths.Paths[block.PathPos2] != 1 {
 		t.Errorf("path counts %v", c.st.Paths.Paths)
@@ -212,8 +212,8 @@ func TestPosMapLocalitySavesPaths(t *testing.T) {
 	for a := block.ID(1600); a < 1616; a++ {
 		now = is.ReadBlock(now+1, a)
 	}
-	if c.st.PosMapPaths > 2 {
-		t.Errorf("PosMapPaths = %d for a 16-block PosMap-local run, want <= 2", c.st.PosMapPaths)
+	if c.st.PosMapPaths() > 2 {
+		t.Errorf("PosMapPaths = %d for a 16-block PosMap-local run, want <= 2", c.st.PosMapPaths())
 	}
 }
 
@@ -222,8 +222,8 @@ func TestDummiesFillIdleGaps(t *testing.T) {
 	done := is.ReadBlock(0, 5)
 	// 50 slots of idleness must become 50 dummies.
 	is.AdvanceTo(done + 50*c.o.IntervalT)
-	if c.st.DummyPaths < 40 {
-		t.Errorf("only %d dummy paths during a long idle gap", c.st.DummyPaths)
+	if c.st.Paths.Paths[block.PathDummy] < 40 {
+		t.Errorf("only %d dummy paths during a long idle gap", c.st.Paths.Paths[block.PathDummy])
 	}
 }
 
@@ -285,8 +285,8 @@ func TestNoTimingProtectionNoDummies(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		now = is.ReadBlock(now+5000, block.ID(i*31))
 	}
-	if c.st.DummyPaths != 0 {
-		t.Errorf("%d dummies without timing protection", c.st.DummyPaths)
+	if c.st.Paths.Paths[block.PathDummy] != 0 {
+		t.Errorf("%d dummies without timing protection", c.st.Paths.Paths[block.PathDummy])
 	}
 }
 
@@ -379,7 +379,7 @@ func TestIRStashReducesPosMapPaths(t *testing.T) {
 			// between requests.
 			now = is.ReadBlock(now+3000, a)
 		}
-		return c.st.PosMapPaths
+		return c.st.PosMapPaths()
 	}
 	base := run(config.Baseline())
 	irs := run(config.IRStashScheme())

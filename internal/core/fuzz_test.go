@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"iroram/internal/block"
 	"iroram/internal/config"
 	"iroram/internal/sim"
 	"iroram/internal/trace"
@@ -117,7 +118,7 @@ func TestFuzzSeedReachesDWB(t *testing.T) {
 	if s == nil {
 		t.Fatal("config.Validate rejects the seed")
 	}
-	if st := s.Controller().Stats(); st.DWBConverted == 0 {
-		t.Errorf("no IR-DWB conversion in %d requests (%d dummy paths)", fuzzRequests, st.DummyPaths)
+	if st := s.Controller().Stats(); st.Paths.Paths[block.PathDWB] == 0 {
+		t.Errorf("no IR-DWB conversion in %d requests (%d dummy paths)", fuzzRequests, st.Paths.Paths[block.PathDummy])
 	}
 }

@@ -264,7 +264,6 @@ func (is *Issuer) tryDWB(slot uint64) (done uint64, ok bool) {
 		// The stage completed on-chip; this issue still needs a path.
 		return 0, false
 	}
-	is.c.st.DWBConverted++
 	return done, true
 }
 

@@ -63,7 +63,7 @@ func TestDWBConvertsDummySlots(t *testing.T) {
 	// Long idle stretch: slots would all be dummies; IR-DWB must convert
 	// up to 3 per candidate (Pos2, Pos1, data write).
 	is.AdvanceTo(60 * c.o.IntervalT)
-	if c.st.DWBConverted == 0 {
+	if c.st.Paths.Paths[block.PathDWB] == 0 {
 		t.Fatal("no dummy slots converted")
 	}
 	if c.st.DWBCompleted != 3 {
@@ -73,8 +73,8 @@ func TestDWBConvertsDummySlots(t *testing.T) {
 		t.Fatalf("MarkClean called for %d lines", len(src.cleaned))
 	}
 	// With a cold PLB each write-back needs up to 3 paths.
-	if c.st.DWBConverted > 9 {
-		t.Errorf("converted %d slots for 3 write-backs", c.st.DWBConverted)
+	if c.st.Paths.Paths[block.PathDWB] > 9 {
+		t.Errorf("converted %d slots for 3 write-backs", c.st.Paths.Paths[block.PathDWB])
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -90,8 +90,8 @@ func TestDWBStageSkipsResidentPosMaps(t *testing.T) {
 	}
 	// The second candidate shares the first's PosMap1 block, so its chain
 	// must be shorter: strictly fewer than 6 conversions total.
-	if c.st.DWBConverted >= 6 {
-		t.Errorf("no PLB reuse across DWB candidates: %d conversions", c.st.DWBConverted)
+	if c.st.Paths.Paths[block.PathDWB] >= 6 {
+		t.Errorf("no PLB reuse across DWB candidates: %d conversions", c.st.Paths.Paths[block.PathDWB])
 	}
 }
 
@@ -129,7 +129,7 @@ func TestDWBDistributionShiftsFromDummy(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			now = is.ReadBlock(now+8000, block.ID(r.Uint64n(c.o.DataBlocks())))
 		}
-		return c.st.DummyPaths, c.st.DWBConverted
+		return c.st.Paths.Paths[block.PathDummy], c.st.Paths.Paths[block.PathDWB]
 	}
 	cands := make([]uint64, 64)
 	for i := range cands {
@@ -352,8 +352,8 @@ func TestPostWriteNoTimingProtection(t *testing.T) {
 	if len(is.writeQ) != 0 {
 		t.Fatalf("write queue stuck at %d without pacing", len(is.writeQ))
 	}
-	if c.st.DummyPaths != 0 {
-		t.Errorf("%d dummies with protection off", c.st.DummyPaths)
+	if c.st.Paths.Paths[block.PathDummy] != 0 {
+		t.Errorf("%d dummies with protection off", c.st.Paths.Paths[block.PathDummy])
 	}
 }
 

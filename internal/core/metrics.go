@@ -36,8 +36,8 @@ func (c *Controller) RegisterMetrics(r *metrics.Registry) {
 	r.Counter("oram_served_requests", "requests",
 		"completed LLC-side requests", &st.ServedRequests)
 
-	r.Counter("oram_posmap_paths", "paths",
-		"PTp path accesses (Pos1 + Pos2)", &st.PosMapPaths)
+	r.CounterFunc("oram_posmap_paths", "paths",
+		"PTp path accesses (Pos1 + Pos2)", st.PosMapPaths)
 	r.Counter("oram_plb_hits", "lookups", "PLB lookup hits", &st.PLBHits)
 	r.Counter("oram_plb_misses", "lookups", "PLB lookup misses", &st.PLBMisses)
 
@@ -47,9 +47,11 @@ func (c *Controller) RegisterMetrics(r *metrics.Registry) {
 		"cycles spent in background-eviction paths (the evict phase)",
 		&st.BgEvictionCycles)
 
-	r.Counter("oram_dummy_paths", "paths", "pure PTm dummy paths", &st.DummyPaths)
-	r.Counter("oram_dwb_converted", "paths",
-		"dummy slots converted to IR-DWB write-back steps", &st.DWBConverted)
+	r.CounterFunc("oram_dummy_paths", "paths", "pure PTm dummy paths",
+		func() uint64 { return st.Paths.Paths[block.PathDummy] })
+	r.CounterFunc("oram_dwb_converted", "paths",
+		"dummy slots converted to IR-DWB write-back steps",
+		func() uint64 { return st.Paths.Paths[block.PathDWB] })
 	r.Counter("oram_dwb_completed", "lines",
 		"LLC lines fully written back early by IR-DWB", &st.DWBCompleted)
 	r.Counter("oram_dwb_aborted", "candidates",

@@ -155,7 +155,6 @@ func (c *Controller) rhoBackgroundSlot(now uint64) uint64 {
 		return done
 	}
 	_, _, done := c.pathAccess(&r.pathTree, now, r.randomLeaf(c.rng), block.Invalid, block.PathDummy)
-	c.st.DummyPaths++
 	return done
 }
 

@@ -129,13 +129,20 @@ func (c *Controller) ringAccess(now uint64, leaf block.Leaf, target block.ID,
 	return found, targetLevel, done
 }
 
-// ringEvictPath is a full Path ORAM-style read+write of the next
-// reverse-lexicographic path: it drains the stash into the tree and
-// replenishes every touched bucket's dummy budget.
+// ringEvictPath runs the eviction path along the next
+// reverse-lexicographic leaf.
 func (c *Controller) ringEvictPath(now uint64) uint64 {
 	r := c.ring
 	leaf := c.reverseLexLeaf(r.evictSeq)
 	r.evictSeq++
+	return c.ringEvict(now, leaf)
+}
+
+// ringEvict is a full Path ORAM-style read+write of the path to leaf: it
+// drains the stash into the tree and replenishes every touched bucket's
+// dummy budget.
+func (c *Controller) ringEvict(now uint64, leaf block.Leaf) uint64 {
+	r := c.ring
 	// The eviction path moves Z+S blocks per bucket in both directions;
 	// account the dummy slots on top of what pathAccess charges (Z each
 	// way) so the traffic matches the protocol.

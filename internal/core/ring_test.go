@@ -132,6 +132,39 @@ func TestRingComposesWithIRAlloc(t *testing.T) {
 	}
 }
 
+// TestRingContextSwitchEmptiesStash: a Ring read places no stashed block,
+// so a context switch must flush a Ring tree with eviction paths, or
+// blocks stay on-chip through the switch.
+func TestRingContextSwitchEmptiesStash(t *testing.T) {
+	for _, sch := range []config.Scheme{config.RingScheme(), config.RingIRAlloc()} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			is, c := newRingSystem(t, sch)
+			r := rng.New(seed)
+			now := uint64(0)
+			for i := 0; i < 2000; i++ {
+				a := block.ID(r.Uint64n(c.o.DataBlocks()))
+				if r.Float64() < 0.3 {
+					now = is.PostWrite(now+300, a)
+				} else {
+					now = is.ReadBlock(now+300, a)
+				}
+			}
+			stashed := c.fstash.Len()
+			if stashed == 0 {
+				t.Fatalf("%s seed %d: empty F-Stash before the switch; the test checks nothing", sch.Name, seed)
+			}
+			c.ContextSwitch(now)
+			if n := c.fstash.Len(); n != 0 {
+				t.Errorf("%s seed %d: %d of %d stashed blocks left on-chip after the switch",
+					sch.Name, seed, n, stashed)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("%s seed %d: %v", sch.Name, seed, err)
+			}
+		}
+	}
+}
+
 func TestReverseLexLeafCoversTree(t *testing.T) {
 	_, c := newRingSystem(t, config.RingScheme())
 	seen := map[block.Leaf]bool{}

@@ -23,8 +23,6 @@ type Stats struct {
 	// were found (tree-top and memory levels; Fig 6).
 	HitLevels *metrics.LinearHist
 
-	// PosMapPaths counts PTp path accesses (Pos1 + Pos2), Fig 14's metric.
-	PosMapPaths uint64
 	// PLBHits / PLBMisses count PosMap entry lookups.
 	PLBHits, PLBMisses uint64
 
@@ -33,12 +31,10 @@ type Stats struct {
 	BgEvictions      uint64
 	BgEvictionCycles uint64
 
-	// DummyPaths counts pure PT_m paths; DWBConverted counts dummy slots
-	// IR-DWB turned into useful work; DWBCompleted counts LLC lines fully
-	// written back early (Stage reached 0); DWBAborted counts abandoned
-	// candidates.
-	DummyPaths   uint64
-	DWBConverted uint64
+	// DWBCompleted counts LLC lines fully written back early (Stage
+	// reached 0); DWBAborted counts abandoned candidates. The dummy slots
+	// IR-DWB converted are Paths.Paths[PathDWB], and the pure PT_m paths
+	// Paths.Paths[PathDummy].
 	DWBCompleted uint64
 	DWBAborted   uint64
 	// ProactiveRemaps counts LLC LRU entries whose PosMap state was
@@ -123,4 +119,9 @@ func newStats(levels int) *Stats {
 // PosPathFraction returns the PTp share of all path accesses.
 func (s *Stats) PosPathFraction() float64 {
 	return s.Paths.Fraction(block.PathPos1) + s.Paths.Fraction(block.PathPos2)
+}
+
+// PosMapPaths returns the PTp path accesses (Pos1 + Pos2), Fig 14's metric.
+func (s *Stats) PosMapPaths() uint64 {
+	return s.Paths.Paths[block.PathPos1] + s.Paths.Paths[block.PathPos2]
 }

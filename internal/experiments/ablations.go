@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"iroram/internal/block"
 	"iroram/internal/config"
-	"iroram/internal/sim"
 	"iroram/internal/stats"
 )
 
@@ -28,26 +28,21 @@ func SStashAssocAblation(opts Options) (*stats.Table, error) {
 	}
 	t := stats.NewTable("Ablation: S-Stash associativity (IR-Stash)", rows...)
 
-	baseRes, err := opts.runBenches(config.Baseline(), benches)
+	// Baseline and the (ways × benchmark) sweep run as one batch.
+	vs := append(opts.variants(config.Baseline()),
+		opts.sweep(config.IRStashScheme(), rows, func(i int, cfg *config.System) {
+			cfg.ORAM.SStashWays = ways[i]
+		})...)
+	grid, err := opts.runBatch(vs, benches)
 	if err != nil {
 		return nil, err
 	}
-	base := cyclesOf(baseRes)
-	nb := len(benches)
-	flat, err := mapCells(opts, len(ways)*nb, func(i int) (sim.Result, error) {
-		o := opts
-		o.Base.ORAM.SStashWays = ways[i/nb]
-		return o.runOne(config.IRStashScheme(), benches[i%nb])
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts.emitFlat(config.IRStashScheme().Name, benches, rows, flat)
+	base := cyclesOf(grid[0])
 	speedups := make([]float64, len(ways))
 	for wi := range ways {
 		var sps []float64
-		for i := 0; i < nb; i++ {
-			sps = append(sps, base[i]/float64(flat[wi*nb+i].Cycles))
+		for i, res := range grid[wi+1] {
+			sps = append(sps, base[i]/float64(res.Cycles))
 		}
 		speedups[wi] = stats.GeoMean(sps)
 	}
@@ -67,25 +62,20 @@ func IntervalAblation(opts Options) (*stats.Table, error) {
 		rows[i] = fmt.Sprintf("T=%d", tv)
 	}
 	t := stats.NewTable("Ablation: timing-protection interval (Baseline)", rows...)
-	nb := len(benches)
-	flat, err := mapCells(opts, len(intervals)*nb, func(i int) (sim.Result, error) {
-		o := opts
-		o.Base.ORAM.IntervalT = intervals[i/nb]
-		return o.runOne(config.Baseline(), benches[i%nb])
-	})
+	grid, err := opts.runBatch(opts.sweep(config.Baseline(), rows, func(i int, cfg *config.System) {
+		cfg.ORAM.IntervalT = intervals[i]
+	}), benches)
 	if err != nil {
 		return nil, err
 	}
-	opts.emitFlat(config.Baseline().Name, benches, rows, flat)
 	cycles := make([]float64, len(intervals))
 	dummyShare := make([]float64, len(intervals))
 	for ti := range intervals {
 		var cyc, dshare []float64
-		for i := 0; i < nb; i++ {
-			res := flat[ti*nb+i]
+		for _, res := range grid[ti] {
 			cyc = append(cyc, float64(res.Cycles))
-			if total := res.ORAM.Paths.Total(); total > 0 {
-				dshare = append(dshare, float64(res.ORAM.DummyPaths)/float64(total))
+			if res.ORAM.Paths.Total() > 0 {
+				dshare = append(dshare, res.ORAM.Paths.Fraction(block.PathDummy))
 			}
 		}
 		cycles[ti] = stats.Mean(cyc)
@@ -115,20 +105,16 @@ func MLPAblation(opts Options) (*stats.Table, error) {
 		rows[i] = fmt.Sprintf("MLP=%d", m)
 	}
 	t := stats.NewTable("Ablation: core memory-level parallelism (Baseline)", rows...)
-	nb := len(benches)
-	flat, err := mapCells(opts, len(mlps)*nb, func(i int) (sim.Result, error) {
-		o := opts
-		o.Base.CPU.MLP = mlps[i/nb]
-		return o.runOne(config.Baseline(), benches[i%nb])
-	})
+	grid, err := opts.runBatch(opts.sweep(config.Baseline(), rows, func(i int, cfg *config.System) {
+		cfg.CPU.MLP = mlps[i]
+	}), benches)
 	if err != nil {
 		return nil, err
 	}
-	opts.emitFlat(config.Baseline().Name, benches, rows, flat)
 	vals := make([]float64, len(mlps))
 	var ref float64
 	for mi, m := range mlps {
-		vals[mi] = stats.Mean(cyclesOf(flat[mi*nb : (mi+1)*nb]))
+		vals[mi] = stats.Mean(cyclesOf(grid[mi]))
 		if m == 1 {
 			ref = vals[mi]
 		}
@@ -153,28 +139,19 @@ func PLBAblation(opts Options) (*stats.Table, error) {
 		rows[i] = fmt.Sprintf("PLB=%d", e)
 	}
 	t := stats.NewTable("Ablation: PLB capacity (Baseline)", rows...)
-	nb := len(benches)
-	flat, err := mapCells(opts, len(entries)*nb, func(i int) (sim.Result, error) {
-		e := entries[i/nb]
-		o := opts
-		o.Base.ORAM.PLBEntries = e
-		o.Base.ORAM.PLBWays = 4
-		if e < 4 {
-			o.Base.ORAM.PLBWays = e
-		}
-		return o.runOne(config.Baseline(), benches[i%nb])
-	})
+	grid, err := opts.runBatch(opts.sweep(config.Baseline(), rows, func(i int, cfg *config.System) {
+		cfg.ORAM.PLBEntries = entries[i]
+		cfg.ORAM.PLBWays = min(entries[i], 4)
+	}), benches)
 	if err != nil {
 		return nil, err
 	}
-	opts.emitFlat(config.Baseline().Name, benches, rows, flat)
 	pos := make([]float64, len(entries))
 	norm := make([]float64, len(entries))
 	var ref float64
 	for ei := range entries {
 		var posShare, cyc []float64
-		for i := 0; i < nb; i++ {
-			res := flat[ei*nb+i]
+		for _, res := range grid[ei] {
 			posShare = append(posShare, res.ORAM.PosPathFraction())
 			cyc = append(cyc, float64(res.Cycles))
 		}

@@ -177,13 +177,14 @@ func (l *ArtifactLog) WriteDir(dir string) error {
 // it only after the cell batch has completed, in cell-index order, from
 // the sweep's calling goroutine — never from worker goroutines — so
 // artifact and trace bytes stay independent of Jobs.
-func (o Options) emit(scheme, bench, label string, r sim.Result) {
+func (o Options) emit(v variant, bench string, r sim.Result) {
+	scheme := v.cfg.Scheme.Name
 	if o.Artifacts != nil {
-		o.Artifacts.Add(NewRecord(o.Figure, scheme, bench, label, o.Seed, r))
+		o.Artifacts.Add(NewRecord(o.Figure, scheme, bench, v.label, v.cfg.Seed, r))
 	}
 	if o.Flight != nil && r.Flight != nil {
 		o.Flight.Add(FlightCell{Figure: o.Figure, Scheme: scheme,
-			Benchmark: bench, Label: label, Trace: r.Flight})
+			Benchmark: bench, Label: v.label, Trace: r.Flight})
 	}
 }
 
@@ -195,19 +196,4 @@ func (o Options) emitProbe(scheme, bench, label string, requests, cycles uint64,
 	}
 	o.Artifacts.Add(NewProbeRecord(o.Figure, scheme, bench, label,
 		o.Seed, requests, cycles, value))
-}
-
-// emitFlat appends records for a (variant × benchmark) flat batch laid out
-// variant-major (the ablation sweeps' shape), one label per variant. Same
-// ordering contract as emit.
-func (o Options) emitFlat(scheme string, benches, labels []string, flat []sim.Result) {
-	if o.Artifacts == nil && o.Flight == nil {
-		return
-	}
-	nb := len(benches)
-	for vi, lab := range labels {
-		for i := 0; i < nb; i++ {
-			o.emit(scheme, benches[i], lab, flat[vi*nb+i])
-		}
-	}
 }

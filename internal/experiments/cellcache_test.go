@@ -22,7 +22,7 @@ func TestCachedResultImmutable(t *testing.T) {
 	opts.Counters = &CellCounters{}
 	opts.EpochInterval = 100 // populate the Epochs slice so it is covered too
 
-	res1, err := opts.runOne(config.Baseline(), "gcc")
+	res1, err := opts.runCell(cell{cfg: opts.configFor(config.Baseline()), bench: "gcc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestCachedResultImmutable(t *testing.T) {
 		t.Fatal("driver did not hit the cached cell; the test exercises nothing")
 	}
 
-	res2, err := opts.runOne(config.Baseline(), "gcc")
+	res2, err := opts.runCell(cell{cfg: opts.configFor(config.Baseline()), bench: "gcc"})
 	if err != nil {
 		t.Fatal(err)
 	}

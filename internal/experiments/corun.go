@@ -113,9 +113,9 @@ func FutureWork(opts Options) (*stats.Table, error) {
 	rows := append(append([]string{}, benches...), "gmean")
 	t := stats.NewTable("Future work (Section IV-D): proactive remapping over LLC-D", rows...)
 
-	grid, err := opts.runGrid([]config.Scheme{
+	grid, err := opts.runBatch(opts.variants(
 		config.LLCDScheme(), config.IRStashAllocOnLLCD(), config.IROramOnLLCD(),
-	}, benches)
+	), benches)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ func Energy(opts Options) (*stats.Table, error) {
 	schemes := []config.Scheme{
 		config.Baseline(), config.IRAllocScheme(), config.IROramScheme(),
 	}
-	grid, err := opts.runGrid(schemes, benches)
+	grid, err := opts.runBatch(opts.variants(schemes...), benches)
 	if err != nil {
 		return nil, err
 	}

@@ -7,13 +7,18 @@
 //
 // # Parallel execution
 //
-// Every driver decomposes into independent (scheme, benchmark) simulation
-// cells. Each cell builds a private sim.System and trace.Generator from the
-// cell's configuration and seed — a System is single-goroutine, so
-// parallelism is always one System per worker — and the drivers fan cells
-// across Options.Jobs workers via internal/runner. Every System is built
-// by one constructor that also applies the options' epoch interval and
-// flight recorder, so each figure's records and traces observe alike.
+// Every driver decomposes into independent simulation cells. It lists its
+// rows as variants — a resolved configuration (scheme, Z profile, ablation
+// setting, or geometry and seed) plus the label its records carry — and one
+// call, runBatch, runs every (variant × benchmark) cell as one batch across
+// Options.Jobs workers via internal/runner and emits the records
+// variant-major. Only the co-run probe, the Z-profile search and the
+// stepped Fig 3/13 run simulate outside it. Each cell builds a private
+// sim.System and trace.Generator from the cell's configuration and seed — a
+// System is single-goroutine, so parallelism is always one System per
+// worker. Every System is built by one constructor that also applies the
+// options' epoch interval and flight recorder, so each figure's records and
+// traces observe alike.
 // Results are collected by cell index, never by completion order, and
 // every cell's randomness is a pure function of (Options.Seed, cell
 // identity), so the tables are bit-identical for every worker count:
@@ -181,48 +186,65 @@ func (o Options) pool() runner.Pool {
 
 // mapCells fans fn over n independent cells on the options' worker pool;
 // results come back ordered by cell index (see runner.Map). It is the one
-// fan-out primitive every figure driver uses. fn must be safe to call from
-// multiple goroutines, which holds for anything built on runOne/runProfile
-// because each cell constructs a private System. fn must not fan out through
-// mapCells again when Options.Limit is set — a nested sweep would acquire a
-// second token while already holding one and can deadlock the shared budget.
-// No current driver nests.
+// fan-out primitive every figure driver uses, through runBatch or directly.
+// fn must be safe to call from multiple goroutines, which holds for anything
+// built on runCell because each cell constructs a private System. fn must
+// not fan out through mapCells again when Options.Limit is set — a nested
+// sweep would acquire a second token while already holding one and can
+// deadlock the shared budget. No current driver nests.
 func mapCells[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
 	return runner.Map(o.pool(), n, fn)
 }
 
-// runGrid evaluates the full (scheme × benchmark) grid as one parallel batch
-// and returns results indexed [scheme][benchmark].
-func (o Options) runGrid(schemes []config.Scheme, benches []string) ([][]sim.Result, error) {
+// variant is one row of a driver's sweep: a resolved configuration (the
+// scheme, Z profile, ablation setting, geometry and seed all applied) and
+// the label its records carry. A record's scheme name and seed come from
+// cfg.
+type variant struct {
+	cfg   config.System
+	label string
+}
+
+// variants returns one unlabelled variant per scheme, resolved by
+// configFor.
+func (o Options) variants(schemes ...config.Scheme) []variant {
+	vs := make([]variant, len(schemes))
+	for i, sch := range schemes {
+		vs[i] = variant{cfg: o.configFor(sch)}
+	}
+	return vs
+}
+
+// sweep returns one variant of sch per label, the i-th with set(i, cfg)
+// applied to its configuration.
+func (o Options) sweep(sch config.Scheme, labels []string, set func(i int, cfg *config.System)) []variant {
+	vs := make([]variant, len(labels))
+	for i, label := range labels {
+		vs[i] = variant{cfg: o.configFor(sch), label: label}
+		set(i, &vs[i].cfg)
+	}
+	return vs
+}
+
+// runBatch runs every (variant × benchmark) cell as one parallel batch
+// through runCell and returns the results indexed [variant][benchmark].
+// Once the batch completes it emits one record per cell, variant-major.
+func (o Options) runBatch(vs []variant, benches []string) ([][]sim.Result, error) {
 	nb := len(benches)
-	flat, err := mapCells(o, len(schemes)*nb, func(i int) (sim.Result, error) {
-		return o.runOne(schemes[i/nb], benches[i%nb])
+	flat, err := mapCells(o, len(vs)*nb, func(i int) (sim.Result, error) {
+		return o.runCell(cell{cfg: vs[i/nb].cfg, bench: benches[i%nb]})
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]sim.Result, len(schemes))
-	for si := range schemes {
-		out[si] = flat[si*nb : (si+1)*nb]
+	out := make([][]sim.Result, len(vs))
+	for vi, v := range vs {
+		out[vi] = flat[vi*nb : (vi+1)*nb]
 		for bi, b := range benches {
-			o.emit(schemes[si].Name, b, "", out[si][bi])
+			o.emit(v, b, out[vi][bi])
 		}
 	}
 	return out, nil
-}
-
-// runBenches evaluates one scheme across benches as one parallel batch.
-func (o Options) runBenches(sch config.Scheme, benches []string) ([]sim.Result, error) {
-	rs, err := mapCells(o, len(benches), func(i int) (sim.Result, error) {
-		return o.runOne(sch, benches[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range benches {
-		o.emit(sch.Name, b, "", rs[i])
-	}
-	return rs, nil
 }
 
 // cyclesOf projects a result row onto its cycle counts.
@@ -234,11 +256,10 @@ func cyclesOf(rs []sim.Result) []float64 {
 	return out
 }
 
-// cell is one fully-resolved simulation unit: the post-override system
-// configuration (scheme and Z profile applied, seed pinned) plus the
-// benchmark driving it. Together with Requests and EpochInterval it
-// determines a sim.Result bit-exactly, which is what makes cells cacheable
-// across figure drivers.
+// cell is one fully-resolved simulation unit: a variant's configuration
+// plus the benchmark driving it. Together with Requests and EpochInterval
+// it determines a sim.Result bit-exactly, which is what makes cells
+// cacheable across figure drivers.
 type cell struct {
 	cfg   config.System
 	bench string
@@ -301,18 +322,6 @@ func (o Options) runCell(c cell) (sim.Result, error) {
 		o.Counters.Hits.Add(1)
 	}
 	return res, err
-}
-
-// runOne executes one (scheme, benchmark) cell and returns its result.
-func (o Options) runOne(sch config.Scheme, bench string) (sim.Result, error) {
-	return o.runCell(cell{cfg: o.configFor(sch), bench: bench})
-}
-
-// runProfile is runOne with an explicit Z profile override (Fig 12/16).
-func (o Options) runProfile(sch config.Scheme, prof config.ZProfile, bench string) (sim.Result, error) {
-	c := cell{cfg: o.configFor(sch), bench: bench}
-	c.cfg.ORAM.Z = prof
-	return o.runCell(c)
 }
 
 // speedups converts per-row cycle counts into "vs baseline" speedups.

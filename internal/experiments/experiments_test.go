@@ -206,7 +206,8 @@ func TestFig16Runs(t *testing.T) {
 func TestZSearchRespectsConstraints(t *testing.T) {
 	opts := Quick()
 	opts.Requests = 1200
-	prof, steps, err := ZSearch(opts)
+	opts.Artifacts = &ArtifactLog{}
+	prof, err := ZSearch(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,19 @@ func TestZSearchRespectsConstraints(t *testing.T) {
 			t.Errorf("level %d: Z=%d", l, prof[l])
 		}
 	}
-	if len(steps) > 0 && prof.BlocksPerPath(o.TopLevels) >= base.BlocksPerPath(o.TopLevels) {
+	// The search's probe records: the uniform baseline, then one per
+	// accepted move, each carrying its background evictions as Value.
+	recs := opts.Artifacts.Records()
+	if len(recs) == 0 || recs[0].Label != "uniform" {
+		t.Fatalf("first zsearch record is not the uniform baseline: %+v", recs)
+	}
+	limit := max(recs[0].Value*1.15, recs[0].Value+4)
+	for _, r := range recs[1:] {
+		if r.Value > limit {
+			t.Errorf("accepted move %s has %v background evictions, limit %v", r.Label, r.Value, limit)
+		}
+	}
+	if len(recs) > 1 && prof.BlocksPerPath(o.TopLevels) >= base.BlocksPerPath(o.TopLevels) {
 		t.Error("accepted steps but path did not shrink")
 	}
 }

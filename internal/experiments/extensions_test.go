@@ -44,7 +44,7 @@ func TestFutureWorkProactiveRemap(t *testing.T) {
 func TestProactiveRemapPrefetches(t *testing.T) {
 	opts := Quick()
 	opts.Requests = 3000
-	res, err := opts.runOne(config.IROramOnLLCD(), "bla")
+	res, err := opts.runCell(cell{cfg: opts.configFor(config.IROramOnLLCD()), bench: "bla"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"iroram/internal/block"
 	"iroram/internal/config"
@@ -26,13 +27,13 @@ func Table2(opts Options) (*stats.Table, error) {
 		}
 		targetR[i], targetW[i] = spec.ReadMPKI, spec.WriteMPKI
 	}
-	results, err := opts.runBenches(config.Baseline(), benches)
+	grid, err := opts.runBatch(opts.variants(config.Baseline()), benches)
 	if err != nil {
 		return nil, err
 	}
 	gotR := make([]float64, len(benches))
 	gotW := make([]float64, len(benches))
-	for i, res := range results {
+	for i, res := range grid[0] {
 		gotR[i], gotW[i] = res.ReadMPKI(), res.WriteMPKI()
 	}
 	t.AddSeries("read MPKI (paper)", targetR)
@@ -62,11 +63,11 @@ func Fig2(opts Options) (*stats.Table, error) {
 	for i := range cols {
 		cols[i] = make([]float64, len(benches))
 	}
-	results, err := opts.runBenches(config.Baseline(), benches[:len(benches)-1])
+	grid, err := opts.runBatch(opts.variants(config.Baseline()), benches[:len(benches)-1])
 	if err != nil {
 		return nil, err
 	}
-	for bi, res := range results {
+	for bi, res := range grid[0] {
 		for ki, k := range kinds {
 			f := 0.0
 			for _, pt := range k.types {
@@ -85,32 +86,41 @@ func Fig2(opts Options) (*stats.Table, error) {
 
 // utilizationTable runs the Fig 3 methodology (benchmark mix followed by a
 // random tail) under the given scheme and returns utilization-per-level
-// snapshots. Shared by Fig 3 (Baseline) and Fig 13 (IR-Alloc). The single
-// run goes through mapCells so it honors cancellation like every driver.
-// The run's full sim.Result rides along so the figure emits an artifact
-// record (and a flight trace, when tracing) like every grid driver.
+// snapshots: one at initialization and one after each quarter of the run.
+// Shared by Fig 3 (Baseline) and Fig 13 (IR-Alloc). The single System runs
+// in Run slices, each returning a Result that carries its Utilization; it
+// goes through mapCells so it honors cancellation like every driver. The
+// last Result covers the whole run, so the figure emits an artifact record
+// (and a flight trace, when tracing) like every batch driver.
 func utilizationTable(opts Options, sch config.Scheme, title string) (*stats.Table, error) {
-	type utilCell struct {
-		res   sim.Result
-		snaps []sim.UtilSnapshot
-	}
-	cells, err := mapCells(opts, 1, func(int) (utilCell, error) {
-		cfg := opts.configFor(sch)
-		s, err := opts.newSystem(cfg)
+	v := variant{cfg: opts.configFor(sch)}
+	per := max(opts.Requests/4, 1)
+	runs, err := mapCells(opts, 1, func(int) ([]sim.Result, error) {
+		s, err := opts.newSystem(v.cfg)
 		if err != nil {
-			return utilCell{}, err
+			return nil, err
 		}
-		gen := trace.UtilizationTrace(cfg.ORAM.DataBlocks(), opts.Requests, opts.Seed)
-		res, out := s.RunWithSnapshots(gen, opts.Requests, 4)
-		return utilCell{res: res, snaps: out}, nil
+		gen := trace.UtilizationTrace(v.cfg.ORAM.DataBlocks(), opts.Requests, opts.Seed)
+		rs := []sim.Result{s.Result(gen.Name())}
+		for done := 0; done < opts.Requests; done += per {
+			rs = append(rs, s.Run(gen, min(per, opts.Requests-done)))
+		}
+		return rs, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	opts.emit(sch.Name, cells[0].res.Name, "", cells[0].res)
+	rs := runs[0]
+	last := rs[len(rs)-1]
+	opts.emit(v, last.Name, last)
 	t := stats.NewTable(title, levelRows(opts.Base.ORAM.Levels)...)
-	for _, sn := range cells[0].snaps {
-		t.AddSeries(sn.Label, sn.Util)
+	t.AddSeries("init", rs[0].Utilization)
+	for _, r := range rs[1:] {
+		// A shorter last slice (Requests not a multiple of per) only
+		// completes the run; it is not a snapshot.
+		if r.Requests%uint64(per) == 0 {
+			t.AddSeries(strconv.Itoa(int(r.Requests)*100/opts.Requests)+"%", r.Utilization)
+		}
 	}
 	return t, nil
 }
@@ -128,29 +138,12 @@ func Fig4(opts Options) (*stats.Table, error) {
 	benches := []string{"gcc", "lbm", "random"}
 	t := stats.NewTable("Fig 4: space utilization per benchmark",
 		levelRows(opts.Base.ORAM.Levels)...)
-	type utilCell struct {
-		res  sim.Result
-		util []float64
-	}
-	cells, err := mapCells(opts, len(benches), func(i int) (utilCell, error) {
-		cfg := opts.configFor(config.Baseline())
-		s, err := opts.newSystem(cfg)
-		if err != nil {
-			return utilCell{}, err
-		}
-		gen, err := trace.Named(benches[i], cfg.ORAM.DataBlocks(), cfg.Seed)
-		if err != nil {
-			return utilCell{}, err
-		}
-		res := s.Run(gen, opts.Requests)
-		return utilCell{res: res, util: s.Controller().Utilization()}, nil
-	})
+	grid, err := opts.runBatch(opts.variants(config.Baseline()), benches)
 	if err != nil {
 		return nil, err
 	}
 	for i, b := range benches {
-		opts.emit(config.Baseline().Name, b, "", cells[i].res)
-		t.AddSeries(b, cells[i].util)
+		t.AddSeries(b, grid[0][i].Utilization)
 	}
 	return t, nil
 }
@@ -160,11 +153,11 @@ func Fig4(opts Options) (*stats.Table, error) {
 // access or pre-existed in the stash. Pre-existing blocks skew toward the
 // root (small path overlap), fetched blocks toward the leaves.
 func Fig5(opts Options) (*stats.Table, error) {
-	rs, err := opts.runBenches(config.Baseline(), []string{"mix"})
+	grid, err := opts.runBatch(opts.variants(config.Baseline()), []string{"mix"})
 	if err != nil {
 		return nil, err
 	}
-	res := rs[0]
+	res := grid[0][0]
 	levels := opts.Base.ORAM.Levels
 	t := stats.NewTable("Fig 5: write-phase placement level by block origin", levelRows(levels)...)
 	toShares := func(h *metrics.LinearHist) []float64 {
@@ -186,11 +179,11 @@ func Fig5(opts Options) (*stats.Table, error) {
 // blocks found at each level; the paper reports ~23% of hits within the
 // top 10 levels despite their negligible capacity.
 func Fig6(opts Options) (*stats.Table, error) {
-	rs, err := opts.runBenches(config.Baseline(), []string{"mix"})
+	grid, err := opts.runBatch(opts.variants(config.Baseline()), []string{"mix"})
 	if err != nil {
 		return nil, err
 	}
-	res := rs[0]
+	res := grid[0][0]
 	levels := opts.Base.ORAM.Levels
 	t := stats.NewTable("Fig 6: level at which requested blocks are found", levelRows(levels)...)
 	total := float64(res.ORAM.HitLevels.Total())
@@ -241,7 +234,7 @@ func Fig10(opts Options) (*stats.Table, error) {
 		config.Baseline(), config.RhoScheme(), config.IRAllocScheme(),
 		config.IRStashScheme(), config.IRDWBScheme(), config.IROramScheme(),
 	}
-	grid, err := opts.runGrid(schemes, benches)
+	grid, err := opts.runBatch(opts.variants(schemes...), benches)
 	if err != nil {
 		return nil, err
 	}
@@ -260,9 +253,9 @@ func Fig11(opts Options) (*stats.Table, error) {
 	benches := opts.benchmarks()
 	rows := append(append([]string{}, benches...), "gmean")
 	t := stats.NewTable("Fig 11: IR-Stash+IR-Alloc over an LLC-D baseline", rows...)
-	grid, err := opts.runGrid([]config.Scheme{
+	grid, err := opts.runBatch(opts.variants(
 		config.Baseline(), config.LLCDScheme(), config.IRStashAllocOnLLCD(),
-	}, benches)
+	), benches)
 	if err != nil {
 		return nil, err
 	}
@@ -284,34 +277,29 @@ func Fig12(opts Options) (*stats.Table, error) {
 	rows := append(append([]string{}, benches...), "mean")
 	t := stats.NewTable("Fig 12: IR-Alloc configurations (normalized time; bg-eviction share)", rows...)
 	o := opts.Base.ORAM
-	profiles := []struct {
-		name string
-		prof config.ZProfile
-	}{
-		{"IR-Alloc1", config.Alloc1Profile(o.Levels, o.TopLevels)},
-		{"IR-Alloc2", config.Alloc2Profile(o.Levels, o.TopLevels)},
-		{"IR-Alloc3", config.Alloc3Profile(o.Levels, o.TopLevels)},
-		{"IR-Alloc4", config.Alloc4Profile(o.Levels, o.TopLevels)},
+	names := []string{"IR-Alloc1", "IR-Alloc2", "IR-Alloc3", "IR-Alloc4"}
+	profiles := []config.ZProfile{
+		config.Alloc1Profile(o.Levels, o.TopLevels),
+		config.Alloc2Profile(o.Levels, o.TopLevels),
+		config.Alloc3Profile(o.Levels, o.TopLevels),
+		config.Alloc4Profile(o.Levels, o.TopLevels),
 	}
-	baseRes, err := opts.runBenches(config.Baseline(), benches)
+	// Baseline and the (profile × benchmark) sweep run as one batch.
+	vs := append(opts.variants(config.Baseline()),
+		opts.sweep(config.IRAllocScheme(), names, func(i int, cfg *config.System) {
+			cfg.ORAM.Z = profiles[i]
+		})...)
+	grid, err := opts.runBatch(vs, benches)
 	if err != nil {
 		return nil, err
 	}
-	base := cyclesOf(baseRes)
-	// One batch for the whole (profile × benchmark) sweep.
+	base := cyclesOf(grid[0])
 	nb := len(benches)
-	flat, err := mapCells(opts, len(profiles)*nb, func(i int) (sim.Result, error) {
-		return opts.runProfile(config.IRAllocScheme(), profiles[i/nb].prof, benches[i%nb])
-	})
-	if err != nil {
-		return nil, err
-	}
-	for pi, p := range profiles {
+	for pi, name := range names {
 		norm := make([]float64, nb)
 		bgShare := make([]float64, nb)
 		for i := 0; i < nb; i++ {
-			res := flat[pi*nb+i]
-			opts.emit(config.IRAllocScheme().Name, benches[i], p.name, res)
+			res := grid[pi+1][i]
 			norm[i] = float64(res.Cycles) / base[i]
 			if res.Cycles > 0 {
 				bgShare[i] = float64(res.ORAM.BgEvictionCycles) / float64(res.Cycles)
@@ -319,8 +307,8 @@ func Fig12(opts Options) (*stats.Table, error) {
 		}
 		norm = append(norm, stats.Mean(norm))
 		bgShare = append(bgShare, stats.Mean(bgShare))
-		t.AddSeries(p.name, norm)
-		t.AddSeries(p.name+" bg", bgShare)
+		t.AddSeries(name, norm)
+		t.AddSeries(name+" bg", bgShare)
 	}
 	return t, nil
 }
@@ -338,17 +326,15 @@ func Fig14(opts Options) (*stats.Table, error) {
 	benches := opts.benchmarks()
 	rows := append(append([]string{}, benches...), "mean")
 	t := stats.NewTable("Fig 14: PosMap accesses of IR-Stash normalized to Baseline", rows...)
-	grid, err := opts.runGrid([]config.Scheme{
-		config.Baseline(), config.IRStashScheme(),
-	}, benches)
+	grid, err := opts.runBatch(opts.variants(config.Baseline(), config.IRStashScheme()), benches)
 	if err != nil {
 		return nil, err
 	}
 	vals := make([]float64, len(benches))
 	for i := range benches {
 		r0, r1 := grid[0][i], grid[1][i]
-		if r0.ORAM.PosMapPaths > 0 {
-			vals[i] = float64(r1.ORAM.PosMapPaths) / float64(r0.ORAM.PosMapPaths)
+		if r0.ORAM.PosMapPaths() > 0 {
+			vals[i] = float64(r1.ORAM.PosMapPaths()) / float64(r0.ORAM.PosMapPaths())
 		} else {
 			vals[i] = 1
 		}
@@ -363,9 +349,8 @@ func Fig14(opts Options) (*stats.Table, error) {
 func Fig15(opts Options) (*stats.Table, error) {
 	benches := append(opts.benchmarks(), "avg")
 	t := stats.NewTable("Fig 15: access type distribution under IR-DWB", benches...)
-	grid, err := opts.runGrid([]config.Scheme{
-		config.Baseline(), config.IRDWBScheme(),
-	}, benches[:len(benches)-1])
+	grid, err := opts.runBatch(opts.variants(config.Baseline(), config.IRDWBScheme()),
+		benches[:len(benches)-1])
 	if err != nil {
 		return nil, err
 	}
@@ -402,47 +387,28 @@ func Fig16(opts Options) (*stats.Table, error) {
 	}
 	t := stats.NewTable("Fig 16: IR-Alloc scalability on random traces", rows...)
 
-	type cell struct {
-		levels int
-		seed   uint64
-		alloc  bool
-	}
-	var cells []cell
+	// Variants in (geometry, seed, Baseline then IR-Alloc) order.
+	var vs []variant
 	for _, d := range deltas {
+		levels := baseLevels + d
 		for s := 0; s < seeds; s++ {
-			seed := opts.Seed + uint64(s)*7919
-			cells = append(cells, cell{levels: baseLevels + d, seed: seed, alloc: false})
-			cells = append(cells, cell{levels: baseLevels + d, seed: seed, alloc: true})
+			o := opts
+			o.Seed = opts.Seed + uint64(s)*7919
+			o.Base.ORAM.Levels = levels
+			o.Base.ORAM.UserBlocks = 0
+			label := fmt.Sprintf("L=%d", levels)
+			alloc := variant{cfg: o.configFor(config.IRAllocScheme()), label: label}
+			// The paper re-runs its Z-finding algorithm per geometry; the
+			// integrated (Z>=2) profile is the one that passes the
+			// random-trace background-eviction constraint at every L here,
+			// so it stands in for the per-geometry search result.
+			alloc.cfg.ORAM.Z = config.IROramProfile(levels, o.Base.ORAM.TopLevels)
+			vs = append(vs, variant{cfg: o.configFor(config.Baseline()), label: label}, alloc)
 		}
 	}
-	results, err := mapCells(opts, len(cells), func(i int) (sim.Result, error) {
-		c := cells[i]
-		o := opts
-		o.Seed = c.seed
-		o.Base.ORAM.Levels = c.levels
-		o.Base.ORAM.Z = config.Uniform(c.levels, 4)
-		o.Base.ORAM.UserBlocks = 0
-		if !c.alloc {
-			return o.runOne(config.Baseline(), "random")
-		}
-		// The paper re-runs its Z-finding algorithm per geometry; the
-		// integrated (Z>=2) profile is the one that passes the random-trace
-		// background-eviction constraint at every L here, so it stands in
-		// for the per-geometry search result.
-		return o.runProfile(config.IRAllocScheme(),
-			config.IROramProfile(c.levels, o.Base.ORAM.TopLevels), "random")
-	})
+	grid, err := opts.runBatch(vs, []string{"random"})
 	if err != nil {
 		return nil, err
-	}
-	for i, c := range cells {
-		o := opts
-		o.Seed = c.seed
-		name := config.Baseline().Name
-		if c.alloc {
-			name = config.IRAllocScheme().Name
-		}
-		o.emit(name, "random", fmt.Sprintf("L=%d", c.levels), results[i])
 	}
 	mean := make([]float64, 0, len(deltas))
 	dev := make([]float64, 0, len(deltas))
@@ -450,7 +416,7 @@ func Fig16(opts Options) (*stats.Table, error) {
 		var sps []float64
 		for s := 0; s < seeds; s++ {
 			i := (di*seeds + s) * 2
-			r0, r1 := results[i], results[i+1]
+			r0, r1 := grid[i][0], grid[i+1][0]
 			sps = append(sps, float64(r0.Cycles)/float64(r1.Cycles))
 		}
 		mean = append(mean, stats.Mean(sps))
@@ -469,33 +435,20 @@ func NoTimingProtection(opts Options) (*stats.Table, error) {
 	rows := append(append([]string{}, benches...), "gmean")
 	t := stats.NewTable("Ablation: IR-Alloc speedup with and without timing protection", rows...)
 	tp := opts.Base.ORAM.IntervalT
-	variants := []struct {
-		interval uint64
-		sch      config.Scheme
-	}{
-		{tp, config.Baseline()},
-		{tp, config.IRAllocScheme()},
-		{0, config.Baseline()},
-		{0, config.IRAllocScheme()},
+	var vs []variant
+	for _, interval := range []uint64{tp, 0} {
+		for _, sch := range []config.Scheme{config.Baseline(), config.IRAllocScheme()} {
+			v := variant{cfg: opts.configFor(sch), label: fmt.Sprintf("T=%d", interval)}
+			v.cfg.ORAM.IntervalT = interval
+			vs = append(vs, v)
+		}
 	}
-	nb := len(benches)
-	flat, err := mapCells(opts, len(variants)*nb, func(i int) (sim.Result, error) {
-		v := variants[i/nb]
-		o := opts
-		o.Base.ORAM.IntervalT = v.interval
-		return o.runOne(v.sch, benches[i%nb])
-	})
+	grid, err := opts.runBatch(vs, benches)
 	if err != nil {
 		return nil, err
 	}
-	for vi, v := range variants {
-		for i, b := range benches {
-			opts.emit(v.sch.Name, b, fmt.Sprintf("T=%d", v.interval), flat[vi*nb+i])
-		}
-	}
-	row := func(vi int) []float64 { return cyclesOf(flat[vi*nb : (vi+1)*nb]) }
-	withTP := speedups(row(0), row(1))
-	without := speedups(row(2), row(3))
+	withTP := speedups(cyclesOf(grid[0]), cyclesOf(grid[1]))
+	without := speedups(cyclesOf(grid[2]), cyclesOf(grid[3]))
 	withTP = append(withTP, stats.GeoMean(withTP))
 	without = append(without, stats.GeoMean(without))
 	t.AddSeries("with protection", withTP)

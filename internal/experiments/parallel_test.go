@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -56,30 +57,32 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestZSearchParallelDeterminism asserts the greedy search picks the same
-// profile and the same accepted steps at every worker count.
+// profile and records the same accepted moves (label, cycles, background
+// evictions) at every worker count.
 func TestZSearchParallelDeterminism(t *testing.T) {
 	opts := Quick()
 	opts.Requests = 800
-	run := func(jobs int) (string, []SearchStep) {
+	run := func(jobs int) (string, []Record) {
 		o := opts
 		o.Jobs = jobs
-		prof, steps, err := ZSearch(o)
+		o.Artifacts = &ArtifactLog{}
+		prof, err := ZSearch(o)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
-		return DescribeProfile(prof, o.Base.ORAM.TopLevels), steps
+		return DescribeProfile(prof, o.Base.ORAM.TopLevels), o.Artifacts.Records()
 	}
-	seqProf, seqSteps := run(1)
-	parProf, parSteps := run(4)
+	seqProf, seqMoves := run(1)
+	parProf, parMoves := run(4)
 	if seqProf != parProf {
 		t.Errorf("profile differs: jobs=1 %s vs jobs=4 %s", seqProf, parProf)
 	}
-	if len(seqSteps) != len(parSteps) {
-		t.Fatalf("step counts differ: %d vs %d", len(seqSteps), len(parSteps))
+	if len(seqMoves) != len(parMoves) {
+		t.Fatalf("move counts differ: %d vs %d", len(seqMoves), len(parMoves))
 	}
-	for i := range seqSteps {
-		if seqSteps[i] != parSteps[i] {
-			t.Errorf("step %d differs: %+v vs %+v", i, seqSteps[i], parSteps[i])
+	for i := range seqMoves {
+		if !reflect.DeepEqual(seqMoves[i], parMoves[i]) {
+			t.Errorf("move %d differs: %+v vs %+v", i, seqMoves[i], parMoves[i])
 		}
 	}
 }

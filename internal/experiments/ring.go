@@ -18,7 +18,7 @@ func Ring(opts Options) (*stats.Table, error) {
 	schemes := []config.Scheme{
 		config.Baseline(), config.RingScheme(), config.RingIRAlloc(),
 	}
-	grid, err := opts.runGrid(schemes, benches)
+	grid, err := opts.runBatch(opts.variants(schemes...), benches)
 	if err != nil {
 		return nil, err
 	}

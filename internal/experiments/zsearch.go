@@ -7,14 +7,6 @@ import (
 	"iroram/internal/flight"
 )
 
-// SearchStep records one accepted move of the greedy Z search.
-type SearchStep struct {
-	Level   int
-	NewZ    int
-	Cycles  uint64
-	BgEvict uint64
-}
-
 // ZSearch implements the greedy bucket-size search of Section IV-B: starting
 // from Z=4 everywhere with Z=3 at the first bottom-band level, it repeatedly
 // shrinks the cheapest middle level, accepting a move only while
@@ -31,8 +23,9 @@ type SearchStep struct {
 // are independent simulations and fan out across opts.Jobs workers. The
 // chosen move is selected from the evaluated batch in ascending level order
 // with a strict improvement test, which reproduces the sequential search's
-// result exactly.
-func ZSearch(opts Options) (config.ZProfile, []SearchStep, error) {
+// result exactly. With Options.Artifacts set, the uniform baseline and each
+// accepted move leave a probe record (see emitStep below).
+func ZSearch(opts Options) (config.ZProfile, error) {
 	if opts.Figure == "" {
 		opts.Figure = "zsearch"
 	}
@@ -47,7 +40,9 @@ func ZSearch(opts Options) (config.ZProfile, []SearchStep, error) {
 		trace    *flight.Trace
 	}
 	evaluate := func(prof config.ZProfile) (eval, error) {
-		res, err := opts.runProfile(scheme, prof, "random")
+		cfg := opts.configFor(scheme)
+		cfg.ORAM.Z = prof
+		res, err := opts.runCell(cell{cfg: cfg, bench: "random"})
 		if err != nil {
 			return eval{}, err
 		}
@@ -69,7 +64,7 @@ func ZSearch(opts Options) (config.ZProfile, []SearchStep, error) {
 
 	baseEval, err := evaluate(base)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	emitStep("uniform", baseEval)
 	baseCycles, baseBg := baseEval.cycles, baseEval.bg
@@ -85,7 +80,7 @@ func ZSearch(opts Options) (config.ZProfile, []SearchStep, error) {
 		cand := append(config.ZProfile(nil), current...)
 		cand[start] = 3
 		if e, err := evaluate(cand); err != nil {
-			return nil, nil, err
+			return nil, err
 		} else if e.bg <= bgLimit && cand.SpaceReductionVs(base, o.TopLevels) < 0.01 {
 			current = cand
 			baseCycles = e.cycles
@@ -93,7 +88,6 @@ func ZSearch(opts Options) (config.ZProfile, []SearchStep, error) {
 		}
 	}
 
-	var steps []SearchStep
 	for iter := 0; iter < 4*o.Levels; iter++ {
 		// Enumerate the candidate moves. Shrink middle levels top-down:
 		// upper levels hold the least data, so they are the cheapest to
@@ -119,7 +113,7 @@ func ZSearch(opts Options) (config.ZProfile, []SearchStep, error) {
 			return evaluate(cands[i].prof)
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		bestIdx := -1
 		for i, e := range evals {
@@ -137,12 +131,8 @@ func ZSearch(opts Options) (config.ZProfile, []SearchStep, error) {
 		current[best.level]--
 		baseCycles = evals[bestIdx].cycles
 		emitStep(fmt.Sprintf("L%d=Z%d", best.level, current[best.level]), evals[bestIdx])
-		steps = append(steps, SearchStep{
-			Level: best.level, NewZ: current[best.level],
-			Cycles: evals[bestIdx].cycles, BgEvict: evals[bestIdx].bg,
-		})
 	}
-	return current, steps, nil
+	return current, nil
 }
 
 // DescribeProfile renders a profile as compact level ranges, e.g.

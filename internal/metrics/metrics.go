@@ -115,6 +115,11 @@ func NewLinearHist(n int) *LinearHist {
 // Add increments bucket i.
 func (h *LinearHist) Add(i int) { h.Counts[i]++ }
 
+// Clone returns a copy that later Adds to h leave unchanged.
+func (h *LinearHist) Clone() *LinearHist {
+	return &LinearHist{Counts: append([]uint64(nil), h.Counts...)}
+}
+
 // Total returns the histogram mass.
 func (h *LinearHist) Total() uint64 {
 	var n uint64

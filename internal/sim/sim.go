@@ -4,6 +4,14 @@
 // construct a fresh System per (scheme, benchmark) pair so runs never share
 // state.
 //
+// # Results
+//
+// Run and Result return a Result: the run's counters, a metrics snapshot,
+// copies of the controller's per-level histograms and its per-level
+// Utilization, all as of capture. A Result never changes afterwards, so a
+// caller may step one System in Run slices and keep the Result of each
+// slice (Fig 3 and Fig 13 take one per quarter of their run).
+//
 // # Concurrency contract
 //
 // A System is strictly single-goroutine: nothing in it (controller, stash,
@@ -34,8 +42,6 @@
 package sim
 
 import (
-	"strconv"
-
 	"iroram/internal/block"
 	"iroram/internal/cache"
 	"iroram/internal/config"
@@ -183,52 +189,16 @@ func (s *System) Run(gen trace.Generator, maxRequests int) Result {
 	return s.Result(gen.Name())
 }
 
-// RunWithSnapshots is Run plus periodic tree-utilization snapshots (the
-// Fig 3 methodology): snapshots+1 measurements labelled by progress,
-// including one right after initialization.
-func (s *System) RunWithSnapshots(gen trace.Generator, maxRequests, snapshots int) (Result, []UtilSnapshot) {
-	out := []UtilSnapshot{{Label: "init", Util: s.ctrl.Utilization()}}
-	per := maxRequests / snapshots
-	if per == 0 {
-		per = 1
-	}
-	consumed := 0
-	for i := 0; i < maxRequests; i++ {
-		req, ok := gen.Next()
-		if !ok {
-			break
-		}
-		s.Step(req)
-		consumed++
-		if consumed%per == 0 {
-			out = append(out, UtilSnapshot{
-				Label: progressLabel(consumed, maxRequests),
-				Util:  s.ctrl.Utilization(),
-			})
-		}
-	}
-	return s.Result(gen.Name()), out
-}
-
-// progressLabel labels a snapshot taken after done of total requests
-// (done <= total) with the percentage completed.
-func progressLabel(done, total int) string {
-	return strconv.Itoa(done*100/total) + "%"
-}
-
-// UtilSnapshot is one labelled utilization-per-level measurement.
-type UtilSnapshot struct {
-	Label string
-	Util  []float64
-}
-
 // Result summarizes one run.
 //
 // A Result is immutable once returned: the producing System never writes to
-// it again (Metrics is a fresh snapshot, ORAM.Epochs a finished series), and
-// every consumer — table arithmetic, artifact records, the cross-figure
-// cell cache that hands one stored Result to many requesters — only reads
-// it. TestCachedResultImmutable (internal/experiments) pins this contract.
+// it again, even when it runs on and captures more Results. Metrics is a
+// fresh snapshot, ORAM's per-level histograms and Utilization are copies,
+// and ORAM.Epochs only grows past the captured length. Every consumer —
+// table arithmetic, artifact records, the cross-figure cell cache that
+// hands one stored Result to many requesters — only reads it.
+// TestCachedResultImmutable (internal/experiments) and
+// TestResultDetachedFromSystem pin this contract.
 type Result struct {
 	Name         string
 	Cycles       uint64
@@ -240,6 +210,10 @@ type Result struct {
 	ORAM         core.Stats
 	DRAM         dram.Stats
 	LLC          cache.Stats
+
+	// Utilization is the controller's per-level space utilization at
+	// capture time (Fig 3, Fig 4, Fig 13).
+	Utilization []float64
 
 	// Metrics is the full registry snapshot at capture time — the record
 	// the JSONL artifact emitter serializes (docs/METRICS.md).
@@ -257,6 +231,10 @@ func (s *System) Result(name string) Result {
 	if s.lastDone > cycles {
 		cycles = s.lastDone // drain outstanding misses
 	}
+	st := *s.ctrl.Stats()
+	st.HitLevels = st.HitLevels.Clone()
+	st.MigrationFetched = st.MigrationFetched.Clone()
+	st.MigrationPreexisting = st.MigrationPreexisting.Clone()
 	return Result{
 		Name:         name,
 		Cycles:       cycles,
@@ -265,9 +243,10 @@ func (s *System) Result(name string) Result {
 		ReadMisses:   s.readMisses,
 		WriteMisses:  s.writeMisses,
 		DirtyWBs:     s.dirtyWBs,
-		ORAM:         *s.ctrl.Stats(),
+		ORAM:         st,
 		DRAM:         s.mem.Stats(),
 		LLC:          s.llc.Stats(),
+		Utilization:  s.ctrl.Utilization(),
 		Metrics:      s.reg.Snapshot(),
 		Flight:       s.flight.Snapshot(),
 	}

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"iroram/internal/block"
 	"iroram/internal/config"
 	"iroram/internal/posmap"
 	"iroram/internal/rng"
@@ -166,25 +170,60 @@ func TestLLCDReadStreamSlowdown(t *testing.T) {
 	}
 }
 
+// TestSnapshots steps one System in Run slices, as Fig 3 and Fig 13 do:
+// every Result carries one utilization per level, in [0, 1], taken when
+// the Result was captured.
 func TestSnapshots(t *testing.T) {
 	s := tinySystem(t, config.Baseline())
 	gen := trace.Random(universe(s), 0.5, 5)
-	_, snaps := s.RunWithSnapshots(gen, 1000, 4)
-	if len(snaps) != 5 {
-		t.Fatalf("got %d snapshots, want 5 (init + 4)", len(snaps))
+	snaps := []Result{s.Result(gen.Name())}
+	for i := 0; i < 4; i++ {
+		snaps = append(snaps, s.Run(gen, 250))
 	}
-	if snaps[0].Label != "init" {
-		t.Errorf("first snapshot labelled %q", snaps[0].Label)
-	}
-	for _, sn := range snaps {
-		if len(sn.Util) != s.cfg.ORAM.Levels {
-			t.Fatalf("snapshot %q has %d levels", sn.Label, len(sn.Util))
+	for i, r := range snaps {
+		if r.Requests != uint64(250*i) {
+			t.Errorf("snapshot %d after %d requests, want %d", i, r.Requests, 250*i)
 		}
-		for l, u := range sn.Util {
+		if len(r.Utilization) != s.cfg.ORAM.Levels {
+			t.Fatalf("snapshot %d has %d levels", i, len(r.Utilization))
+		}
+		for l, u := range r.Utilization {
 			if u < 0 || u > 1 {
-				t.Errorf("snapshot %q level %d: %v", sn.Label, l, u)
+				t.Errorf("snapshot %d level %d: %v", i, l, u)
 			}
 		}
+	}
+	if got, want := snaps[4].Utilization, s.Controller().Utilization(); !reflect.DeepEqual(got, want) {
+		t.Errorf("last snapshot %v, controller now %v", got, want)
+	}
+	if reflect.DeepEqual(snaps[0].Utilization, snaps[4].Utilization) {
+		t.Error("utilization did not move over 1,000 requests")
+	}
+}
+
+// TestResultDetachedFromSystem checks that a Result taken mid-run does not
+// change as its System runs on: the per-level histograms, the utilization
+// and the epoch series it holds stay as they were at capture.
+func TestResultDetachedFromSystem(t *testing.T) {
+	s := tinySystem(t, config.Baseline())
+	s.SetEpochInterval(100)
+	gen := trace.MustBenchmark("mcf", universe(s), 1)
+	res := s.Run(gen, 1000)
+	before, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := res.ORAM.HitLevels.Total()
+	s.Run(gen, 1000)
+	if got := res.ORAM.HitLevels.Total(); got != hits {
+		t.Errorf("HitLevels total %d at capture, %d after 1,000 more requests", hits, got)
+	}
+	after, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("a captured Result changed while its System ran on")
 	}
 }
 
@@ -197,7 +236,7 @@ func TestDWBSchemeRuns(t *testing.T) {
 		IdleEvery: 40, IdleInstr: 100_000,
 	}, universe(s), 9)
 	res := s.Run(gen, 3000)
-	if res.ORAM.DWBConverted == 0 {
+	if res.ORAM.Paths.Paths[block.PathDWB] == 0 {
 		t.Error("IR-DWB never converted a dummy slot")
 	}
 	if res.ORAM.DWBCompleted == 0 {
